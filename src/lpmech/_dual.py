@@ -158,12 +158,6 @@ def real_part(x):
     return x
 
 
-def real_array(xs):
-    """real_part applied entrywise, returned as a flat float ndarray."""
-    xs = np.asarray(xs, dtype=object).ravel()
-    return np.array([real_part(x) for x in xs], dtype=float)
-
-
 def tangent_part(y, level):
     """Infinitesimal part of ``y`` at ``level`` (0.0 when absent)."""
     if isinstance(y, Dual) and y.level == level:

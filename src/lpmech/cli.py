@@ -31,7 +31,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 import warnings
 
 import numpy as np
@@ -48,17 +47,17 @@ from .dynamics import (
     noether_current,
     noether_drift_residual,
     write_trajectory_csv,
+    _csv_text,
+    _write_text,
 )
 from .errors import (
     AxiomViolation,
-    ChartExit,
     ConfigError,
     DimensionMismatch,
     InvarianceViolation,
-    NoConvergence,
     NotNormal,
     NotSupported,
-    SingularHessian,
+    NumericalFailure,
 )
 from .liegroups import abelian, heisenberg3, so3
 from .lpbundle import ChartDomain, LPBundleChart, check_axioms
@@ -70,7 +69,7 @@ from .reduction import (
     trivial_representation,
     two_stage_lagrangian,
 )
-from .smoothmap import SmoothMap, eval_map
+from .smoothmap import SmoothMap, constant_map
 from .systems import SystemRecord, build_system
 
 _MISSING = object()
@@ -116,9 +115,11 @@ def _num(val, label):
     return float(val)
 
 
-def _int(val, label):
+def _int(val, label, least=None):
     if isinstance(val, bool) or not isinstance(val, int):
         raise ConfigError(f"{label}: expected an integer, got {type(val).__name__}")
+    if least is not None and val < least:
+        raise ConfigError(f"{label}: must be at least {least}, got {val}")
     return val
 
 
@@ -167,8 +168,12 @@ def _resolve_out(cfg, args):
 
 def _resolve_tol(cfg, args, default):
     if args.tol is not None:
-        return float(args.tol)
-    return _num(cfg.get("tol", default), "tol")
+        tol = float(args.tol)
+    else:
+        tol = _num(cfg.get("tol", default), "tol")
+    if not tol >= 0:
+        raise ConfigError(f"tol: must be nonnegative, got {tol:g}")
+    return tol
 
 
 def _integrate(sys_, s0, t_end, dt, method):
@@ -345,10 +350,7 @@ def scenario_from_config(node, label="scenario"):
     if conn is not None:
         A = _table_field({"connection": conn}, "connection", d, (d, k), label)
         if isinstance(A, np.ndarray):
-            tab = A
-            A = SmoothMap(
-                d, d * k, lambda x, t=tab: t, out_shape=(d, k), name="connection"
-            )
+            A = constant_map(d, A, "connection")
     rep = node.get("representation")
     repW = None
     if rep == "defining":
@@ -413,31 +415,11 @@ def resolve_initial(cfg, record):
 
 
 # ---------------------------------------------------------------------------
-# atomic writers
-
-
-def _write_text(path, text):
-    dirname = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=dirname, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+# report writers
 
 
 def _write_json(path, payload):
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(f"{float(x):.17g}" for x in row))
-    _write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +429,7 @@ def _write_csv(path, header, rows):
 def cmd_check_axioms(cfg, args):
     record = resolve_system(cfg, args)
     tol = _resolve_tol(cfg, args, 1e-8)
-    samples = _int(cfg.get("samples", 100), "samples")
+    samples = _int(cfg.get("samples", 100), "samples", least=1)
     seed = _resolve_seed(args.seed, cfg)
     out = _resolve_out(cfg, args)
 
@@ -492,17 +474,7 @@ def cmd_simulate(cfg, args):
     out = _resolve_out(cfg, args)
     sys_ = record.lagrangian
 
-    try:
-        traj = _integrate(sys_, s0, t_end, dt, method)
-    except (SingularHessian, NoConvergence, ChartExit) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        print(
-            "state: q=" + _fmt_vec(s0.q) + " qdot=" + _fmt_vec(s0.qdot)
-            + " v=" + _fmt_vec(s0.v),
-            file=sys.stderr,
-        )
-        return 3
-
+    traj = _integrate(sys_, s0, t_end, dt, method)
     energies = [energy(sys_, s) for s in traj.states]
     drift = float(max(abs(e - energies[0]) for e in energies))
     resid = _lp_residual_max(sys_, traj)
@@ -576,9 +548,7 @@ def _structure_sample_rows(bundle, n_dump, seed):
     rows = []
     for _ in range(n_dump):
         x = bundle.base.sample(rng)
-        G = np.asarray(eval_map(bundle.Gamma, x), dtype=float)
-        C = np.asarray(eval_map(bundle.c, x), dtype=float)
-        Om = np.asarray(eval_map(bundle.omega, x), dtype=float)
+        G, C, Om = bundle.tables(x)
         rows.append(np.concatenate([x, G.ravel(), C.ravel(), Om.ravel()]))
     return header, rows
 
@@ -598,8 +568,8 @@ def cmd_reduce(cfg, args):
         scenario = record.scenario
 
     seed = _resolve_seed(args.seed, cfg)
-    samples = _int(cfg.get("samples", 100), "samples")
-    n_dump = _int(cfg.get("dump_samples", 20), "dump_samples")
+    samples = _int(cfg.get("samples", 100), "samples", least=1)
+    n_dump = _int(cfg.get("dump_samples", 20), "dump_samples", least=0)
     out = _resolve_out(cfg, args)
 
     handle = record.handle if record is not None and record.handle is not None else None
@@ -607,7 +577,7 @@ def cmd_reduce(cfg, args):
         handle = build_reduced_bundle(scenario, n_samples=samples, seed=seed)
 
     header, rows = _structure_sample_rows(handle.bundle, n_dump, seed)
-    _write_csv(os.path.join(out, "structure_samples.csv"), header, rows)
+    _write_text(os.path.join(out, "structure_samples.csv"), _csv_text(header, rows))
 
     trajectory_rows = 0
     if record is not None and record.lagrangian is not None:
@@ -670,14 +640,7 @@ def cmd_stages(cfg, args):
             "stages",
         )
         if isinstance(override, np.ndarray):
-            tab = override
-            override = SmoothMap(
-                d + s_dim,
-                tab.size,
-                lambda x, t=tab: t,
-                out_shape=shape,
-                name="override_A_N",
-            )
+            override = constant_map(d + s_dim, override, "override_A_N")
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -774,7 +737,7 @@ def cmd_noether(cfg, args):
         row += [col[i] for col in currents]
         row += [col[i - 2] for col in residuals]
         rows.append(row)
-    _write_csv(os.path.join(out, "noether.csv"), header, rows)
+    _write_text(os.path.join(out, "noether.csv"), _csv_text(header, rows))
 
     payload = {
         "system": record.name,
@@ -847,8 +810,11 @@ def main(argv=None):
     except (AxiomViolation, InvarianceViolation, NotNormal) as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return 2
-    except (SingularHessian, NoConvergence, ChartExit) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except NumericalFailure as exc:
+        where = ""
+        if exc.t is not None:
+            where = f"; state: q={_fmt_vec(exc.q)} at t={exc.t!r}"
+        print(f"numerical failure: {exc}{where}", file=sys.stderr)
         return 3
 
 

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import _dual
-from .errors import ChartExit, DimensionMismatch, SingularHessian
+from .errors import DimensionMismatch, NonFiniteState, NumericalFailure, SingularHessian
 from .lpbundle import LPBundleChart
 from .smoothmap import SmoothMap, eval_map, jacobian
 
@@ -63,12 +63,7 @@ class LPLagrangian:
     @staticmethod
     def from_callable(bundle, f, name=""):
         """Wrap a plain function f(q, qdot, v) -> scalar."""
-        n, m = bundle.n, bundle.m
-
-        def body(x):
-            return f(x[:n], x[n : 2 * n], x[2 * n :])
-
-        return LPLagrangian(bundle, SmoothMap(2 * n + m, 1, body, name=name), name)
+        return LPLagrangian(bundle, _split_map(bundle.n, bundle.m, f, name), name)
 
     def value(self, q, qdot, v):
         parts = [np.asarray(q), np.asarray(qdot), np.asarray(v)]
@@ -77,6 +72,16 @@ class LPLagrangian:
         else:
             x = np.concatenate([p.astype(float) for p in parts])
         return eval_map(self.L, x).reshape(-1)[0]
+
+
+def _split_map(n, m, f, name=""):
+    """Scalar map of the packed vector of length 2n + m, calling f on its
+    three slots: (q, qdot, v) on the velocity side, (q, p, nu) on the dual."""
+
+    def body(x):
+        return f(x[:n], x[n : 2 * n], x[2 * n :])
+
+    return SmoothMap(2 * n + m, 1, body, name=name)
 
 
 @dataclass(frozen=True)
@@ -119,6 +124,8 @@ class LPState2:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """Sampled states on a time grid; the states are LPState or HPState."""
+
     times: np.ndarray
     states: tuple
     meta: dict = field(default_factory=dict)
@@ -149,26 +156,17 @@ def _pack(s: LPState):
     return np.concatenate([s.q, s.qdot, s.v])
 
 
-def _scalar_body(sys: LPLagrangian):
-    L = sys.L
+def _scalar_body(fm: SmoothMap):
+    """The scalar map fm as a plain function of its packed input."""
 
     def f(x):
-        y = eval_map(L, x)
-        return y.reshape(-1)[0]
+        return eval_map(fm, x).reshape(-1)[0]
 
     return f
 
 
 def _grad_hess(sys: LPLagrangian, s: LPState):
-    return _dual.grad_hess(_scalar_body(sys), _pack(s))
-
-
-def _structure_at(sys: LPLagrangian, q):
-    b = sys.bundle
-    G = np.asarray(eval_map(b.Gamma, q), dtype=float)
-    C = np.asarray(eval_map(b.c, q), dtype=float)
-    Om = np.asarray(eval_map(b.omega, q), dtype=float)
-    return G, C, Om
+    return _dual.grad_hess(_scalar_body(sys.L), _pack(s))
 
 
 def lp_operator(sys: LPLagrangian, s2: LPState2):
@@ -181,7 +179,7 @@ def lp_operator(sys: LPLagrangian, s2: LPState2):
     s = s2.state
     _, grad, H = _grad_hess(sys, s)
     sq, sqd, sv = slice(0, n), slice(n, 2 * n), slice(2 * n, 2 * n + m)
-    G, C, Om = _structure_at(sys, s.q)
+    G, C, Om = sys.bundle.tables(s.q)
     mu = grad[sv]
 
     xdot = np.concatenate([s2.qdot, s2.qddot, s2.vdot])
@@ -208,7 +206,7 @@ def accelerations(sys: LPLagrangian, s: LPState):
     n, m = sys.n, sys.m
     _, grad, H = _grad_hess(sys, s)
     sq, sqd, sv = slice(0, n), slice(n, 2 * n), slice(2 * n, 2 * n + m)
-    G, C, Om = _structure_at(sys, s.q)
+    G, C, Om = sys.bundle.tables(s.q)
     mu = grad[sv]
 
     M = H[n:, n:]
@@ -238,17 +236,33 @@ def energy(sys: LPLagrangian, s: LPState):
     """E = <dL/dqdot, qdot> + <dL/dv, v> - L."""
     n = sys.n
     x = _pack(s)
-    grad = _dual.gradient(_scalar_body(sys), x)
+    grad = _dual.gradient(_scalar_body(sys.L), x)
     grad = np.asarray(grad, dtype=float)
     val = float(eval_map(sys.L, x).reshape(-1)[0])
     return float(grad[n : 2 * n] @ s.qdot + grad[2 * n :] @ s.v - val)
 
 
-def integrate_lp(sys: LPLagrangian, s0: LPState, t0, t1, h, method="rk4"):
-    """Fixed-step integration of (q, qdot, v); wraps periodic coordinates.
+def _step(ydot, y, h, method):
+    if method == "rk4":
+        k1 = ydot(y)
+        k2 = ydot(y + 0.5 * h * k1)
+        k3 = ydot(y + 0.5 * h * k2)
+        k4 = ydot(y + h * k3)
+        return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y + h * ydot(y)
 
-    Raises ChartExit if a non-periodic coordinate leaves the chart and
-    propagates SingularHessian from the acceleration solve.
+
+def _integrate_fixed(ydot, state_type, dom, s0, t0, t1, h, method):
+    """Fixed-step RK4 or Euler on the packed vector of s0's three slots.
+
+    ``ydot`` maps the packed vector to its time derivative, and
+    ``state_type`` builds a state from the three slots, q first.
+
+    After each step the periodic coordinates of q are wrapped and the state
+    is checked: a non-finite entry raises NonFiniteState and a non-periodic
+    coordinate outside the chart raises ChartExit.  A NumericalFailure
+    raised by ydot that carries no time or q gets those of the last
+    accepted step.
     """
     if method not in ("rk4", "euler"):
         raise ValueError(f"unknown method {method!r}")
@@ -259,35 +273,52 @@ def integrate_lp(sys: LPLagrangian, s0: LPState, t0, t1, h, method="rk4"):
     if steps < 1 or abs(steps * h - span) > 1e-9 * max(1.0, abs(span)):
         raise ValueError("time span must be a whole number of steps")
 
-    n, m = sys.n, sys.m
-    dom = sys.bundle.base
+    n = dom.n
+    y = np.concatenate([np.asarray(part, dtype=float) for part in s0])
+    times = float(t0) + h * np.arange(steps + 1)
+    states = []
+    # overflow and NaN are reported once, as NonFiniteState, not as warnings
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for k in range(steps + 1):
+            t = float(times[k])
+            if k:
+                try:
+                    y = _step(ydot, y, h, method)
+                except NumericalFailure as exc:
+                    if exc.t is None:
+                        exc.t = float(times[k - 1])
+                    if exc.q is None:
+                        exc.q = states[-1].q
+                    raise
+            if not np.all(np.isfinite(y)):
+                raise NonFiniteState(
+                    "step produced a non-finite state", q=y[:n].copy(), t=t
+                )
+            y[:n] = dom.wrap(y[:n])
+            dom.require_inside(y[:n], t=t)
+            states.append(state_type(y[:n], y[n : 2 * n], y[2 * n :]))
+
+    return Trajectory(
+        times, states, {"integrator": method, "h": float(h), "seed": None}
+    )
+
+
+def integrate_lp(sys: LPLagrangian, s0: LPState, t0, t1, h, method="rk4"):
+    """Fixed-step integration of (q, qdot, v); wraps periodic coordinates.
+
+    Raises ChartExit if a non-periodic coordinate leaves the chart,
+    NonFiniteState if a step produces a non-finite state, and propagates
+    SingularHessian from the acceleration solve.
+    """
+    n = sys.n
 
     def ydot(y):
         st = LPState(y[:n], y[n : 2 * n], y[2 * n :])
         qdd, vd = accelerations(sys, st)
         return np.concatenate([st.qdot, qdd, vd])
 
-    q0 = dom.wrap(np.asarray(s0.q, dtype=float))
-    dom.require_inside(q0, t=float(t0))
-    y = np.concatenate([q0, s0.qdot, s0.v])
-    times = float(t0) + h * np.arange(steps + 1)
-    states = [LPState(y[:n], y[n : 2 * n], y[2 * n :])]
-
-    for k in range(steps):
-        if method == "rk4":
-            k1 = ydot(y)
-            k2 = ydot(y + 0.5 * h * k1)
-            k3 = ydot(y + 0.5 * h * k2)
-            k4 = ydot(y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        else:
-            y = y + h * ydot(y)
-        y[:n] = dom.wrap(y[:n])
-        dom.require_inside(y[:n], t=float(times[k + 1]))
-        states.append(LPState(y[:n], y[n : 2 * n], y[2 * n :]))
-
-    return Trajectory(
-        times, states, {"integrator": method, "h": float(h), "seed": None}
+    return _integrate_fixed(
+        ydot, LPState, sys.bundle.base, (s0.q, s0.qdot, s0.v), t0, t1, h, method
     )
 
 
@@ -333,7 +364,7 @@ class GroupAction:
 def noether_current(sys: LPLagrangian, act: GroupAction, s: LPState, eta):
     """J = <dL/dqdot, genQ(eta, q)>; linear in eta."""
     n = sys.n
-    grad = np.asarray(_dual.gradient(_scalar_body(sys), _pack(s)), dtype=float)
+    grad = np.asarray(_dual.gradient(_scalar_body(sys.L), _pack(s)), dtype=float)
     etaQ = np.asarray(act.genQ(np.asarray(eta, dtype=float), s.q), dtype=float)
     return float(grad[n : 2 * n] @ etaQ)
 
@@ -370,7 +401,7 @@ def noether_drift_residual(sys: LPLagrangian, act: GroupAction, traj: Trajectory
     for i in range(2, N - 2):
         dJdt = (-J[i + 2] + 8 * J[i + 1] - 8 * J[i - 1] + J[i - 2]) / (12 * h)
         s = traj.states[i]
-        grad = np.asarray(_dual.gradient(_scalar_body(sys), _pack(s)), dtype=float)
+        grad = np.asarray(_dual.gradient(_scalar_body(sys.L), _pack(s)), dtype=float)
         mu = grad[2 * sys.n :]
         Om = np.asarray(eval_map(sys.bundle.omega, s.q), dtype=float)
         ver2, etaQ = _vertical_generator(sys, act, eta, s.q, s.v)
@@ -390,7 +421,7 @@ def invariance_residual(sys: LPLagrangian, act: GroupAction, s: LPState, eta):
     """
     n = sys.n
     eta = np.asarray(eta, dtype=float)
-    grad = np.asarray(_dual.gradient(_scalar_body(sys), _pack(s)), dtype=float)
+    grad = np.asarray(_dual.gradient(_scalar_body(sys.L), _pack(s)), dtype=float)
     gen_map = SmoothMap(n, n, lambda qq: act.genQ(eta, qq), out_shape=(n,))
     JQ = np.asarray(jacobian(gen_map, s.q), dtype=float)
     etaQ = np.asarray(act.genQ(eta, s.q), dtype=float)
@@ -404,30 +435,48 @@ def invariance_residual(sys: LPLagrangian, act: GroupAction, s: LPState, eta):
 # serialization
 
 
+def _write_text(path, text):
+    """Write text atomically: a temp file in the target directory is renamed
+    over the destination.  Newlines are LF regardless of platform."""
+    dirname = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=dirname, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _csv_text(header, rows):
+    """CSV text with every number at full double precision (17 digits)."""
+    lines = [",".join(header)]
+    lines += [",".join(f"{float(x):.17g}" for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _write_trajectory(path, traj: Trajectory, labels):
+    """One column per time and per state entry, slot i headed labels[i]."""
+    s0 = traj.states[0]
+    slots = [f.name for f in fields(s0)]
+    header = ["t"] + [
+        f"{label}{i + 1}"
+        for label, slot in zip(labels, slots)
+        for i in range(len(getattr(s0, slot)))
+    ]
+    rows = (
+        np.concatenate([[t]] + [getattr(s, slot) for slot in slots])
+        for t, s in zip(traj.times, traj.states)
+    )
+    _write_text(path, _csv_text(header, rows))
+
+
 def write_trajectory_csv(path, traj: Trajectory):
     """Write `t,q1..qn,qd1..qdn,v1..vm` rows at full double precision.
 
     The write is atomic: a temp file in the target directory is renamed
     over the destination.  Output uses LF newlines regardless of platform.
     """
-    s0 = traj.states[0]
-    n, m = len(s0.q), len(s0.v)
-    header = (
-        ["t"]
-        + [f"q{i + 1}" for i in range(n)]
-        + [f"qd{i + 1}" for i in range(n)]
-        + [f"v{a + 1}" for a in range(m)]
-    )
-    dirname = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=dirname, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for t, s in zip(traj.times, traj.states):
-                row = np.concatenate([[t], s.q, s.qdot, s.v])
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_trajectory(path, traj, ("q", "qd", "v"))

@@ -9,8 +9,13 @@ class DimensionMismatch(LpmechError):
     """An input vector or matrix has the wrong size for the map it feeds."""
 
 
-class ChartExit(LpmechError):
-    """A state left the chart through a non-periodic coordinate."""
+class NumericalFailure(LpmechError):
+    """A computation broke down numerically.
+
+    ``t`` and ``q`` locate the failure when known; the fixed-step integrator
+    fills them in with the last accepted step for failures raised inside
+    a step.
+    """
 
     def __init__(self, message, q=None, t=None):
         super().__init__(message)
@@ -18,11 +23,19 @@ class ChartExit(LpmechError):
         self.t = t
 
 
-class SingularHessian(LpmechError):
+class ChartExit(NumericalFailure):
+    """A state left the chart through a non-periodic coordinate."""
+
+
+class NonFiniteState(NumericalFailure):
+    """An integration step produced an infinite or NaN state entry."""
+
+
+class SingularHessian(NumericalFailure):
     """The velocity-block Hessian is numerically singular (condition > 1e12)."""
 
 
-class NoConvergence(LpmechError):
+class NoConvergence(NumericalFailure):
     """An iterative solve did not reach the requested tolerance."""
 
 

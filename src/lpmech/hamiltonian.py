@@ -12,18 +12,25 @@ dual numbers through nested bracket evaluations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _dual
-from .errors import ChartExit, DimensionMismatch, NoConvergence, SingularHessian
+from .errors import DimensionMismatch, NoConvergence, SingularHessian
 from .lpbundle import LPBundleChart, Section, section_bracket
 from .smoothmap import SmoothMap, eval_map
-from .dynamics import HESSIAN_COND_LIMIT, LPLagrangian, LPState, _pack, _scalar_body
-
-import os
-import tempfile
+from .dynamics import (
+    HESSIAN_COND_LIMIT,
+    LPLagrangian,
+    LPState,
+    Trajectory,
+    _integrate_fixed,
+    _pack,
+    _scalar_body,
+    _split_map,
+    _write_trajectory,
+)
 
 
 @dataclass(frozen=True)
@@ -53,10 +60,7 @@ class DualObservable:
 
     @staticmethod
     def from_callable(n, m, fn, name=""):
-        def body(x):
-            return fn(x[:n], x[n : 2 * n], x[2 * n :])
-
-        return DualObservable(SmoothMap(2 * n + m, 1, body, name=name))
+        return DualObservable(_split_map(n, m, fn, name))
 
 
 @dataclass(frozen=True)
@@ -74,14 +78,7 @@ class Hamiltonian:
 
     @staticmethod
     def from_callable(bundle, fn, name=""):
-        n = bundle.n
-
-        def body(x):
-            return fn(x[:n], x[n : 2 * n], x[2 * n :])
-
-        return Hamiltonian(
-            bundle, SmoothMap(2 * n + bundle.m, 1, body, name=name), name
-        )
+        return Hamiltonian(bundle, _split_map(bundle.n, bundle.m, fn, name), name)
 
 
 def _obs_map(obj):
@@ -98,15 +95,8 @@ def _pack_hp(s: HPState):
     return np.concatenate([s.q, s.p, s.nu])
 
 
-def _scalar_of(fm: SmoothMap):
-    def f(x):
-        return eval_map(fm, x).reshape(-1)[0]
-
-    return f
-
-
 def _grad(fm: SmoothMap, x):
-    return _dual.gradient(_scalar_of(fm), x)
+    return _dual.gradient(_scalar_body(fm), x)
 
 
 def _real_vec(x):
@@ -182,15 +172,12 @@ def poisson_bracket(b: LPBundleChart, f, g, s) -> float:
 
 
 def _affine_observable(b, Z: Section):
-    n, m = b.n, b.m
-
-    def body(x):
-        q = x[:n]
+    def body(q, p, nu):
         Xq = eval_map(Z.X, q).reshape(-1)
         wq = eval_map(Z.w, q).reshape(-1)
-        return _dot(x[n : 2 * n], Xq) + _dot(x[2 * n :], wq)
+        return _dot(p, Xq) + _dot(nu, wq)
 
-    return DualObservable(SmoothMap(2 * n + m, 1, body))
+    return DualObservable(_split_map(b.n, b.m, body))
 
 
 def affine_bracket_check(b: LPBundleChart, Z1: Section, Z2: Section, s: HPState):
@@ -255,46 +242,9 @@ def hamiltonian_vector_field(b: LPBundleChart, H, s):
     return conv(qdot), conv(pdot), conv(nudot)
 
 
-@dataclass(frozen=True)
-class HPTrajectory:
-    times: np.ndarray
-    states: tuple
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "states", tuple(self.states))
-        if len(t) != len(self.states) or len(t) < 2:
-            raise ValueError("need matching times/states with at least two samples")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("times must be strictly increasing")
-
-    def __len__(self):
-        return len(self.states)
-
-    def q_array(self):
-        return np.array([s.q for s in self.states])
-
-    def p_array(self):
-        return np.array([s.p for s in self.states])
-
-    def nu_array(self):
-        return np.array([s.nu for s in self.states])
-
-
 def integrate_hp(b: LPBundleChart, H, s0: HPState, t0, t1, h, method="rk4"):
     """Fixed-step integration of the dual-side equations on (q, p, nu)."""
-    if method not in ("rk4", "euler"):
-        raise ValueError(f"unknown method {method!r}")
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    span = float(t1) - float(t0)
-    steps = int(round(span / h))
-    if steps < 1 or abs(steps * h - span) > 1e-9 * max(1.0, abs(span)):
-        raise ValueError("time span must be a whole number of steps")
-
-    n, m = b.n, b.m
+    n = b.n
 
     def ydot(y):
         st = HPState(y[:n], y[n : 2 * n], y[2 * n :])
@@ -303,27 +253,8 @@ def integrate_hp(b: LPBundleChart, H, s0: HPState, t0, t1, h, method="rk4"):
             [np.asarray(qd, float), np.asarray(pd, float), np.asarray(nd, float)]
         )
 
-    q0 = b.base.wrap(np.asarray(s0.q, dtype=float))
-    b.base.require_inside(q0, t=float(t0))
-    y = np.concatenate([q0, s0.p, s0.nu])
-    times = float(t0) + h * np.arange(steps + 1)
-    states = [HPState(y[:n], y[n : 2 * n], y[2 * n :])]
-
-    for k in range(steps):
-        if method == "rk4":
-            k1 = ydot(y)
-            k2 = ydot(y + 0.5 * h * k1)
-            k3 = ydot(y + 0.5 * h * k2)
-            k4 = ydot(y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        else:
-            y = y + h * ydot(y)
-        y[:n] = b.base.wrap(y[:n])
-        b.base.require_inside(y[:n], t=float(times[k + 1]))
-        states.append(HPState(y[:n], y[n : 2 * n], y[2 * n :]))
-
-    return HPTrajectory(
-        times, states, {"integrator": method, "h": float(h), "seed": None}
+    return _integrate_fixed(
+        ydot, HPState, b.base, (s0.q, s0.p, s0.nu), t0, t1, h, method
     )
 
 
@@ -334,7 +265,7 @@ def integrate_hp(b: LPBundleChart, H, s0: HPState, t0, t1, h, method="rk4"):
 def legendre(sys: LPLagrangian, s: LPState) -> HPState:
     """Velocity state to dual state: p = dL/dqdot, nu = dL/dv."""
     n = sys.n
-    grad = np.asarray(_dual.gradient(_scalar_body(sys), _pack(s)), dtype=float)
+    grad = np.asarray(_dual.gradient(_scalar_body(sys.L), _pack(s)), dtype=float)
     return HPState(s.q, grad[n : 2 * n], grad[2 * n :])
 
 
@@ -348,7 +279,7 @@ def inverse_legendre(sys: LPLagrangian, hs: HPState, guess: LPState, tol=1e-12):
     n, m = sys.n, sys.m
     target = np.concatenate([hs.p, hs.nu])
     y = np.concatenate([guess.qdot, guess.v])
-    f = _scalar_body(sys)
+    f = _scalar_body(sys.L)
     for _ in range(50):
         x = np.concatenate([hs.q, y])
         _, grad, H = _dual.grad_hess(f, x)
@@ -373,26 +304,9 @@ def hamiltonian_from_lagrangian(sys: LPLagrangian, hs: HPState, guess: LPState):
     return float(hs.p @ s.qdot + hs.nu @ s.v - lval)
 
 
-def write_hp_trajectory_csv(path, traj: HPTrajectory):
-    """Write `t,q1..qn,p1..pn,nu1..num` rows at full double precision."""
-    s0 = traj.states[0]
-    n, m = len(s0.q), len(s0.nu)
-    header = (
-        ["t"]
-        + [f"q{i + 1}" for i in range(n)]
-        + [f"p{i + 1}" for i in range(n)]
-        + [f"nu{a + 1}" for a in range(m)]
-    )
-    dirname = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=dirname, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for t, s in zip(traj.times, traj.states):
-                row = np.concatenate([[t], s.q, s.p, s.nu])
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def write_hp_trajectory_csv(path, traj: Trajectory):
+    """Write `t,q1..qn,p1..pn,nu1..num` rows at full double precision.
+
+    The write is atomic, as for write_trajectory_csv.
+    """
+    _write_trajectory(path, traj, ("q", "p", "nu"))

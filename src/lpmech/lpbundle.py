@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ChartExit
-from .smoothmap import SmoothMap, eval_map, jacobian
+from .smoothmap import SmoothMap, constant_map, eval_map, jacobian
 
 DEFAULT_TOL = 1e-8
 
@@ -85,15 +85,6 @@ class ChartDomain:
         return q
 
 
-def _zeros_map(in_dim, shape, name):
-    size = int(np.prod(shape))
-    template = np.zeros(shape)
-    template.setflags(write=False)
-    return SmoothMap(
-        in_dim, size, lambda q, t=template: t, out_shape=tuple(shape), name=name
-    )
-
-
 @dataclass(frozen=True)
 class LPBundleChart:
     """Bundle structure data over a chart.
@@ -117,17 +108,9 @@ class LPBundleChart:
         ):
             val = getattr(self, attr)
             if val is None:
-                val = _zeros_map(n, shape, attr)
+                val = constant_map(n, np.zeros(shape), attr)
             elif isinstance(val, np.ndarray):
-                const = np.array(val, dtype=float).reshape(shape)
-                const.setflags(write=False)
-                val = SmoothMap(
-                    n,
-                    int(np.prod(shape)),
-                    lambda q, t=const: t,
-                    out_shape=shape,
-                    name=attr,
-                )
+                val = constant_map(n, np.reshape(val, shape), attr)
             elif val.out_shape != shape or val.in_dim != n:
                 raise ValueError(
                     f"{attr} must map R^{n} to shape {shape}, got "
@@ -138,6 +121,14 @@ class LPBundleChart:
     @property
     def n(self):
         return self.base.n
+
+    def tables(self, q):
+        """(Gamma, c, omega) evaluated at the float point q, as float arrays."""
+        return (
+            np.asarray(eval_map(self.Gamma, q), dtype=float),
+            np.asarray(eval_map(self.c, q), dtype=float),
+            np.asarray(eval_map(self.omega, q), dtype=float),
+        )
 
 
 @dataclass(frozen=True)
@@ -150,11 +141,9 @@ class Section:
     @staticmethod
     def constant(bundle: LPBundleChart, X0, w0):
         n, m = bundle.n, bundle.m
-        X0 = np.array(X0, dtype=float).reshape(n)
-        w0 = np.array(w0, dtype=float).reshape(m)
         return Section(
-            SmoothMap(n, n, lambda q, v=X0: v, out_shape=(n,), name="X"),
-            SmoothMap(n, m, lambda q, v=w0: v, out_shape=(m,), name="w"),
+            constant_map(n, np.reshape(X0, n), "X"),
+            constant_map(n, np.reshape(w0, m), "w"),
         )
 
 
@@ -274,9 +263,7 @@ def jacobi_residual(b: LPBundleChart, Z1, Z2, Z3, q):
     """
     n, m = b.n, b.m
     qf = np.asarray(q, dtype=float).reshape(n)
-    G = np.asarray(eval_map(b.Gamma, qf), dtype=float)
-    C = np.asarray(eval_map(b.c, qf), dtype=float)
-    Om = np.asarray(eval_map(b.omega, qf), dtype=float)
+    G, C, Om = b.tables(qf)
 
     base_tot = np.zeros(n)
     fiber_tot = np.zeros(m)
@@ -415,9 +402,7 @@ def check_axioms(
 
     for _ in range(n_samples):
         q = b.base.sample(rng)
-        C = np.asarray(eval_map(b.c, q), dtype=float)
-        G = np.asarray(eval_map(b.Gamma, q), dtype=float)
-        Om = np.asarray(eval_map(b.omega, q), dtype=float)
+        G, C, Om = b.tables(q)
 
         note("c_skew", _max_abs(C + np.einsum("gab->gba", C)), _max_abs(C), q)
         note("omega_skew", _max_abs(Om + np.einsum("aij->aji", Om)), _max_abs(Om), q)

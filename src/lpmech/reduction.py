@@ -32,7 +32,7 @@ from .errors import (
 from .dynamics import LPLagrangian, LPState, LPState2, Trajectory, _pack, _scalar_body
 from .lpbundle import ChartDomain, LPBundleChart, check_axioms
 from .liegroups import MatrixLieGroup, _obj_matmul, structure_constants
-from .smoothmap import SmoothMap, eval_map, jacobian
+from .smoothmap import SmoothMap, constant_map, eval_map, jacobian
 
 
 def _tensor(entries, shape):
@@ -88,12 +88,7 @@ class PrincipalScenario:
     def __post_init__(self):
         d, k = self.baseB.n, self.G.dim
         if self.A is None:
-            tab = np.zeros((d, k))
-            object.__setattr__(
-                self,
-                "A",
-                SmoothMap(d, d * k, lambda x, t=tab: t, out_shape=(d, k), name="A"),
-            )
+            object.__setattr__(self, "A", constant_map(d, np.zeros((d, k)), "A"))
         if self.A.in_dim != d or self.A.out_shape != (d, k):
             raise DimensionMismatch(
                 f"connection table must map R^{d} to shape {(d, k)}"
@@ -614,12 +609,8 @@ def stages_reduce(sc: PrincipalScenario, nidx, override_A_N=None, samples=40, se
     sdev = 0.0
     for _ in range(samples):
         x = sc.baseB.sample(rng)
-        Gd = np.asarray(eval_map(direct.bundle.Gamma, x), float)
-        Cd = np.asarray(eval_map(direct.bundle.c, x), float)
-        Od = np.asarray(eval_map(direct.bundle.omega, x), float)
-        G2v = np.asarray(eval_map(bundle2.Gamma, x), float)
-        C2v = np.asarray(eval_map(bundle2.c, x), float)
-        O2v = np.asarray(eval_map(bundle2.omega, x), float)
+        Gd, Cd, Od = direct.bundle.tables(x)
+        G2v, C2v, O2v = bundle2.tables(x)
         sdev = max(
             sdev,
             float(np.max(np.abs(np.einsum("pa,iab,qb->ipq", beta, Gd, beta) - G2v)))
@@ -719,7 +710,7 @@ def reduced_vertical_split(sys: LPLagrangian, s2: LPState2, k: int):
     n, m = sys.n, sys.m
     if not 0 <= k <= m:
         raise ValueError("unknown block structure")
-    _, grad, H = _dual.grad_hess(_scalar_body(sys), np.concatenate([s2.q, s2.qdot, s2.v]))
+    _, grad, H = _dual.grad_hess(_scalar_body(sys.L), np.concatenate([s2.q, s2.qdot, s2.v]))
     mu = grad[2 * n :]
     xdot = np.concatenate([s2.qdot, s2.qddot, s2.vdot])
     dt_mu = H[2 * n :] @ xdot
@@ -749,5 +740,5 @@ def reduced_noether(sys: LPLagrangian, s: LPState, etabar):
     n, m = sys.n, sys.m
     if len(etabar) > m:
         raise DimensionMismatch("more symmetry coefficients than fiber slots")
-    grad = np.asarray(_dual.gradient(_scalar_body(sys), _pack(s)), dtype=float)
+    grad = np.asarray(_dual.gradient(_scalar_body(sys.L), _pack(s)), dtype=float)
     return float(grad[2 * n : 2 * n + len(etabar)] @ etabar)

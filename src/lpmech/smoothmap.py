@@ -16,7 +16,7 @@ import numpy as np
 from . import _dual
 from .errors import DimensionMismatch
 
-__all__ = ["SmoothMap", "eval_map", "jacobian", "fd_jacobian"]
+__all__ = ["SmoothMap", "constant_map", "eval_map", "jacobian", "fd_jacobian"]
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,15 @@ class SmoothMap:
 
     def __call__(self, x):
         return eval_map(self, x)
+
+
+def constant_map(in_dim, table, name=""):
+    """The constant map from R^in_dim to a read-only float copy of ``table``."""
+    const = np.array(table, dtype=float)
+    const.setflags(write=False)
+    return SmoothMap(
+        in_dim, const.size, lambda x: const, out_shape=const.shape, name=name
+    )
 
 
 def _check_input(m, x):

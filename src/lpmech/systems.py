@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import GroupAction, LPLagrangian, LPState
 from .lpbundle import ChartDomain, LPBundleChart
-from .liegroups import heisenberg3, so3
+from .liegroups import _obj_matmul, heisenberg3, so3
 from .reduction import (
     PrincipalScenario,
     RepW,
@@ -56,25 +56,6 @@ def _require_spd(M, what):
     return M
 
 
-def _transpose_obj(g):
-    n = g.shape[0]
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = g[j, i]
-    return out
-
-
-def _matmul_obj(a, b):
-    n, k = a.shape
-    _, p = b.shape
-    out = np.empty((n, p), dtype=object)
-    for i in range(n):
-        for j in range(p):
-            out[i, j] = sum(a[i, r] * b[r, j] for r in range(k))
-    return out
-
-
 def _unitriangular_inverse(g):
     """Inverse of I + N with N nilpotent, as a finite Neumann sum."""
     n = g.shape[0]
@@ -84,7 +65,7 @@ def _unitriangular_inverse(g):
     power = eye.copy()
     sign = -1.0
     for _ in range(n - 1):
-        power = _matmul_obj(power, N)
+        power = _obj_matmul(power, N)
         out = out + sign * power
         sign = -sign
     return out
@@ -176,8 +157,8 @@ def _rigid_body_invariant(inertia):
     inertia = np.asarray(inertia, dtype=float)
 
     def L(x, xdot, g, gdot, w):
-        gt = _transpose_obj(np.asarray(g))
-        xi = G.unhat(_matmul_obj(gt, np.asarray(gdot, dtype=object)))
+        gt = np.asarray(g).T
+        xi = G.unhat(_obj_matmul(gt, np.asarray(gdot, dtype=object)))
         return 0.5 * sum(inertia[a] * xi[a] * xi[a] for a in range(3))
 
     return L
@@ -258,8 +239,8 @@ def parameter_lagrangian(
     handle = build_reduced_bundle(sc)
 
     def L_inv(x, xdot, g, gdot, w):
-        gt = _transpose_obj(np.asarray(g))
-        xi = G.unhat(_matmul_obj(gt, np.asarray(gdot, dtype=object)))
+        gt = np.asarray(g).T
+        xi = G.unhat(_obj_matmul(gt, np.asarray(gdot, dtype=object)))
         avec = [sum(gt[i, r] * w[r] for r in range(3)) for i in range(3)]
         bvec = [sum(gt[i, r] * w[3 + r] for r in range(3)) for i in range(3)]
         val = 0.5 * sum(inertia[k] * xi[k] * xi[k] for k in range(3))
@@ -307,7 +288,7 @@ def heisenberg_stages(coupling=1.0, weights=(1.0, 1.3, 1.7)):
 
     def L_inv(x, xdot, g, gdot, w):
         ginv = _unitriangular_inverse(np.asarray(g))
-        xi = G.unhat(_matmul_obj(ginv, np.asarray(gdot, dtype=object)))
+        xi = G.unhat(_obj_matmul(ginv, np.asarray(gdot, dtype=object)))
         return 0.5 * sum(weights[k] * xi[k] * xi[k] for k in range(3))
 
     red = reduce_lagrangian(sc, L_inv, handle=handle)

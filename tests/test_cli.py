@@ -6,6 +6,7 @@ codes follow the documented scheme (0 ok, 1 config, 2 violation, 3
 numerical).
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -120,6 +121,32 @@ def test_polynomial_index_bounds_are_validated(tmp_path, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+_INLINE_BUNDLE = "bundle: {n: 1, m: 1}\n"
+_INLINE_SCENARIO = "scenario: {base: {n: 0}, group: so3}\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, flags, message",
+    [
+        ("check-axioms", _INLINE_BUNDLE + "samples: 0\n", [], "samples: must be at least 1"),
+        ("reduce", _INLINE_SCENARIO + "samples: 0\n", [], "samples: must be at least 1"),
+        ("reduce", _INLINE_SCENARIO + "dump_samples: -3\n", [], "dump_samples: must be at least 0"),
+        ("check-axioms", _INLINE_BUNDLE + "tol: -1\n", [], "tol: must be nonnegative"),
+        ("check-axioms", _INLINE_BUNDLE, ["--tol", "-1"], "tol: must be nonnegative"),
+    ],
+    ids=["samples-axioms", "samples-reduce", "dump-samples", "tol-config", "tol-flag"],
+)
+def test_out_of_range_settings_are_config_errors(
+    tmp_path, capsys, command, text, flags, message
+):
+    cfg = write_cfg(tmp_path, text)
+    code = main([command, "--config", cfg, *flags, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert message in err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -192,6 +219,69 @@ def test_simulate_singular_lagrangian_exits_three(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical failure" in err
     assert "state: q=" in err
+
+
+def test_simulate_non_finite_state_exits_three(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path,
+        """
+        system: rigid_body
+        initial: {q: [], qdot: [], v: [40, 70, -30]}
+        t_end: 2
+        dt: 0.5
+        """,
+    )
+    code = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert "non-finite" in err and " at t=" in err
+    assert not (tmp_path / "trajectory.csv").exists()
+    assert not (tmp_path / "simulate_report.json").exists()
+
+
+def test_simulate_chart_exit_prints_its_time(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path,
+        """
+        bundle:
+          n: 1
+          m: 0
+          bounds: [[-1, 1]]
+        lagrangian:
+          polynomial:
+            terms:
+              - {powers: [0, 2], coeff: 0.5}
+        initial: {q: [0.9], qdot: [1.0], v: []}
+        t_end: 1.0
+        dt: 0.01
+        """,
+    )
+    code = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "left the chart" in err
+    assert err.rstrip().endswith(" at t=0.11")
+
+
+@pytest.mark.parametrize(
+    "system, digest",
+    [
+        (
+            "flat_bundle_particle",
+            "69956cb0d719ed71d277b9108735d9ad614a2d4973df3c8284fc8f007c53de92",
+        ),
+        ("rigid_body", "3fed792d33cde3b13457eacd73d251689feddb665493b7fd99a24a75afd448c6"),
+    ],
+)
+def test_simulate_trajectory_matches_recorded_digest(tmp_path, system, digest):
+    """SHA-256 of trajectory.csv from a 20-step run, pinned: a change in the
+    order of the integrator arithmetic or in the number format shows here,
+    where rerun comparisons of the same code cannot see it."""
+    argv = ["simulate", "--system", system, "--t-end", "0.2", "--dt", "0.01"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    data = (tmp_path / "trajectory.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_simulate_reruns_are_byte_identical(tmp_path):

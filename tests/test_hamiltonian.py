@@ -7,6 +7,8 @@ is verified with nested dual numbers and re-verified with finite
 differences.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,6 @@ from lpmech.hamiltonian import (
     DualObservable,
     Hamiltonian,
     HPState,
-    HPTrajectory,
     affine_bracket_check,
     hamiltonian_from_lagrangian,
     hamiltonian_vector_field,
@@ -573,3 +574,17 @@ def test_hp_trajectory_csv(tmp_path):
     vals = [float(tok) for tok in lines[3].split(",")]
     s = traj.states[2]
     assert vals == list(np.concatenate([[traj.times[2]], s.q, s.p, s.nu]))
+
+
+def test_hp_trajectory_csv_matches_recorded_digest(tmp_path):
+    """SHA-256 of a 20-step flow on the twisted chart, pinned like the
+    simulate digests in test_cli."""
+    _, H, chart = twisted_pair()
+    s0 = HPState([0.1, 0.0], [0.9, 0.5], [0.5, -0.4])
+    traj = integrate_hp(chart, H, s0, 0.0, 0.2, 0.01)
+    path = tmp_path / "hp.csv"
+    write_hp_trajectory_csv(path, traj)
+    assert (
+        hashlib.sha256(path.read_bytes()).hexdigest()
+        == "3b6bac0726ad9e579709eca47e27a2721e042b06b100b4431430a199b951a606"
+    )
