@@ -187,10 +187,6 @@ def cos(x):
     return np.cos(x)
 
 
-def tan(x):
-    return sin(x) / cos(x)
-
-
 def exp(x):
     if isinstance(x, Dual):
         e = exp(x.re)
@@ -198,35 +194,11 @@ def exp(x):
     return np.exp(x)
 
 
-def log(x):
-    if isinstance(x, Dual):
-        return Dual(log(x.re), x.im * _reciprocal(x.re), x.level)
-    return np.log(x)
-
-
 def sqrt(x):
     if isinstance(x, Dual):
         r = sqrt(x.re)
         return Dual(r, x.im * (0.5 * _reciprocal(r)), x.level)
     return np.sqrt(x)
-
-
-def arctan(x):
-    if isinstance(x, Dual):
-        return Dual(arctan(x.re), x.im * _reciprocal(1.0 + x.re * x.re), x.level)
-    return np.arctan(x)
-
-
-def sinh(x):
-    if isinstance(x, Dual):
-        return Dual(sinh(x.re), x.im * cosh(x.re), x.level)
-    return np.sinh(x)
-
-
-def cosh(x):
-    if isinstance(x, Dual):
-        return Dual(cosh(x.re), x.im * sinh(x.re), x.level)
-    return np.cosh(x)
 
 
 # -- seeding and extraction helpers ----------------------------------------

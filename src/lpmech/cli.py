@@ -130,18 +130,22 @@ def _vector(val, length, label):
 
 
 def _resolve_seed(flag_seed, cfg):
-    """Seed precedence: command-line flag, config key, LPMECH_SEED, then 0."""
+    """Seed precedence: command-line flag, config key, LPMECH_SEED, then 0.
+
+    Whichever source wins must give a nonnegative integer.
+    """
     if flag_seed is not None:
-        return int(flag_seed)
+        return _int(flag_seed, "seed", least=0)
     if "seed" in cfg:
-        return _int(cfg["seed"], "seed")
+        return _int(cfg["seed"], "seed", least=0)
     env = os.environ.get("LPMECH_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"LPMECH_SEED must be an integer, got {env!r}")
-    return 0
+    if env is None:
+        return 0
+    try:
+        seed = int(env)
+    except ValueError:
+        raise ConfigError(f"LPMECH_SEED must be an integer, got {env!r}")
+    return _int(seed, "LPMECH_SEED", least=0)
 
 
 def _resolve_run(cfg, args):
@@ -171,8 +175,8 @@ def _resolve_tol(cfg, args, default):
         tol = float(args.tol)
     else:
         tol = _num(cfg.get("tol", default), "tol")
-    if not tol >= 0:
-        raise ConfigError(f"tol: must be nonnegative, got {tol:g}")
+    if not 0 <= tol < np.inf:
+        raise ConfigError(f"tol: must be nonnegative and finite, got {tol:g}")
     return tol
 
 
@@ -236,11 +240,7 @@ def polynomial_map(n_vars, shape, terms, label):
                 if p:
                     term = term * x[i] ** p
             vals[flat] = vals[flat] + term
-        arr = np.array(vals, dtype=object)
-        try:
-            arr = arr.astype(float)
-        except (TypeError, ValueError):
-            pass
+        arr = np.array(vals)
         return arr.reshape(shape) if shape else arr
 
     return SmoothMap(
@@ -249,10 +249,11 @@ def polynomial_map(n_vars, shape, terms, label):
 
 
 def _table_field(node, key, n_vars, shape, label):
-    """Read one structure-function entry: absent, constant, or polynomial."""
+    """Read one table entry as a smooth map: a constant or polynomial table,
+    or None when the key is absent."""
     sub = node.get(key)
     if sub is None:
-        return np.zeros(shape)
+        return None
     fl = f"{label}.{key}"
     if not isinstance(sub, dict):
         raise ConfigError(f"{fl}: expected a mapping with 'constant' or 'polynomial'")
@@ -267,7 +268,7 @@ def _table_field(node, key, n_vars, shape, label):
             raise ConfigError(
                 f"{fl}.constant: expected shape {tuple(shape)}, got {arr.shape}"
             )
-        return arr
+        return constant_map(n_vars, arr, key)
     if "polynomial" in sub:
         terms = _need(sub["polynomial"], "terms", f"{fl}.polynomial")
         return polynomial_map(n_vars, shape, terms, f"{fl}.polynomial.terms")
@@ -309,7 +310,8 @@ def _bad_pair(label, i):
     raise ConfigError(f"{label}.bounds[{i}]: expected an [lo, hi] pair")
 
 
-def bundle_from_config(node, label="bundle"):
+def bundle_from_config(node):
+    label = "bundle"
     base = domain_from_config(node, label)
     m = _int(_need(node, "m", label), f"{label}.m")
     if m < 0:
@@ -341,16 +343,12 @@ def group_from_config(node, label):
     raise ConfigError(f"{label}.name: unknown group {name!r}")
 
 
-def scenario_from_config(node, label="scenario"):
+def scenario_from_config(node):
+    label = "scenario"
     base = domain_from_config(_need(node, "base", label), f"{label}.base")
     G = group_from_config(_need(node, "group", label), f"{label}.group")
     d, k = base.n, G.dim
-    conn = node.get("connection")
-    A = None
-    if conn is not None:
-        A = _table_field({"connection": conn}, "connection", d, (d, k), label)
-        if isinstance(A, np.ndarray):
-            A = constant_map(d, A, "connection")
+    A = _table_field(node, "connection", d, (d, k), label)
     rep = node.get("representation")
     repW = None
     if rep == "defining":
@@ -450,9 +448,10 @@ def cmd_check_axioms(cfg, args):
     return 2
 
 
-def _lp_residual_max(sys, traj, max_probes=25):
-    """Largest equation residual when the solved accelerations are fed back."""
-    idx = np.unique(np.linspace(0, len(traj) - 1, max_probes).astype(int))
+def _lp_residual_max(sys, traj):
+    """Largest equation residual when the solved accelerations are fed back,
+    at 25 evenly spaced grid points."""
+    idx = np.unique(np.linspace(0, len(traj) - 1, 25).astype(int))
     worst = 0.0
     for i in idx:
         s = traj.states[i]
@@ -568,11 +567,16 @@ def cmd_reduce(cfg, args):
         scenario = record.scenario
 
     seed = _resolve_seed(args.seed, cfg)
+    handle = None if record is None else record.handle
+    if handle is not None and "samples" in cfg:
+        raise ConfigError(
+            f"samples: applies to inline scenarios only; system '{record.name}' "
+            f"comes with its reduced bundle"
+        )
     samples = _int(cfg.get("samples", 100), "samples", least=1)
     n_dump = _int(cfg.get("dump_samples", 20), "dump_samples", least=0)
     out = _resolve_out(cfg, args)
 
-    handle = record.handle if record is not None and record.handle is not None else None
     if handle is None:
         handle = build_reduced_bundle(scenario, n_samples=samples, seed=seed)
 
@@ -627,20 +631,8 @@ def cmd_stages(cfg, args):
     out = _resolve_out(cfg, args)
     sc = record.scenario
 
-    override = None
-    if "override_A_N" in node:
-        d = sc.baseB.n
-        s_dim = sc.k - len(nidx)
-        shape = (d + s_dim, len(nidx))
-        override = _table_field(
-            {"override_A_N": node["override_A_N"]},
-            "override_A_N",
-            d + s_dim,
-            shape,
-            "stages",
-        )
-        if isinstance(override, np.ndarray):
-            override = constant_map(d + s_dim, override, "override_A_N")
+    dim = sc.baseB.n + sc.k - len(nidx)
+    override = _table_field(node, "override_A_N", dim, (dim, len(nidx)), "stages")
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

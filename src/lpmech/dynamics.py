@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _dual
 from .errors import DimensionMismatch, NonFiniteState, NumericalFailure, SingularHessian
-from .lpbundle import LPBundleChart
+from .lpbundle import LPBundleChart, _algebra_defects, _max_abs
 from .smoothmap import SmoothMap, eval_map, jacobian
 
 HESSIAN_COND_LIMIT = 1e12
@@ -197,6 +197,20 @@ def lp_operator(sys: LPLagrangian, s2: LPState2):
     return hor, ver
 
 
+def _solve_velocity_block(M, rhs):
+    """Solve M z = rhs in the (qdot, v) block Hessian M of a Lagrangian;
+    raises SingularHessian when M is ill conditioned (threshold 1e12)."""
+    if not M.size:
+        return np.zeros(0)
+    cond = np.linalg.cond(M)
+    if cond > HESSIAN_COND_LIMIT:
+        raise SingularHessian(
+            f"velocity-block Hessian condition {cond:.3e} exceeds "
+            f"{HESSIAN_COND_LIMIT:.0e}"
+        )
+    return np.linalg.solve(M, rhs)
+
+
 def accelerations(sys: LPLagrangian, s: LPState):
     """The unique (qddot, vdot) zeroing the equation residual at s.
 
@@ -209,14 +223,6 @@ def accelerations(sys: LPLagrangian, s: LPState):
     G, C, Om = sys.bundle.tables(s.q)
     mu = grad[sv]
 
-    M = H[n:, n:]
-    if M.size:
-        cond = np.linalg.cond(M)
-        if cond > HESSIAN_COND_LIMIT:
-            raise SingularHessian(
-                f"velocity-block Hessian condition {cond:.3e} exceeds "
-                f"{HESSIAN_COND_LIMIT:.0e}"
-            )
     rhs_q = (
         grad[sq]
         - H[sqd, sq] @ s.qdot
@@ -228,7 +234,7 @@ def accelerations(sys: LPLagrangian, s: LPState):
         + np.einsum("b,iba,i->a", mu, G, s.qdot)
         - H[sv, sq] @ s.qdot
     )
-    z = np.linalg.solve(M, np.concatenate([rhs_q, rhs_v])) if M.size else np.zeros(0)
+    z = _solve_velocity_block(H[n:, n:], np.concatenate([rhs_q, rhs_v]))
     return z[:n], z[n:]
 
 
@@ -327,11 +333,8 @@ def integrate_lp(sys: LPLagrangian, s0: LPState, t0, t1, h, method="rk4"):
 
 
 def _check_algebra_constants(c):
-    skew = np.max(np.abs(c + np.einsum("gab->gba", c))) if c.size else 0.0
-    cyc = np.einsum("deg,eab->dabg", c, c)
-    jac = cyc + np.einsum("dabg->dbga", cyc) + np.einsum("dabg->dgab", cyc)
-    jmax = np.max(np.abs(jac)) if c.size else 0.0
-    if skew > 1e-10 or jmax > 1e-10:
+    skew, jac, _ = _algebra_defects(c)
+    if _max_abs(skew) > 1e-10 or _max_abs(jac) > 1e-10:
         raise ValueError("symmetry algebra constants must be skew and Jacobi")
 
 

@@ -48,9 +48,6 @@ class MatrixLieGroup:
     def dim(self):
         return self.basis.shape[0]
 
-    def identity(self):
-        return np.eye(self.mat_dim)
-
     def hat(self, xi):
         """Coefficients to algebra matrix: sum_a xi[a] basis[a]."""
         xi = np.asarray(xi)
@@ -95,13 +92,14 @@ class MatrixLieGroup:
         """Algebra coefficients of a group element near the identity."""
         return self.log_body(np.asarray(g, dtype=float))
 
-    def is_element(self, g, tol=1e-8):
+    def is_element(self, g):
+        """Whether g is a group matrix, up to a tolerance of 1e-8."""
         g = np.asarray(g, dtype=float)
         if g.shape != (self.mat_dim, self.mat_dim):
             return False
         if self.check_body is None:
             return True
-        return bool(self.check_body(g, tol))
+        return bool(self.check_body(g, 1e-8))
 
     def inverse(self, g):
         g = np.asarray(g)
@@ -110,11 +108,11 @@ class MatrixLieGroup:
         return np.linalg.inv(g)
 
 
-def structure_constants(group: MatrixLieGroup, tol=1e-10):
+def structure_constants(group: MatrixLieGroup):
     """c[g, a, b] with [basis[a], basis[b]] = sum_g c[g,a,b] basis[g].
 
     Raises ValueError when a commutator leaves the basis span by more
-    than ``tol``.
+    than 1e-10.
     """
     k = group.dim
     flat_basis = group.basis.reshape(k, -1).T  # (mat^2, k)
@@ -124,7 +122,7 @@ def structure_constants(group: MatrixLieGroup, tol=1e-10):
             comm = group.basis[a] @ group.basis[b] - group.basis[b] @ group.basis[a]
             coeff, res, *_ = np.linalg.lstsq(flat_basis, comm.ravel(), rcond=None)
             recon = flat_basis @ coeff
-            if np.max(np.abs(recon - comm.ravel())) > tol:
+            if np.max(np.abs(recon - comm.ravel())) > 1e-10:
                 raise ValueError(
                     f"{group.name}: commutator of basis {a},{b} leaves the span"
                 )

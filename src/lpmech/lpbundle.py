@@ -59,13 +59,14 @@ class ChartDomain:
                 q[i] = lo + np.mod(q[i] - lo, hi - lo)
         return q
 
-    def contains(self, q, slack=1e-12):
+    def contains(self, q):
+        """Whether q lies in the box, up to a slack of 1e-12."""
         q = self.wrap(q)
         for i in range(self.n):
             if self.periodic[i]:
                 continue
             lo, hi = self.bounds[i]
-            if q[i] < lo - slack or q[i] > hi + slack:
+            if q[i] < lo - 1e-12 or q[i] > hi + 1e-12:
                 return False
         return True
 
@@ -73,13 +74,14 @@ class ChartDomain:
         if not self.contains(q):
             raise ChartExit(f"state left the chart at q={q}", q=q, t=t)
 
-    def sample(self, rng, margin=0.05):
-        """Uniform interior point; non-periodic coordinates keep a margin."""
+    def sample(self, rng):
+        """Uniform interior point; non-periodic coordinates keep a margin of
+        5% of their interval at each end."""
         q = np.empty(self.n)
         for i in range(self.n):
             lo, hi = self.bounds[i]
             if not self.periodic[i]:
-                pad = margin * (hi - lo)
+                pad = 0.05 * (hi - lo)
                 lo, hi = lo + pad, hi - pad
             q[i] = rng.uniform(lo, hi)
         return q
@@ -361,6 +363,14 @@ def _max_abs(*tensors):
     return float(max(vals)) if vals else 0.0
 
 
+def _algebra_defects(c):
+    """(skew, jacobi, cyc) of bracket constants c[g, a, b]: the antisymmetry
+    defect, the Jacobi defect, and the cyclic term the Jacobi defect sums."""
+    cyc = np.einsum("deg,eab->dabg", c, c)
+    jac = cyc + np.einsum("dabg->dbga", cyc) + np.einsum("dabg->dgab", cyc)
+    return c + np.einsum("gab->gba", c), jac, cyc
+
+
 def check_axioms(
     b: LPBundleChart, n_samples: int = 100, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> AxiomReport:
@@ -404,15 +414,9 @@ def check_axioms(
         q = b.base.sample(rng)
         G, C, Om = b.tables(q)
 
-        note("c_skew", _max_abs(C + np.einsum("gab->gba", C)), _max_abs(C), q)
+        skew, jac, cyc = _algebra_defects(C)
+        note("c_skew", _max_abs(skew), _max_abs(C), q)
         note("omega_skew", _max_abs(Om + np.einsum("aij->aji", Om)), _max_abs(Om), q)
-
-        cyc = np.einsum("deg,eab->dabg", C, C)
-        jac = (
-            cyc
-            + np.einsum("dabg->dbga", cyc)
-            + np.einsum("dabg->dgab", cyc)
-        )
         note("c_jacobi", _max_abs(jac), _max_abs(cyc), q)
 
         dT = ext_cov_derivative_omega(b, q)

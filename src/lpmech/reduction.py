@@ -29,17 +29,24 @@ from .errors import (
     NotNormal,
     NotSupported,
 )
-from .dynamics import LPLagrangian, LPState, LPState2, Trajectory, _pack, _scalar_body
+from .dynamics import (
+    LPLagrangian,
+    LPState,
+    LPState2,
+    Trajectory,
+    _pack,
+    _scalar_body,
+    lp_operator,
+)
 from .lpbundle import ChartDomain, LPBundleChart, check_axioms
-from .liegroups import MatrixLieGroup, _obj_matmul, structure_constants
+from .liegroups import MatrixLieGroup, _obj_matmul, abelian, structure_constants
 from .smoothmap import SmoothMap, constant_map, eval_map, jacobian
 
-
-def _tensor(entries, shape):
-    flat = np.array(list(entries), dtype=object)
-    if not _dual.contains_dual(flat):
-        flat = flat.astype(float)
-    return flat.reshape(shape)
+# invariance sampling in reduce_lagrangian
+INVARIANCE_SAMPLES = 25
+INVARIANCE_TOL = 1e-10
+# sample points comparing the two-stage and direct structure in stages_reduce
+STAGES_SAMPLES = 40
 
 
 @dataclass(frozen=True)
@@ -174,7 +181,7 @@ def _reduced_structure_maps(sc: PrincipalScenario):
                     else:
                         val = 0.0
                     ent.append(val)
-        return _tensor(ent, (d, m, m))
+        return np.array(ent).reshape(d, m, m)
 
     def omega_body(x):
         A = eval_map(sc.A, x)
@@ -192,11 +199,21 @@ def _reduced_structure_maps(sc: PrincipalScenario):
                     else:
                         val = 0.0
                     ent.append(val)
-        return _tensor(ent, (m, d, d))
+        return np.array(ent).reshape(m, d, d)
 
     Gamma = SmoothMap(d, d * m * m, gamma_body, out_shape=(d, m, m), name="Gamma_red")
     Omega = SmoothMap(d, m * d * d, omega_body, out_shape=(m, d, d), name="omega_red")
     return Gamma, c_red, Omega
+
+
+def require_axioms(report, what):
+    """Pass ``report`` through, or raise AxiomViolation carrying it when a
+    closure condition failed; ``what`` names the bundle in the message."""
+    if not report.passed:
+        raise AxiomViolation(
+            f"{what} failed the structure axioms:\n" + report.as_text(), report=report
+        )
+    return report
 
 
 def build_reduced_bundle(sc: PrincipalScenario, n_samples=100, seed=0):
@@ -207,11 +224,9 @@ def build_reduced_bundle(sc: PrincipalScenario, n_samples=100, seed=0):
     """
     Gamma, c_red, Omega = _reduced_structure_maps(sc)
     bundle = LPBundleChart(sc.baseB, sc.k + sc.dim_w, Gamma=Gamma, c=c_red, omega=Omega)
-    report = check_axioms(bundle, n_samples=n_samples, seed=seed)
-    if not report.passed:
-        raise AxiomViolation(
-            "reduced bundle failed the structure axioms:\n" + report.as_text()
-        )
+    report = require_axioms(
+        check_axioms(bundle, n_samples=n_samples, seed=seed), "reduced bundle"
+    )
     return ReducedBundleHandle(
         bundle,
         sc,
@@ -260,28 +275,26 @@ def alpha_inverse(sc: PrincipalScenario, x, xdot, xi, a, g):
     return gdot, w
 
 
-def project_trajectory(sc: PrincipalScenario, times, samples, meta=None):
+def project_trajectory(sc: PrincipalScenario, times, samples):
     """Pointwise alpha_map over a grid of (x, xdot, g, gdot, w) samples."""
     states = []
     for x, xdot, g, gdot, w in samples:
         x, xdot, xi, a = alpha_map(sc, x, xdot, g, gdot, w)
         states.append(LPState(x, xdot, np.concatenate([xi, a])))
-    base_meta = {"integrator": "projected", "h": None, "seed": None}
-    if meta:
-        base_meta.update(meta)
-    return Trajectory(np.asarray(times, dtype=float), states, base_meta)
+    meta = {"integrator": "projected", "h": None, "seed": None}
+    return Trajectory(np.asarray(times, dtype=float), states, meta)
 
 
 # ---------------------------------------------------------------------------
 # Lagrangian reduction
 
 
-def _sample_invariance(sc, L, samples, seed, tol):
-    rng = np.random.default_rng(seed)
+def _sample_invariance(sc, L):
+    rng = np.random.default_rng(0)
     d, k, w = sc.baseB.n, sc.k, sc.dim_w
     eye = np.eye(sc.G.mat_dim)
     worst, worst_pt = 0.0, None
-    for _ in range(samples):
+    for _ in range(INVARIANCE_SAMPLES):
         x = sc.baseB.sample(rng)
         xdot = rng.normal(size=d)
         xi = rng.normal(size=k)
@@ -298,21 +311,25 @@ def _sample_invariance(sc, L, samples, seed, tol):
         resid = abs(moved - base) / (1.0 + abs(base))
         if resid > worst:
             worst, worst_pt = resid, (x, xi, eta)
-    if worst > tol:
+    if worst > INVARIANCE_TOL:
+        x, xi, eta = worst_pt
         raise InvarianceViolation(
             f"Lagrangian not invariant: relative residual {worst:.3e} at "
-            f"x={worst_pt[0]}, xi={worst_pt[1]}, eta={worst_pt[2]}"
+            f"x={x}, xi={xi}, eta={eta}",
+            worst_sample={"x": x, "xi": xi, "eta": eta},
+            residual=worst,
         )
 
 
-def reduce_lagrangian(sc: PrincipalScenario, L, handle=None, samples=25, seed=0, tol=1e-10):
+def reduce_lagrangian(sc: PrincipalScenario, L, handle=None):
     """Quotient an invariant Lagrangian L(x, xdot, g, gdot, w) to the chart.
 
-    Invariance is sampled before reducing; violations raise with the worst
+    Invariance is sampled before reducing (INVARIANCE_SAMPLES seeded points,
+    relative tolerance INVARIANCE_TOL); violations raise with the worst
     sample.  The reduced value at (x, xdot, xi + a) is L evaluated at the
     identity with the connection-corrected body velocity.
     """
-    _sample_invariance(sc, L, samples, seed, tol)
+    _sample_invariance(sc, L)
     if handle is None:
         handle = build_reduced_bundle(sc)
     d, k = sc.baseB.n, sc.k
@@ -342,7 +359,7 @@ def diamond(b, a, rep: RepW):
 # unreduced-side chart integration (comparison route)
 
 
-def group_chart_lagrangian(sc: PrincipalScenario, L, radius=1.0, name=""):
+def group_chart_lagrangian(sc: PrincipalScenario, L, radius=1.0):
     """The unreduced Lagrangian in exponential coordinates around identity.
 
     Only point-base, W-free scenarios; the chart covers ``|q_i| < radius``
@@ -356,14 +373,11 @@ def group_chart_lagrangian(sc: PrincipalScenario, L, radius=1.0, name=""):
     bundle = LPBundleChart(chart, 0)
     empty = np.zeros(0)
 
-    def expm(q):
-        return sc.G.exp(q)
-
     def f(q, qd, v):
-        g, gdot = _dual.directional(expm, np.asarray(q, dtype=object), qd)
+        g, gdot = _dual.directional(sc.G.exp, np.asarray(q, dtype=object), qd)
         return L(empty, empty, np.asarray(g), np.asarray(gdot), empty)
 
-    return LPLagrangian.from_callable(bundle, f, name=name or "chart")
+    return LPLagrangian.from_callable(bundle, f, name="chart")
 
 
 def exp_chart_samples(sc: PrincipalScenario, traj: Trajectory):
@@ -393,9 +407,7 @@ class StagesResult:
     kidx: tuple
     structure_deviation: float
     compatibility_deviation: float
-    stage1_scenario: PrincipalScenario
     A_K: SmoothMap
-    omega1: SmoothMap
 
 
 def _embed(coords, idx, k):
@@ -405,14 +417,15 @@ def _embed(coords, idx, k):
     return np.array(out, dtype=object)
 
 
-def stages_reduce(sc: PrincipalScenario, nidx, override_A_N=None, samples=40, seed=0):
+def stages_reduce(sc: PrincipalScenario, nidx, override_A_N=None, seed=0):
     """Reduce by a central normal subgroup N, then by the abelian K = G/N.
 
     Returns both stage handles and the fiber reshuffle beta identifying the
     direct reduction with the composition.  The canonical intermediate
     connection is the N-projection of the scenario form dressed by the
     section of K; overriding it skips the exactness guarantee and reports
-    the deviation instead.
+    the deviation instead.  Both deviations are sampled at STAGES_SAMPLES
+    seeded points.
     """
     d, k = sc.baseB.n, sc.k
     c = sc._c
@@ -426,9 +439,8 @@ def stages_reduce(sc: PrincipalScenario, nidx, override_A_N=None, samples=40, se
 
     if sc.repW is not None:
         raise NotSupported("two-stage reduction with an auxiliary fiber")
-    out_n = [g_ for g_ in range(k) if g_ not in nidx]
     worst = max(
-        (abs(c[g_, a, b]) for b in nidx for a in range(k) for g_ in out_n),
+        (abs(c[g_, a, b]) for b in nidx for a in range(k) for g_ in kidx),
         default=0.0,
     )
     if worst > 1e-12:
@@ -474,15 +486,15 @@ def stages_reduce(sc: PrincipalScenario, nidx, override_A_N=None, samples=40, se
         for row in rows:
             for p in nidx:
                 ent.append(row[p])
-        return _tensor(ent, (d + s_dim, r))
+        return np.array(ent).reshape(d + s_dim, r)
 
+    canonical = SmoothMap(d + s_dim, (d + s_dim) * r, a_n_body, out_shape=(d + s_dim, r))
     if override_A_N is not None:
         if override_A_N.in_dim != d + s_dim or override_A_N.out_shape != (d + s_dim, r):
             raise DimensionMismatch("override connection table has the wrong shape")
-        canonical = SmoothMap(d + s_dim, (d + s_dim) * r, a_n_body, out_shape=(d + s_dim, r))
         rng = np.random.default_rng(seed)
         dev = 0.0
-        for _ in range(samples):
+        for _ in range(STAGES_SAMPLES):
             pt = np.concatenate([sc.baseB.sample(rng), rng.uniform(-1.5, 1.5, s_dim)])
             dev = max(
                 dev,
@@ -503,7 +515,7 @@ def stages_reduce(sc: PrincipalScenario, nidx, override_A_N=None, samples=40, se
         A_N = override_A_N
         compat_dev = dev
     else:
-        A_N = SmoothMap(d + s_dim, (d + s_dim) * r, a_n_body, out_shape=(d + s_dim, r))
+        A_N = canonical
         compat_dev = 0.0
 
     base1 = ChartDomain(
@@ -511,9 +523,7 @@ def stages_reduce(sc: PrincipalScenario, nidx, override_A_N=None, samples=40, se
         np.vstack([sc.baseB.bounds, np.tile([-2.0, 2.0], (s_dim, 1))]),
         list(sc.baseB.periodic) + [False] * s_dim,
     )
-    N_group = _abelian_like(G, nidx)
-    sc1 = PrincipalScenario(base1, N_group, A_N)
-    stage1 = build_reduced_bundle(sc1)
+    stage1 = build_reduced_bundle(PrincipalScenario(base1, abelian(r), A_N))
 
     def a_k_body(x):
         A = eval_map(sc.A, x)
@@ -521,10 +531,9 @@ def stages_reduce(sc: PrincipalScenario, nidx, override_A_N=None, samples=40, se
         for i in range(d):
             for j, g_ in enumerate(kidx):
                 ent.append(A[i, g_])
-        return _tensor(ent, (d, s_dim))
+        return np.array(ent).reshape(d, s_dim)
 
     A_K = SmoothMap(d, d * s_dim, a_k_body, out_shape=(d, s_dim))
-    omega1 = stage1.bundle.omega
 
     # stage-2 chart over B: fiber = quotient algebra + residual N-block,
     # with the stage-1 two-form pulled back along the A_K horizontal lift
@@ -532,7 +541,7 @@ def stages_reduce(sc: PrincipalScenario, nidx, override_A_N=None, samples=40, se
 
     def om1_at(x, kc_zero=np.zeros(s_dim)):
         pt = np.concatenate([np.asarray(x, dtype=object), kc_zero.astype(object)])
-        return eval_map(omega1, pt)
+        return eval_map(stage1.bundle.omega, pt)
 
     def gamma2_body(x):
         AK = eval_map(A_K, x)
@@ -549,7 +558,7 @@ def stages_reduce(sc: PrincipalScenario, nidx, override_A_N=None, samples=40, se
                     else:
                         val = 0.0
                     ent.append(val)
-        return _tensor(ent, (d, m2, m2))
+        return np.array(ent).reshape(d, m2, m2)
 
     def omega2_body(x):
         AK = eval_map(A_K, x)
@@ -570,7 +579,7 @@ def stages_reduce(sc: PrincipalScenario, nidx, override_A_N=None, samples=40, se
                             for b3 in range(s_dim):
                                 val = val + AK[i, b2] * AK[j, b3] * O1[p, d + b2, d + b3]
                     ent.append(val)
-        return _tensor(ent, (m2, d, d))
+        return np.array(ent).reshape(m2, d, d)
 
     def c2_body(x):
         O1 = om1_at(x)
@@ -582,17 +591,13 @@ def stages_reduce(sc: PrincipalScenario, nidx, override_A_N=None, samples=40, se
                         ent.append(-O1[g_ - s_dim, d + aa, d + bb])
                     else:
                         ent.append(0.0)
-        return _tensor(ent, (m2, m2, m2))
+        return np.array(ent).reshape(m2, m2, m2)
 
     Gamma2 = SmoothMap(d, d * m2 * m2, gamma2_body, out_shape=(d, m2, m2))
     Omega2 = SmoothMap(d, m2 * d * d, omega2_body, out_shape=(m2, d, d))
     C2 = SmoothMap(d, m2**3, c2_body, out_shape=(m2, m2, m2))
     bundle2 = LPBundleChart(sc.baseB, m2, Gamma=Gamma2, c=C2, omega=Omega2)
-    report2 = check_axioms(bundle2)
-    if not report2.passed:
-        raise AxiomViolation(
-            "two-stage bundle failed the structure axioms:\n" + report2.as_text()
-        )
+    report2 = require_axioms(check_axioms(bundle2), "two-stage bundle")
     stage2 = ReducedBundleHandle(
         bundle2, sc, s_dim, r, {"construction": "two-stage slice", "axioms": report2.as_dict()}
     )
@@ -607,7 +612,7 @@ def stages_reduce(sc: PrincipalScenario, nidx, override_A_N=None, samples=40, se
     direct = build_reduced_bundle(sc)
     rng = np.random.default_rng(seed + 1)
     sdev = 0.0
-    for _ in range(samples):
+    for _ in range(STAGES_SAMPLES):
         x = sc.baseB.sample(rng)
         Gd, Cd, Od = direct.bundle.tables(x)
         G2v, C2v, O2v = bundle2.tables(x)
@@ -633,20 +638,10 @@ def stages_reduce(sc: PrincipalScenario, nidx, override_A_N=None, samples=40, se
             f"through beta (deviation {sdev:.3e})"
         )
 
-    return StagesResult(
-        stage1, stage2, beta, nidx, kidx, sdev, compat_dev, sc1, A_K, omega1
-    )
+    return StagesResult(stage1, stage2, beta, nidx, kidx, sdev, compat_dev, A_K)
 
 
-def _abelian_like(G: MatrixLieGroup, nidx):
-    """The central subgroup spanned by the chosen basis indices, as its own
-    matrix group in translation form (coordinates match the chosen basis)."""
-    from .liegroups import abelian
-
-    return abelian(len(nidx))
-
-
-def two_stage_lagrangian(res: StagesResult, sc: PrincipalScenario, L, samples=25, seed=0, tol=1e-10):
+def two_stage_lagrangian(res: StagesResult, sc: PrincipalScenario, L):
     """(L reduced by N) reduced by K, on the stage-2 bundle.
 
     Built through the honest composition: the stage-1 reduction runs the
@@ -681,9 +676,7 @@ def two_stage_lagrangian(res: StagesResult, sc: PrincipalScenario, L, samples=25
         )
         return L(x, xdot, g, gdot, w)
 
-    l1 = reduce_lagrangian(
-        res.stage1_scenario, L1, handle=res.stage1, samples=samples, seed=seed, tol=tol
-    )
+    l1 = reduce_lagrangian(res.stage1.scenario, L1, handle=res.stage1)
 
     def f2(x, xdot, va):
         AK = eval_map(res.A_K, x)
@@ -702,36 +695,12 @@ def two_stage_lagrangian(res: StagesResult, sc: PrincipalScenario, L, samples=25
 
 
 def reduced_vertical_split(sys: LPLagrangian, s2: LPState2, k: int):
-    """Fiber equation residual split into (algebra block, W block).
-
-    Assembled directly from gradients and structure contractions per block;
-    concatenating the two parts reproduces lp_operator's fiber covector.
-    """
-    n, m = sys.n, sys.m
-    if not 0 <= k <= m:
+    """Fiber equation residual split into (algebra block, W block): the fiber
+    covector of lp_operator cut after its first k entries."""
+    if not 0 <= k <= sys.m:
         raise ValueError("unknown block structure")
-    _, grad, H = _dual.grad_hess(_scalar_body(sys.L), np.concatenate([s2.q, s2.qdot, s2.v]))
-    mu = grad[2 * n :]
-    xdot = np.concatenate([s2.qdot, s2.qddot, s2.vdot])
-    dt_mu = H[2 * n :] @ xdot
-    G = np.asarray(eval_map(sys.bundle.Gamma, s2.q), dtype=float)
-    C = np.asarray(eval_map(sys.bundle.c, s2.q), dtype=float)
-
-    def block(indices):
-        out = np.zeros(len(indices))
-        for pos, a in enumerate(indices):
-            val = 0.0
-            for g_ in range(m):
-                for b in range(m):
-                    val += C[g_, b, a] * s2.v[b] * mu[g_]
-            val -= dt_mu[a]
-            for b in range(m):
-                for i in range(n):
-                    val += mu[b] * G[i, b, a] * s2.qdot[i]
-            out[pos] = val
-        return out
-
-    return block(range(k)), block(range(k, m))
+    _, ver = lp_operator(sys, s2)
+    return ver[:k], ver[k:]
 
 
 def reduced_noether(sys: LPLagrangian, s: LPState, etabar):

@@ -46,9 +46,6 @@ class SmoothMap:
                 f"out_shape {self.out_shape} is incompatible with out_dim {self.out_dim}"
             )
 
-    def __call__(self, x):
-        return eval_map(self, x)
-
 
 def constant_map(in_dim, table, name=""):
     """The constant map from R^in_dim to a read-only float copy of ``table``."""

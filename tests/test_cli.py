@@ -133,8 +133,29 @@ _INLINE_SCENARIO = "scenario: {base: {n: 0}, group: so3}\n"
         ("reduce", _INLINE_SCENARIO + "dump_samples: -3\n", [], "dump_samples: must be at least 0"),
         ("check-axioms", _INLINE_BUNDLE + "tol: -1\n", [], "tol: must be nonnegative"),
         ("check-axioms", _INLINE_BUNDLE, ["--tol", "-1"], "tol: must be nonnegative"),
+        ("check-axioms", _INLINE_BUNDLE + "tol: .inf\n", [], "tol: must be nonnegative"),
+        ("check-axioms", _INLINE_BUNDLE, ["--tol", "inf"], "tol: must be nonnegative"),
+        ("check-axioms", _INLINE_BUNDLE + "seed: -3\n", [], "seed: must be at least 0"),
+        ("check-axioms", _INLINE_BUNDLE, ["--seed", "-3"], "seed: must be at least 0"),
+        (
+            "reduce",
+            "system: rigid_body\nsamples: 5\n",
+            [],
+            "samples: applies to inline scenarios only",
+        ),
     ],
-    ids=["samples-axioms", "samples-reduce", "dump-samples", "tol-config", "tol-flag"],
+    ids=[
+        "samples-axioms",
+        "samples-reduce",
+        "dump-samples",
+        "tol-config",
+        "tol-flag",
+        "tol-inf-config",
+        "tol-inf-flag",
+        "seed-config",
+        "seed-flag",
+        "samples-catalog-reduce",
+    ],
 )
 def test_out_of_range_settings_are_config_errors(
     tmp_path, capsys, command, text, flags, message
@@ -284,6 +305,43 @@ def test_simulate_trajectory_matches_recorded_digest(tmp_path, system, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+_README_BUNDLE = """
+    bundle:
+      n: 1
+      m: 1
+      bounds: [[-2.0, 2.0]]
+      gamma:
+        {table}
+    lagrangian:
+      polynomial:
+        terms:
+          - {{powers: [0, 2, 0], coeff: 0.5}}   # qdot^2 / 2
+          - {{powers: [0, 0, 2], coeff: 0.5}}   # v^2 / 2
+    initial:
+      q: [0.1]
+      qdot: [0.4]
+      v: [0.2]
+    """
+
+
+def test_readme_example_constant_and_polynomial_tables_agree(tmp_path):
+    """The README's inline example, run as written with its constant gamma
+    table, and again with the same table as a one-term polynomial: the two
+    spellings give the same trajectory, byte for byte."""
+    spellings = {
+        "constant": "constant: [[[0.3]]]",
+        "polynomial": "polynomial: {terms: [{index: [0, 0, 0], powers: [0], coeff: 0.3}]}",
+    }
+    data = {}
+    for name, table in spellings.items():
+        cfg = write_cfg(tmp_path, _README_BUNDLE.format(table=table), f"{name}.yaml")
+        out = tmp_path / name
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        data[name] = (out / "trajectory.csv").read_bytes()
+    assert len(data["constant"].splitlines()) == 1002
+    assert data["constant"] == data["polynomial"]
+
+
 def test_simulate_reruns_are_byte_identical(tmp_path):
     outs = []
     for sub in ("a", "b"):
@@ -338,6 +396,13 @@ def test_bad_env_seed_is_a_config_error(tmp_path, monkeypatch, capsys):
     )
     assert code == 1
     assert "LPMECH_SEED" in capsys.readouterr().err
+
+
+def test_negative_env_seed_is_a_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LPMECH_SEED", "-3")
+    code = main(["check-axioms", "--system", "flat_bundle_particle", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == "config error: LPMECH_SEED: must be at least 0, got -3\n"
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +466,71 @@ def test_reduce_inline_scenario_dumps_structure_only(tmp_path):
     assert np.max(np.abs(data[:, col] + 0.4)) <= 1e-12
 
 
+_HEISENBERG_SCENARIO = """
+    scenario:
+      base:
+        n: 2
+        bounds: [[-1, 1], [-1, 1]]
+      group: {name: heisenberg3, coupling: 1.1}
+      connection:
+        polynomial:
+          terms:
+            - {index: [0, 0], powers: [0, 1], coeff: 0.3}
+            - {index: [1, 1], powers: [1, 0], coeff: -0.2}
+            - {index: [0, 2], powers: [1, 1], coeff: 0.25}
+            - {index: [1, 2], powers: [2, 0], coeff: 0.15}
+    """
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        (
+            "structure_samples.csv",
+            "e21e5090ba79ab160b7185e466f8910cd14d8b907d46f9da20b202bdb3bb1a81",
+        ),
+        (
+            "reduce_report.json",
+            "78e552c173d616e18f7edaf7a99786942062c5e3b4feafa75ffd7f9e6b4f4b5f",
+        ),
+    ],
+)
+def test_reduce_inline_heisenberg_matches_recorded_digest(tmp_path, name, digest):
+    """SHA-256 of the reduce artifacts of a Heisenberg scenario over a 2-dim
+    base with a polynomial connection, pinned: the reduced structure tables
+    and the axiom report must not move when the reduction code is reshaped."""
+    cfg = write_cfg(tmp_path, _HEISENBERG_SCENARIO)
+    assert main(["reduce", "--config", cfg, "--out", str(tmp_path)]) == 0
+    data = (tmp_path / name).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_reduce_constant_and_polynomial_connection_agree(tmp_path):
+    """A scenario connection given as a constant table and as the same table
+    in one polynomial term gives byte-identical reduce artifacts."""
+    scenario = """
+        scenario:
+          base:
+            n: 2
+            bounds: [[-1, 1], [-1, 1]]
+          group: heisenberg3
+          connection:
+            {table}
+        """
+    spellings = {
+        "constant": "constant: [[0.0, 0.4, 0.0], [0.0, 0.0, 0.0]]",
+        "polynomial": "polynomial: {terms: [{index: [0, 1], powers: [0, 0], coeff: 0.4}]}",
+    }
+    outs = {}
+    for name, table in spellings.items():
+        cfg = write_cfg(tmp_path, scenario.format(table=table), f"{name}.yaml")
+        outs[name] = tmp_path / name
+        assert main(["reduce", "--config", cfg, "--out", str(outs[name])]) == 0
+    for artifact in ("structure_samples.csv", "reduce_report.json"):
+        a = (outs["constant"] / artifact).read_bytes()
+        assert a == (outs["polynomial"] / artifact).read_bytes()
+
+
 def test_reduce_rejects_system_and_scenario_together(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,
@@ -440,6 +570,19 @@ def test_stages_catalog_matches_direct(tmp_path):
     assert report["structure_deviation"] <= 1e-8
     assert report["lagrangian_deviation"] <= 1e-10
     assert report["trajectory_deviation_max"] <= 1e-9
+
+
+def test_stages_report_matches_recorded_digest(tmp_path):
+    """SHA-256 of stages_report.json for heisenberg_stages over 10 steps,
+    pinned: both stage bundles, the deviations and the staged trajectory
+    feed it."""
+    argv = ["stages", "--system", "heisenberg_stages", "--t-end", "0.01"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    data = (tmp_path / "stages_report.json").read_bytes()
+    assert (
+        hashlib.sha256(data).hexdigest()
+        == "4cbf52997ec1ed84d953d1aaf39c69ad826bde1823fe99ea7a3b68be7f6b4a94"
+    )
 
 
 def test_stages_override_warns_and_reports(tmp_path, capsys):

@@ -11,6 +11,7 @@ from lpmech.dynamics import (
     lp_operator,
 )
 from lpmech.errors import (
+    AxiomViolation,
     ChartExit,
     DimensionMismatch,
     InvarianceViolation,
@@ -24,7 +25,7 @@ from lpmech.liegroups import (
     so3,
     structure_constants,
 )
-from lpmech.lpbundle import ChartDomain
+from lpmech.lpbundle import ChartDomain, LPBundleChart, check_axioms
 from lpmech.reduction import (
     PrincipalScenario,
     RepW,
@@ -40,6 +41,7 @@ from lpmech.reduction import (
     reduce_lagrangian,
     reduced_noether,
     reduced_vertical_split,
+    require_axioms,
     stages_reduce,
     trivial_representation,
     two_stage_lagrangian,
@@ -211,6 +213,26 @@ def test_abelian_connection_gives_curl_two_form():
     assert np.max(np.abs(C)) == 0.0
 
 
+def test_axiom_gate_attaches_the_failing_report():
+    """A bundle whose two-form is not closed fails the gate; the exception
+    carries the very report it was given.  A passing report goes through."""
+
+    def omega_body(q):
+        out = np.zeros((1, 3, 3), dtype=object)
+        out[0, 0, 1], out[0, 1, 0] = q[2], -q[2]
+        return out
+
+    om = SmoothMap(3, 9, omega_body, out_shape=(1, 3, 3))
+    report = check_axioms(LPBundleChart(ChartDomain(3), 1, omega=om))
+    with pytest.raises(AxiomViolation, match="^open bundle failed the structure") as info:
+        require_axioms(report, "open bundle")
+    assert info.value.report is report
+    assert "d_two_form_closed" in str(info.value)
+
+    good = check_axioms(LPBundleChart(ChartDomain(2), 1))
+    assert require_axioms(good, "flat bundle") is good
+
+
 def test_semidirect_blocks_and_axioms():
     sc, _, _ = so3_linear_scenario(seed=5, with_w=True)
     handle = build_reduced_bundle(sc)
@@ -320,8 +342,14 @@ def test_reduce_rejects_noninvariant_lagrangian():
     def L(x, xdot, g, gdot, w):
         return g[0, 0] + 0.5 * sum(gdot[i, -1] * gdot[i, -1] for i in range(3))
 
-    with pytest.raises(InvarianceViolation, match="residual"):
+    with pytest.raises(InvarianceViolation, match="residual") as info:
         reduce_lagrangian(sc, L, handle=handle)
+    exc = info.value
+    assert exc.residual > 1e-10
+    assert f"relative residual {exc.residual:.3e}" in str(exc)
+    assert sorted(exc.worst_sample) == ["eta", "x", "xi"]
+    assert exc.worst_sample["x"].shape == (0,)
+    assert exc.worst_sample["xi"].shape == (3,) and exc.worst_sample["eta"].shape == (3,)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +558,7 @@ def test_stages_heisenberg_center():
     assert res.kidx == (0, 1) and res.nidx == (2,)
 
     # intermediate two-form on the K-plane: constant, equal to -coupling
-    Om1 = np.asarray(eval_map(res.omega1, np.array([0.3, -0.8])), float)
+    Om1 = np.asarray(eval_map(res.stage1.bundle.omega, np.array([0.3, -0.8])), float)
     assert abs(Om1[0, 0, 1] + 1.0) < 1e-12
 
     # second-stage fiber bracket restores the central structure constant
@@ -592,7 +620,7 @@ def test_stages_override_warns_and_reports_deviation():
     res0 = stages_reduce(sc, [2])
 
     def biased(xk):
-        base = eval_map(res0.stage1_scenario.A, xk)
+        base = eval_map(res0.stage1.scenario.A, xk)
         out = np.empty((2, 1), dtype=object)
         out[0, 0] = base[0, 0] + 0.01 * xk[1]
         out[1, 0] = base[1, 0]
