@@ -44,32 +44,6 @@ class Dual:
     def __repr__(self):
         return f"Dual({self.re!r}, {self.im!r}, level={self.level})"
 
-    # -- ordering by value ------------------------------------------------
-
-    def __lt__(self, other):
-        return real_part(self) < real_part(other)
-
-    def __le__(self, other):
-        return real_part(self) <= real_part(other)
-
-    def __gt__(self, other):
-        return real_part(self) > real_part(other)
-
-    def __ge__(self, other):
-        return real_part(self) >= real_part(other)
-
-    def __eq__(self, other):
-        return real_part(self) == real_part(other)
-
-    def __ne__(self, other):
-        return real_part(self) != real_part(other)
-
-    def __hash__(self):
-        return hash((id(type(self)), self.level))
-
-    def __bool__(self):
-        return bool(real_part(self))
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
@@ -86,9 +60,6 @@ class Dual:
 
     def __neg__(self):
         return Dual(-self.re, -self.im, self.level)
-
-    def __pos__(self):
-        return self
 
     def __sub__(self, other):
         return self + (-other)
@@ -124,9 +95,6 @@ class Dual:
         if n == 0:
             return Dual(self.re * 0 + 1.0, self.im * 0.0, self.level)
         return Dual(self.re**n, (n * self.re ** (n - 1)) * self.im, self.level)
-
-    def __abs__(self):
-        return self if real_part(self) >= 0 else -self
 
 
 def _distribute(op, arr):

@@ -354,7 +354,8 @@ def scenario_from_config(node):
     if rep == "defining":
         repW = defining_representation(G)
     elif isinstance(rep, dict) and "trivial" in rep:
-        repW = trivial_representation(G, _int(rep["trivial"], f"{label}.representation.trivial"))
+        dim_w = _int(rep["trivial"], f"{label}.representation.trivial", least=1)
+        repW = trivial_representation(G, dim_w)
     elif rep is not None:
         raise ConfigError(
             f"{label}.representation: expected 'defining' or {{trivial: dim}}"
@@ -624,12 +625,23 @@ def cmd_stages(cfg, args):
     nidx = node.get("nidx", record.params.get("nidx"))
     if nidx is None:
         raise ConfigError("stages.nidx: required (no catalog default)")
+    if not isinstance(nidx, (list, tuple)):
+        raise ConfigError(
+            f"stages.nidx: expected a list of basis indices, got {type(nidx).__name__}"
+        )
     nidx = tuple(_int(i, "stages.nidx") for i in nidx)
+    sc = record.scenario
+    k = sc.k
+    distinct = len(set(nidx)) == len(nidx)
+    if not (distinct and 0 < len(nidx) < k and all(0 <= i < k for i in nidx)):
+        raise ConfigError(
+            f"stages.nidx: expected 1 to {k - 1} distinct indices in 0..{k - 1} "
+            f"(a proper subgroup), got {list(nidx)}"
+        )
 
     seed = _resolve_seed(args.seed, cfg)
     t_end, dt, method = _resolve_run(cfg, args)
     out = _resolve_out(cfg, args)
-    sc = record.scenario
 
     dim = sc.baseB.n + sc.k - len(nidx)
     override = _table_field(node, "override_A_N", dim, (dim, len(nidx)), "stages")

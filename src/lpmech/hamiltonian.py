@@ -5,9 +5,9 @@ the fiber covector.  The bracket uses a connection-corrected base
 derivative; its conventions are pinned by the affine-function check against
 the section bracket, not chosen freely.
 
-Everything here is written with scalar loops rather than float-only einsum
-because the bracket must stay differentiable: Jacobi-identity tests push
-dual numbers through nested bracket evaluations.
+Everything here is written with scalar loops or ``@`` rather than
+float-only einsum because the bracket must stay differentiable:
+Jacobi-identity tests push dual numbers through nested bracket evaluations.
 """
 
 from __future__ import annotations
@@ -103,13 +103,6 @@ def _real_vec(x):
     return np.array([_dual.real_part(e) for e in np.asarray(x).reshape(-1)])
 
 
-def _dot(a, b):
-    out = 0.0
-    for i in range(len(a)):
-        out = out + a[i] * b[i]
-    return out
-
-
 def _check_obs_dims(b, *obs):
     d = 2 * b.n + b.m
     for fm in obs:
@@ -175,7 +168,7 @@ def _affine_observable(b, Z: Section):
     def body(q, p, nu):
         Xq = eval_map(Z.X, q).reshape(-1)
         wq = eval_map(Z.w, q).reshape(-1)
-        return _dot(p, Xq) + _dot(nu, wq)
+        return p @ Xq + nu @ wq
 
     return DualObservable(_split_map(b.n, b.m, body))
 
@@ -235,11 +228,7 @@ def hamiltonian_vector_field(b: LPBundleChart, H, s):
                 val = val + G[i, bb, a] * qdot[i] * nu[bb]
         nudot.append(val)
 
-    if any(_dual.contains_dual(np.asarray(z, dtype=object)) for z in (qdot, pdot, nudot)):
-        conv = lambda z: np.asarray(z, dtype=object)
-    else:
-        conv = lambda z: np.asarray(z, dtype=float)
-    return conv(qdot), conv(pdot), conv(nudot)
+    return np.array(qdot), np.array(pdot), np.array(nudot)
 
 
 def integrate_hp(b: LPBundleChart, H, s0: HPState, t0, t1, h, method="rk4"):

@@ -16,19 +16,6 @@ from . import _dual
 from .errors import DimensionMismatch, NotSupported
 
 
-def _obj_matmul(A, B):
-    """Matrix product that stays safe when entries are dual numbers."""
-    if A.dtype != object and B.dtype != object:
-        return A @ B
-    n, k = A.shape
-    k2, p = B.shape
-    out = np.empty((n, p), dtype=object)
-    for i in range(n):
-        for j in range(p):
-            out[i, j] = sum(A[i, r] * B[r, j] for r in range(k))
-    return out
-
-
 @dataclass(frozen=True)
 class MatrixLieGroup:
     """A matrix group with chosen algebra basis.
@@ -44,6 +31,11 @@ class MatrixLieGroup:
     log_body: callable
     check_body: callable = None
 
+    def __post_init__(self):
+        # derived once: unhat is a product with the basis pseudo-inverse
+        flat_basis = self.basis.reshape(self.dim, -1).T
+        object.__setattr__(self, "_pinv", np.linalg.pinv(flat_basis))
+
     @property
     def dim(self):
         return self.basis.shape[0]
@@ -55,29 +47,14 @@ class MatrixLieGroup:
             raise DimensionMismatch(
                 f"{self.name}: expected {self.dim} coefficients, got {xi.shape}"
             )
-        if xi.dtype == object:
-            out = np.zeros((self.mat_dim, self.mat_dim), dtype=object)
-            for a in range(self.dim):
-                out = out + xi[a] * np.asarray(self.basis[a], dtype=object)
-            return out
-        return np.einsum("a,aij->ij", xi, self.basis)
+        return np.tensordot(xi, self.basis, axes=1)
 
     def unhat(self, M):
         """Algebra matrix back to coefficients (least squares in the basis).
 
-        Dual-valued matrices keep their dual parts: the solve is linear, so
-        it goes through a precomputed pseudo-inverse of the basis.
+        The solve is linear, so dual-valued matrices keep their dual parts.
         """
-        M = np.asarray(M)
-        flat_basis = self.basis.reshape(self.dim, -1).T
-        if M.dtype == object:
-            P = np.linalg.pinv(flat_basis)  # (dim, mat_dim^2)
-            flat = M.ravel()
-            return np.array(
-                [np.dot(P[a], flat) for a in range(self.dim)], dtype=object
-            )
-        coeff, *_ = np.linalg.lstsq(flat_basis, M.ravel(), rcond=None)
-        return coeff
+        return self._pinv @ np.asarray(M).ravel()
 
     def exp(self, xi):
         """Group element from algebra coefficients; dual entries pass through."""
@@ -166,7 +143,7 @@ def _so3_hat(v):
 def _so3_exp(xi):
     th2 = xi[0] * xi[0] + xi[1] * xi[1] + xi[2] * xi[2]
     K = _so3_hat(xi)
-    K2 = _obj_matmul(np.atleast_2d(K), np.atleast_2d(K))
+    K2 = K @ K
     if _dual.real_part(th2) < 1e-8:
         # series in theta^2; keeps full accuracy (and dual parts) near zero
         A = 1.0 - th2 / 6.0 + th2 * th2 / 120.0
@@ -175,8 +152,7 @@ def _so3_exp(xi):
         th = _dual.sqrt(th2)
         A = _dual.sin(th) / th
         B = (1.0 - _dual.cos(th)) / th2
-    eye = np.eye(3, dtype=object) if K.dtype == object else np.eye(3)
-    return eye + A * K + B * K2
+    return np.eye(3) + A * K + B * K2
 
 
 def _so3_log(R):

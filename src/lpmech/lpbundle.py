@@ -16,7 +16,7 @@ the closure conditions that make the section bracket a Lie bracket live here.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,12 +149,6 @@ class Section:
         )
 
 
-def _fiber_matrix_action(G_i, w):
-    # G_i is an (m, m) object array; w may carry duals
-    m = G_i.shape[0]
-    return np.array([np.dot(G_i[a], w) for a in range(m)], dtype=object)
-
-
 def covariant_derivative(b: LPBundleChart, X, w: Section, q):
     """(grad_X w)^a = X^i (d_i w^a + Gamma^a_{ib} w^b), evaluated at q.
 
@@ -165,9 +159,9 @@ def covariant_derivative(b: LPBundleChart, X, w: Section, q):
     Jw = jacobian(w.w, q)  # (m, n)
     G = np.asarray(eval_map(b.Gamma, q), dtype=object)
     wv = eval_map(w.w, q)
-    out = np.array([np.dot(Jw[a], X) for a in range(b.m)], dtype=object)
+    out = Jw @ X
     for i in range(b.n):
-        out = out + X[i] * _fiber_matrix_action(G[i], wv)
+        out = out + X[i] * (G[i] @ wv)
     return out
 
 
@@ -181,6 +175,10 @@ def curvature(b: LPBundleChart, q):
     q = np.asarray(q, dtype=float)
     G = np.asarray(eval_map(b.Gamma, q), dtype=float)
     dG = np.asarray(jacobian(b.Gamma, q), dtype=float).reshape(n, m, m, n)
+    return _curvature(G, dG)
+
+
+def _curvature(G, dG):
     # dG[j,a,b,i] = d_i Gamma[j,a,b]
     t1 = np.einsum("jabi->ijab", dG)
     t2 = np.einsum("iabj->ijab", dG)
@@ -202,6 +200,10 @@ def ext_cov_derivative_omega(b: LPBundleChart, q):
     G = np.asarray(eval_map(b.Gamma, q), dtype=float)
     Om = np.asarray(eval_map(b.omega, q), dtype=float)
     dOm = np.asarray(jacobian(b.omega, q), dtype=float).reshape(m, n, n, n)
+    return _ext_cov_derivative_omega(G, Om, dOm)
+
+
+def _ext_cov_derivative_omega(G, Om, dOm):
     # dOm[a,j,k,i] = d_i omega[a,j,k]
     term = np.einsum("ajki->aijk", dOm) + np.einsum("iab,bjk->aijk", G, Om)
     return (
@@ -223,9 +225,7 @@ def section_bracket(b: LPBundleChart, Z1: Section, Z2: Section, q):
     X2 = eval_map(Z2.X, q)
     J1 = jacobian(Z1.X, q)
     J2 = jacobian(Z2.X, q)
-    base = np.array(
-        [np.dot(J2[i], X1) - np.dot(J1[i], X2) for i in range(n)], dtype=object
-    )
+    base = J2 @ X1 - J1 @ X2
 
     fiber = covariant_derivative(b, X1, Z2, q) - covariant_derivative(b, X2, Z1, q)
     # matrices go to object dtype: mixed float-matrix/dual-vector dot is unsafe
@@ -419,11 +419,10 @@ def check_axioms(
         note("omega_skew", _max_abs(Om + np.einsum("aij->aji", Om)), _max_abs(Om), q)
         note("c_jacobi", _max_abs(jac), _max_abs(cyc), q)
 
-        dT = ext_cov_derivative_omega(b, q)
         dOm = np.asarray(jacobian(b.omega, q), dtype=float).reshape(m, n, n, n)
         note(
             "d_two_form_closed",
-            _max_abs(dT),
+            _max_abs(_ext_cov_derivative_omega(G, Om, dOm)),
             _max_abs(dOm, np.einsum("iab,bjk->aijk", G, Om)),
             q,
         )
@@ -436,7 +435,8 @@ def check_axioms(
         eres = np.einsum("gabi->giab", dC) + tGc - tcG1 - tcG2
         note("e_bracket_parallel", _max_abs(eres), _max_abs(dC, tGc, tcG1, tcG2), q)
 
-        k = curvature(b, q)
+        dG = np.asarray(jacobian(b.Gamma, q), dtype=float).reshape(n, m, m, n)
+        k = _curvature(G, dG)
         rhs = -np.einsum("agb,gij->ijab", C, Om)
         note("f_curvature_coupling", _max_abs(k - rhs), _max_abs(k, rhs), q)
 

@@ -39,7 +39,7 @@ from .dynamics import (
     lp_operator,
 )
 from .lpbundle import ChartDomain, LPBundleChart, check_axioms
-from .liegroups import MatrixLieGroup, _obj_matmul, abelian, structure_constants
+from .liegroups import MatrixLieGroup, abelian, structure_constants
 from .smoothmap import SmoothMap, constant_map, eval_map, jacobian
 
 # invariance sampling in reduce_lagrangian
@@ -475,7 +475,7 @@ def stages_reduce(sc: PrincipalScenario, nidx, override_A_N=None, seed=0):
             e = np.zeros(s_dim)
             e[j] = 1.0
             _, ds = _dual.directional(section, np.asarray(kc, dtype=object), e)
-            mat = _obj_matmul(sinv, np.asarray(ds))
+            mat = sinv @ ds
             rows.append(np.asarray(G.unhat(mat)))
         return rows
 
@@ -670,10 +670,8 @@ def two_stage_lagrangian(res: StagesResult, sc: PrincipalScenario, L):
         _, nG_dot = _dual.directional(n_of, np.asarray(nu, dtype=object), nudot)
         s_mat = section(kc)
         _, s_dot = _dual.directional(section, np.asarray(kc, dtype=object), kcdot)
-        g = _obj_matmul(np.asarray(s_mat), np.asarray(nG))
-        gdot = _obj_matmul(np.asarray(s_dot), np.asarray(nG)) + _obj_matmul(
-            np.asarray(s_mat), np.asarray(nG_dot)
-        )
+        g = s_mat @ nG
+        gdot = s_dot @ nG + s_mat @ nG_dot
         return L(x, xdot, g, gdot, w)
 
     l1 = reduce_lagrangian(res.stage1.scenario, L1, handle=res.stage1)

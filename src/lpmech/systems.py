@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import GroupAction, LPLagrangian, LPState
 from .lpbundle import ChartDomain, LPBundleChart
-from .liegroups import _obj_matmul, heisenberg3, so3
+from .liegroups import heisenberg3, so3
 from .reduction import (
     PrincipalScenario,
     RepW,
@@ -65,7 +65,7 @@ def _unitriangular_inverse(g):
     power = eye.copy()
     sign = -1.0
     for _ in range(n - 1):
-        power = _obj_matmul(power, N)
+        power = power @ N
         out = out + sign * power
         sign = -sign
     return out
@@ -158,7 +158,7 @@ def _rigid_body_invariant(inertia):
 
     def L(x, xdot, g, gdot, w):
         gt = np.asarray(g).T
-        xi = G.unhat(_obj_matmul(gt, np.asarray(gdot, dtype=object)))
+        xi = G.unhat(gt @ np.asarray(gdot, dtype=object))
         return 0.5 * sum(inertia[a] * xi[a] * xi[a] for a in range(3))
 
     return L
@@ -240,7 +240,7 @@ def parameter_lagrangian(
 
     def L_inv(x, xdot, g, gdot, w):
         gt = np.asarray(g).T
-        xi = G.unhat(_obj_matmul(gt, np.asarray(gdot, dtype=object)))
+        xi = G.unhat(gt @ np.asarray(gdot, dtype=object))
         avec = [sum(gt[i, r] * w[r] for r in range(3)) for i in range(3)]
         bvec = [sum(gt[i, r] * w[3 + r] for r in range(3)) for i in range(3)]
         val = 0.5 * sum(inertia[k] * xi[k] * xi[k] for k in range(3))
@@ -288,7 +288,7 @@ def heisenberg_stages(coupling=1.0, weights=(1.0, 1.3, 1.7)):
 
     def L_inv(x, xdot, g, gdot, w):
         ginv = _unitriangular_inverse(np.asarray(g))
-        xi = G.unhat(_obj_matmul(ginv, np.asarray(gdot, dtype=object)))
+        xi = G.unhat(ginv @ np.asarray(gdot, dtype=object))
         return 0.5 * sum(weights[k] * xi[k] * xi[k] for k in range(3))
 
     red = reduce_lagrangian(sc, L_inv, handle=handle)

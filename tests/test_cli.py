@@ -123,6 +123,8 @@ def test_polynomial_index_bounds_are_validated(tmp_path, capsys):
 
 _INLINE_BUNDLE = "bundle: {n: 1, m: 1}\n"
 _INLINE_SCENARIO = "scenario: {base: {n: 0}, group: so3}\n"
+_STAGES = "system: heisenberg_stages\n"
+_TRIVIAL = "scenario: {base: {n: 0}, group: so3, representation: {trivial: %d}}\n"
 
 
 @pytest.mark.parametrize(
@@ -143,6 +145,22 @@ _INLINE_SCENARIO = "scenario: {base: {n: 0}, group: so3}\n"
             [],
             "samples: applies to inline scenarios only",
         ),
+        ("stages", _STAGES + "stages: {nidx: 2}\n", [], "stages.nidx: expected a list"),
+        ("stages", _STAGES + "stages: {nidx: []}\n", [], "stages.nidx: expected 1 to 2"),
+        ("stages", _STAGES + "stages: {nidx: [5]}\n", [], "stages.nidx: expected 1 to 2"),
+        ("stages", _STAGES + "stages: {nidx: [0, 1, 2]}\n", [], "stages.nidx: expected 1 to 2"),
+        (
+            "reduce",
+            _TRIVIAL % -2,
+            [],
+            "scenario.representation.trivial: must be at least 1",
+        ),
+        (
+            "reduce",
+            _TRIVIAL % 0,
+            [],
+            "scenario.representation.trivial: must be at least 1",
+        ),
     ],
     ids=[
         "samples-axioms",
@@ -155,6 +173,12 @@ _INLINE_SCENARIO = "scenario: {base: {n: 0}, group: so3}\n"
         "seed-config",
         "seed-flag",
         "samples-catalog-reduce",
+        "nidx-scalar",
+        "nidx-empty",
+        "nidx-out-of-range",
+        "nidx-whole-group",
+        "trivial-negative",
+        "trivial-zero",
     ],
 )
 def test_out_of_range_settings_are_config_errors(
@@ -293,6 +317,14 @@ def test_simulate_chart_exit_prints_its_time(tmp_path, capsys):
             "69956cb0d719ed71d277b9108735d9ad614a2d4973df3c8284fc8f007c53de92",
         ),
         ("rigid_body", "3fed792d33cde3b13457eacd73d251689feddb665493b7fd99a24a75afd448c6"),
+        (
+            "parameter_lagrangian",
+            "55fae820e04f86a36a99e7da67bfaa07caa3d9ddee5389498433157e4d7e1a23",
+        ),
+        (
+            "heisenberg_stages",
+            "e99955e15034b3eee187e2f98a7e6be4b0e419c4c550209f77c5f6bb74c22e61",
+        ),
     ],
 )
 def test_simulate_trajectory_matches_recorded_digest(tmp_path, system, digest):

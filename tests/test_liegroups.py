@@ -8,6 +8,8 @@ derivative flow through exp is compared to central differences.
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpmech import _dual
 from lpmech.errors import DimensionMismatch
@@ -282,3 +284,76 @@ def test_abelian_exp_with_duals():
     g = G.exp(xi)
     assert _dual.tangent_part(g[0, 2], lev) == pytest.approx(1.0)
     assert _dual.real_part(g[1, 2]) == pytest.approx(0.5)
+
+
+# ---------------------------------------------------------------------------
+# properties of hat, unhat and exp over the whole catalog
+
+# derandomized and without an example database: every run draws the same
+# examples and leaves no files behind
+_props = settings(derandomize=True, database=None, deadline=None)
+
+_coeff = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+_groups = st.one_of(
+    st.just(so3()),
+    _coeff.map(heisenberg3),
+    st.integers(1, 4).map(abelian),
+)
+
+
+@st.composite
+def group_with_vectors(draw):
+    """A catalog group, two coefficient vectors and a seed for extra data."""
+    G = draw(_groups)
+    vec = st.lists(_coeff, min_size=G.dim, max_size=G.dim).map(np.array)
+    return G, draw(vec), draw(vec), draw(st.integers(0, 2**32 - 1))
+
+
+def _seeded(values, tangents, lev):
+    """Dual array of the same shape with the given values and tangents."""
+    flat = [_dual.Dual(v, t, lev) for v, t in zip(values.ravel(), tangents.ravel())]
+    return np.array(flat, dtype=object).reshape(values.shape)
+
+
+def _parts(arr, lev):
+    """Real and tangent parts of a dual array, as float arrays."""
+    re = np.array([_dual.real_part(e) for e in arr.ravel()]).reshape(arr.shape)
+    tan = np.array([_dual.tangent_part(e, lev) for e in arr.ravel()], dtype=float)
+    return re, tan.reshape(arr.shape)
+
+
+@_props
+@given(group_with_vectors())
+def test_unhat_inverts_hat(case):
+    G, xi, _, _ = case
+    assert np.allclose(G.unhat(G.hat(xi)), xi, rtol=0.0, atol=1e-12)
+
+
+@_props
+@given(group_with_vectors())
+def test_hat_and_unhat_carry_dual_parts_linearly(case):
+    """On dual input, hat and unhat act on the values and on the tangents
+    as the float maps do, since both maps are linear."""
+    G, xi, dxi, seed = case
+    lev = _dual.fresh_level()
+    re, tan = _parts(G.hat(_seeded(xi, dxi, lev)), lev)
+    assert np.allclose(re, G.hat(xi), rtol=0.0, atol=1e-14)
+    assert np.allclose(tan, G.hat(dxi), rtol=0.0, atol=1e-14)
+
+    rng = np.random.default_rng(seed)
+    M, dM = rng.standard_normal((2, G.mat_dim, G.mat_dim))
+    re, tan = _parts(G.unhat(_seeded(M, dM, lev)), lev)
+    assert np.allclose(re, G.unhat(M), rtol=0.0, atol=1e-13)
+    assert np.allclose(tan, G.unhat(dM), rtol=0.0, atol=1e-13)
+
+
+@_props
+@given(group_with_vectors())
+def test_exp_tangent_matches_central_difference(case):
+    G, xi, dxi, _ = case
+    val, tan = _dual.directional(G.exp, xi, dxi)
+    h = 1e-6
+    fd = (G.exp(xi + h * dxi) - G.exp(xi - h * dxi)) / (2 * h)
+    assert np.allclose(np.asarray(val, dtype=float), G.exp(xi), rtol=0.0, atol=1e-14)
+    assert np.allclose(np.asarray(tan, dtype=float), fd, rtol=0.0, atol=1e-7)
