@@ -165,6 +165,11 @@ def _scalar_body(fm: SmoothMap):
     return f
 
 
+def _lagrangian_gradient(sys: LPLagrangian, s: LPState):
+    """dL at s as a float vector, in the packed (q, qdot, v) order."""
+    return np.asarray(_dual.gradient(_scalar_body(sys.L), _pack(s)), dtype=float)
+
+
 def _grad_hess(sys: LPLagrangian, s: LPState):
     return _dual.grad_hess(_scalar_body(sys.L), _pack(s))
 
@@ -241,10 +246,8 @@ def accelerations(sys: LPLagrangian, s: LPState):
 def energy(sys: LPLagrangian, s: LPState):
     """E = <dL/dqdot, qdot> + <dL/dv, v> - L."""
     n = sys.n
-    x = _pack(s)
-    grad = _dual.gradient(_scalar_body(sys.L), x)
-    grad = np.asarray(grad, dtype=float)
-    val = float(eval_map(sys.L, x).reshape(-1)[0])
+    grad = _lagrangian_gradient(sys, s)
+    val = float(eval_map(sys.L, _pack(s)).reshape(-1)[0])
     return float(grad[n : 2 * n] @ s.qdot + grad[2 * n :] @ s.v - val)
 
 
@@ -367,14 +370,13 @@ class GroupAction:
 def noether_current(sys: LPLagrangian, act: GroupAction, s: LPState, eta):
     """J = <dL/dqdot, genQ(eta, q)>; linear in eta."""
     n = sys.n
-    grad = np.asarray(_dual.gradient(_scalar_body(sys.L), _pack(s)), dtype=float)
+    grad = _lagrangian_gradient(sys, s)
     etaQ = np.asarray(act.genQ(np.asarray(eta, dtype=float), s.q), dtype=float)
     return float(grad[n : 2 * n] @ etaQ)
 
 
-def _vertical_generator(sys, act, eta, q, v):
-    """rho'(eta)v plus the connection part Gamma(genQ) v."""
-    G = np.asarray(eval_map(sys.bundle.Gamma, q), dtype=float)
+def _vertical_generator(G, act, eta, q, v):
+    """rho'(eta)v plus the connection part Gamma(genQ) v, with Gamma = G at q."""
     etaQ = np.asarray(act.genQ(eta, q), dtype=float)
     gen = np.asarray(act.genV(eta, q, v), dtype=float)
     return gen + np.einsum("iab,i,b->a", G, etaQ, v), etaQ
@@ -404,10 +406,10 @@ def noether_drift_residual(sys: LPLagrangian, act: GroupAction, traj: Trajectory
     for i in range(2, N - 2):
         dJdt = (-J[i + 2] + 8 * J[i + 1] - 8 * J[i - 1] + J[i - 2]) / (12 * h)
         s = traj.states[i]
-        grad = np.asarray(_dual.gradient(_scalar_body(sys.L), _pack(s)), dtype=float)
+        grad = _lagrangian_gradient(sys, s)
         mu = grad[2 * sys.n :]
-        Om = np.asarray(eval_map(sys.bundle.omega, s.q), dtype=float)
-        ver2, etaQ = _vertical_generator(sys, act, eta, s.q, s.v)
+        G, _, Om = sys.bundle.tables(s.q)
+        ver2, etaQ = _vertical_generator(G, act, eta, s.q, s.v)
         om_term = np.einsum("aij,i,j->a", Om, s.qdot, etaQ)
         out[i - 2] = dJdt + float(mu @ (om_term + ver2))
     return out
@@ -424,7 +426,7 @@ def invariance_residual(sys: LPLagrangian, act: GroupAction, s: LPState, eta):
     """
     n = sys.n
     eta = np.asarray(eta, dtype=float)
-    grad = np.asarray(_dual.gradient(_scalar_body(sys.L), _pack(s)), dtype=float)
+    grad = _lagrangian_gradient(sys, s)
     gen_map = SmoothMap(n, n, lambda qq: act.genQ(eta, qq), out_shape=(n,))
     JQ = np.asarray(jacobian(gen_map, s.q), dtype=float)
     etaQ = np.asarray(act.genQ(eta, s.q), dtype=float)

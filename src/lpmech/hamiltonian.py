@@ -5,8 +5,10 @@ the fiber covector.  The bracket uses a connection-corrected base
 derivative; its conventions are pinned by the affine-function check against
 the section bracket, not chosen freely.
 
-Everything here is written with scalar loops or ``@`` rather than
-float-only einsum because the bracket must stay differentiable:
+The bracket and the vector field keep their scalar loops on purpose, not
+for want of an array form (``@`` and object-dtype einsum carry dual numbers
+too): the bracket pairs its skew terms so that {f, f} cancels term by term,
+and the fixed term order keeps HP trajectories bit-for-bit the same.
 Jacobi-identity tests push dual numbers through nested bracket evaluations.
 """
 
@@ -25,6 +27,7 @@ from .dynamics import (
     LPState,
     Trajectory,
     _integrate_fixed,
+    _lagrangian_gradient,
     _pack,
     _scalar_body,
     _solve_velocity_block,
@@ -254,7 +257,7 @@ def integrate_hp(b: LPBundleChart, H, s0: HPState, t0, t1, h, method="rk4"):
 def legendre(sys: LPLagrangian, s: LPState) -> HPState:
     """Velocity state to dual state: p = dL/dqdot, nu = dL/dv."""
     n = sys.n
-    grad = np.asarray(_dual.gradient(_scalar_body(sys.L), _pack(s)), dtype=float)
+    grad = _lagrangian_gradient(sys, s)
     return HPState(s.q, grad[n : 2 * n], grad[2 * n :])
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -34,11 +35,10 @@ from .dynamics import (
     LPState,
     LPState2,
     Trajectory,
-    _pack,
-    _scalar_body,
+    _lagrangian_gradient,
     lp_operator,
 )
-from .lpbundle import ChartDomain, LPBundleChart, check_axioms
+from .lpbundle import ChartDomain, LPBundleChart, _max_abs, check_axioms
 from .liegroups import MatrixLieGroup, abelian, structure_constants
 from .smoothmap import SmoothMap, constant_map, eval_map, jacobian
 
@@ -106,12 +106,9 @@ class PrincipalScenario:
             gen = self.repW.gen
             if gen.shape[0] != k:
                 raise DimensionMismatch("one generator per algebra basis vector")
-            worst = 0.0
-            for a in range(k):
-                for b in range(k):
-                    comm = gen[a] @ gen[b] - gen[b] @ gen[a]
-                    expect = np.einsum("g,gpq->pq", c[:, a, b], gen)
-                    worst = max(worst, np.max(np.abs(comm - expect)))
+            prod = np.einsum("apq,bqr->abpr", gen, gen)
+            comm = prod - prod.transpose(1, 0, 2, 3)
+            worst = _max_abs(comm - np.einsum("gab,gpq->abpq", c, gen))
             if worst > 1e-10:
                 raise ValueError(
                     f"representation generators do not close (residual {worst:.2e})"
@@ -126,20 +123,20 @@ class PrincipalScenario:
         return 0 if self.repW is None else self.repW.dim_w
 
 
+def _exterior_derivative(M: SmoothMap, x):
+    """dA[g, i, j] = d_i A[j, g] - d_j A[i, g] for the (d, r) table map A = M."""
+    d, r = M.out_shape
+    J = np.asarray(jacobian(M, x)).reshape(d, r, d)  # J[i, g, j] = d_j A[i, g]
+    return J.transpose(1, 2, 0) - J.transpose(1, 0, 2)
+
+
 def curvature_form(sc: PrincipalScenario, x):
     """B_ij = dA_ij + [A_i, A_j] at x, shape (d, d, k); skew in (i, j)."""
     x = np.asarray(x, dtype=float)
     sc.baseB.require_inside(x)
-    d, k = sc.baseB.n, sc.k
     A = np.asarray(eval_map(sc.A, x), dtype=float)
-    J = np.asarray(jacobian(sc.A, x), dtype=float).reshape(d, k, d)
-    c = sc._c
-    B = np.empty((d, d, k))
-    for i in range(d):
-        for j in range(d):
-            dA = J[j, :, i] - J[i, :, j]
-            B[i, j] = dA + np.einsum("gab,a,b->g", c, A[i], A[j])
-    return B
+    dA = np.asarray(_exterior_derivative(sc.A, x), dtype=float)
+    return dA.transpose(1, 2, 0) + np.einsum("gab,ia,jb->ijg", sc._c, A, A)
 
 
 @dataclass(frozen=True)
@@ -155,51 +152,36 @@ def _reduced_structure_maps(sc: PrincipalScenario):
     d, k, w = sc.baseB.n, sc.k, sc.dim_w
     m = k + w
     c = sc._c
-    gen = None if sc.repW is None else sc.repW.gen
-
     c_red = np.zeros((m, m, m))
     c_red[:k, :k, :k] = c
+    # Gamma_i = -A[i, g] T[g], with T[g] = ad(e_g) on the algebra rows and the
+    # g-th generator on W; the blocks between them are plain 0.0, never
+    # zero-valued duals, so derivatives of Gamma match the entrywise formula
+    blocks = [(slice(None, k), -c.transpose(1, 0, 2))]
     if w:
-        for a in range(k):
-            c_red[k:, a, k:] = gen[a]
-            c_red[k:, k:, a] = -gen[a]
+        gen = sc.repW.gen
+        blocks.append((slice(k, None), -gen))
+        c_red[k:, :k, k:] = gen.transpose(1, 0, 2)
+        c_red[k:, k:, :k] = -gen.transpose(1, 2, 0)
+    bracket = c.transpose(1, 2, 0)  # bracket[g, h, a] = c[a, g, h]
 
     def gamma_body(x):
         A = eval_map(sc.A, x)
-        ent = []
-        for i in range(d):
-            for aa in range(m):
-                for bb in range(m):
-                    if aa < k and bb < k:
-                        val = 0.0
-                        for g_ in range(k):
-                            val = val - c[aa, g_, bb] * A[i, g_]
-                    elif aa >= k and bb >= k:
-                        val = 0.0
-                        for g_ in range(k):
-                            val = val - A[i, g_] * gen[g_][aa - k, bb - k]
-                    else:
-                        val = 0.0
-                    ent.append(val)
-        return np.array(ent).reshape(d, m, m)
+        out = np.zeros((d, m, m)).astype(A.dtype)
+        for blk, negT in blocks:
+            out[:, blk, blk] = np.einsum("gab,ig->iab", negT, A)
+        return out
 
     def omega_body(x):
-        A = eval_map(sc.A, x)
-        J = jacobian(sc.A, x)
-        J = np.asarray(J).reshape(d, k, d)
-        ent = []
-        for aa in range(m):
-            for i in range(d):
-                for j in range(d):
-                    if aa < k:
-                        val = J[j, aa, i] - J[i, aa, j]
-                        for g_ in range(k):
-                            for h_ in range(k):
-                                val = val - c[aa, g_, h_] * A[i, g_] * A[j, h_]
-                    else:
-                        val = 0.0
-                    ent.append(val)
-        return np.array(ent).reshape(m, d, d)
+        At = eval_map(sc.A, x).T
+        # terms[g, h, a, i, j] = c[a, g, h] A[i, g] A[j, h], taken off dA one
+        # (g, h) pair at a time; one contraction would reorder the sum and move
+        # the last bits of omega for dense connections
+        terms = bracket[..., None, None] * At[:, None, None, :, None] * At[None, :, None, None, :]
+        alg = np.subtract.reduce(
+            np.concatenate([_exterior_derivative(sc.A, x)[None], terms.reshape(k * k, k, d, d)])
+        )
+        return np.concatenate([alg, np.zeros((w, d, d))])
 
     Gamma = SmoothMap(d, d * m * m, gamma_body, out_shape=(d, m, m), name="Gamma_red")
     Omega = SmoothMap(d, m * d * d, omega_body, out_shape=(m, d, d), name="omega_red")
@@ -417,6 +399,13 @@ def _embed(coords, idx, k):
     return np.array(out, dtype=object)
 
 
+def _subgroup_exp(G: MatrixLieGroup, idx, coords):
+    """exp of the algebra element with ``coords`` on the basis indices ``idx``
+    and zero elsewhere; over the quotient indices this is the section
+    s(k) = exp(k)."""
+    return G.exp(_embed(coords, idx, G.dim))
+
+
 def stages_reduce(sc: PrincipalScenario, nidx, override_A_N=None, seed=0):
     """Reduce by a central normal subgroup N, then by the abelian K = G/N.
 
@@ -439,54 +428,31 @@ def stages_reduce(sc: PrincipalScenario, nidx, override_A_N=None, seed=0):
 
     if sc.repW is not None:
         raise NotSupported("two-stage reduction with an auxiliary fiber")
-    worst = max(
-        (abs(c[g_, a, b]) for b in nidx for a in range(k) for g_ in kidx),
-        default=0.0,
-    )
+    K, N = list(kidx), list(nidx)
+    worst = _max_abs(c[np.ix_(K, range(k), N)])
     if worst > 1e-12:
         raise NotNormal(
             f"span of basis indices {nidx} is not an ideal (residual {worst:.2e})"
         )
-    central = max(
-        (abs(c[g_, a, b]) for b in nidx for a in range(k) for g_ in range(k)),
-        default=0.0,
-    )
-    if central > 1e-12:
+    if _max_abs(c[:, :, N]) > 1e-12:
         raise NotSupported("only central normal subgroups are supported")
-    quot = max(
-        (abs(c[g_, a, b]) for a in kidx for b in kidx for g_ in kidx), default=0.0
-    )
-    if quot > 1e-12:
+    if _max_abs(c[np.ix_(K, K, K)]) > 1e-12:
         raise NotSupported("quotient by the subgroup must be abelian")
 
     G = sc.G
-
-    def section(kc):
-        return G.exp(_embed(kc, kidx, k))
-
-    def body_form(x, kc):
-        """Full-algebra coordinates of s(k)^-1 (A_G(x) dx + ds)."""
-        A = eval_map(sc.A, x)
-        sinv = G.exp(-_embed(kc, kidx, k))
-        rows = []
-        for i in range(d):
-            rows.append(np.asarray(A[i]))
-        for j in range(s_dim):
-            e = np.zeros(s_dim)
-            e[j] = 1.0
-            _, ds = _dual.directional(section, np.asarray(kc, dtype=object), e)
-            mat = sinv @ ds
-            rows.append(np.asarray(G.unhat(mat)))
-        return rows
+    section = partial(_subgroup_exp, G, kidx)
 
     def a_n_body(xk):
+        """N-block of s(kc)^-1 (A_G(x) dx + ds) in the coordinates (x, kc)."""
         x, kc = xk[:d], xk[d:]
-        rows = body_form(x, kc)
-        ent = []
-        for row in rows:
-            for p in nidx:
-                ent.append(row[p])
-        return np.array(ent).reshape(d + s_dim, r)
+        sinv = G.exp(-_embed(kc, kidx, k))
+        ds = [
+            _dual.directional(section, np.asarray(kc, dtype=object), e)[1]
+            for e in np.eye(s_dim)
+        ]
+        rows = np.concatenate([eval_map(sc.A, x), [G.unhat(sinv @ m) for m in ds]])
+        # through a list, so the table is a float array when no entry is a dual
+        return np.array(rows[:, N].tolist())
 
     canonical = SmoothMap(d + s_dim, (d + s_dim) * r, a_n_body, out_shape=(d + s_dim, r))
     if override_A_N is not None:
@@ -498,13 +464,9 @@ def stages_reduce(sc: PrincipalScenario, nidx, override_A_N=None, seed=0):
             pt = np.concatenate([sc.baseB.sample(rng), rng.uniform(-1.5, 1.5, s_dim)])
             dev = max(
                 dev,
-                float(
-                    np.max(
-                        np.abs(
-                            np.asarray(eval_map(override_A_N, pt), float)
-                            - np.asarray(eval_map(canonical, pt), float)
-                        )
-                    )
+                _max_abs(
+                    np.asarray(eval_map(override_A_N, pt), float)
+                    - np.asarray(eval_map(canonical, pt), float)
                 ),
             )
         warnings.warn(
@@ -525,73 +487,36 @@ def stages_reduce(sc: PrincipalScenario, nidx, override_A_N=None, seed=0):
     )
     stage1 = build_reduced_bundle(PrincipalScenario(base1, abelian(r), A_N))
 
-    def a_k_body(x):
-        A = eval_map(sc.A, x)
-        ent = []
-        for i in range(d):
-            for j, g_ in enumerate(kidx):
-                ent.append(A[i, g_])
-        return np.array(ent).reshape(d, s_dim)
+    A_K = SmoothMap(d, d * s_dim, lambda x: eval_map(sc.A, x)[:, K], out_shape=(d, s_dim))
 
-    A_K = SmoothMap(d, d * s_dim, a_k_body, out_shape=(d, s_dim))
-
-    # stage-2 chart over B: fiber = quotient algebra + residual N-block,
-    # with the stage-1 two-form pulled back along the A_K horizontal lift
+    # stage-2 chart over B: fiber = quotient algebra + residual N-block; its
+    # tables are blocks of the stage-1 two-form at (x, 0), pulled back along
+    # the A_K horizontal lift P = [I; -A_K^T] of B into B x K
     m2 = s_dim + r
 
-    def om1_at(x, kc_zero=np.zeros(s_dim)):
-        pt = np.concatenate([np.asarray(x, dtype=object), kc_zero.astype(object)])
-        return eval_map(stage1.bundle.omega, pt)
-
-    def gamma2_body(x):
-        AK = eval_map(A_K, x)
-        O1 = om1_at(x)
-        ent = []
-        for i in range(d):
-            for aa in range(m2):
-                for bb in range(m2):
-                    if aa >= s_dim and bb < s_dim:
-                        p = aa - s_dim
-                        val = -O1[p, i, d + bb]
-                        for b2 in range(s_dim):
-                            val = val + AK[i, b2] * O1[p, d + b2, d + bb]
-                    else:
-                        val = 0.0
-                    ent.append(val)
-        return np.array(ent).reshape(d, m2, m2)
-
-    def omega2_body(x):
-        AK = eval_map(A_K, x)
-        JK = np.asarray(jacobian(A_K, x)).reshape(d, s_dim, d)
-        O1 = om1_at(x)
-        ent = []
-        for aa in range(m2):
-            for i in range(d):
-                for j in range(d):
-                    if aa < s_dim:
-                        val = JK[j, aa, i] - JK[i, aa, j]
-                    else:
-                        p = aa - s_dim
-                        val = O1[p, i, j]
-                        for b2 in range(s_dim):
-                            val = val - AK[i, b2] * O1[p, d + b2, j]
-                            val = val - O1[p, i, d + b2] * AK[j, b2]
-                            for b3 in range(s_dim):
-                                val = val + AK[i, b2] * AK[j, b3] * O1[p, d + b2, d + b3]
-                    ent.append(val)
-        return np.array(ent).reshape(m2, d, d)
+    def stage1_two_form(x):
+        """Omega_1 at (x, 0) and the lift P, shapes (r, d + s, d + s), (d + s, d)."""
+        pt = np.concatenate([np.asarray(x, dtype=object), np.zeros(s_dim).astype(object)])
+        P = np.concatenate([np.eye(d), -eval_map(A_K, x).T])
+        return eval_map(stage1.bundle.omega, pt), P
 
     def c2_body(x):
-        O1 = om1_at(x)
-        ent = []
-        for g_ in range(m2):
-            for aa in range(m2):
-                for bb in range(m2):
-                    if g_ >= s_dim and aa < s_dim and bb < s_dim:
-                        ent.append(-O1[g_ - s_dim, d + aa, d + bb])
-                    else:
-                        ent.append(0.0)
-        return np.array(ent).reshape(m2, m2, m2)
+        O1, _ = stage1_two_form(x)
+        C2 = np.zeros((m2, m2, m2)).astype(O1.dtype)
+        C2[s_dim:, :s_dim, :s_dim] = -O1[:, d:, d:]
+        return C2
+
+    def gamma2_body(x):
+        O1, P = stage1_two_form(x)
+        G2 = np.zeros((d, m2, m2)).astype(O1.dtype)
+        G2[:, s_dim:, :s_dim] = -np.einsum("vi,pvb->ipb", P, O1[:, :, d:])
+        return G2
+
+    def omega2_body(x):
+        O1, P = stage1_two_form(x)
+        return np.concatenate(
+            [_exterior_derivative(A_K, x), np.einsum("vi,pvu,uj->pij", P, O1, P)]
+        )
 
     Gamma2 = SmoothMap(d, d * m2 * m2, gamma2_body, out_shape=(d, m2, m2))
     Omega2 = SmoothMap(d, m2 * d * d, omega2_body, out_shape=(m2, d, d))
@@ -602,11 +527,7 @@ def stages_reduce(sc: PrincipalScenario, nidx, override_A_N=None, seed=0):
         bundle2, sc, s_dim, r, {"construction": "two-stage slice", "axioms": report2.as_dict()}
     )
 
-    beta = np.zeros((k, k))
-    for j, g_ in enumerate(kidx):
-        beta[j, g_] = 1.0
-    for p, g_ in enumerate(nidx):
-        beta[s_dim + p, g_] = 1.0
+    beta = np.eye(k)[K + N]
 
     # transport the direct-reduction structure through beta and compare
     direct = build_reduced_bundle(sc)
@@ -618,19 +539,11 @@ def stages_reduce(sc: PrincipalScenario, nidx, override_A_N=None, seed=0):
         G2v, C2v, O2v = bundle2.tables(x)
         sdev = max(
             sdev,
-            float(np.max(np.abs(np.einsum("pa,iab,qb->ipq", beta, Gd, beta) - G2v)))
-            if Gd.size
-            else 0.0,
-            float(
-                np.max(
-                    np.abs(
-                        np.einsum("pg,gab,qa,rb->pqr", beta, Cd, beta, beta) - C2v
-                    )
-                )
+            _max_abs(
+                np.einsum("pa,iab,qb->ipq", beta, Gd, beta) - G2v,
+                np.einsum("pg,gab,qa,rb->pqr", beta, Cd, beta, beta) - C2v,
+                np.einsum("pa,aij->pij", beta, Od) - O2v,
             ),
-            float(np.max(np.abs(np.einsum("pa,aij->pij", beta, Od) - O2v)))
-            if Od.size
-            else 0.0,
         )
     if override_A_N is None and sdev > 1e-8:
         raise AxiomViolation(
@@ -649,23 +562,15 @@ def two_stage_lagrangian(res: StagesResult, sc: PrincipalScenario, L):
     same connection-corrected slice formula.  Nothing here looks at the
     direct reduction, so comparing the two is a real consistency test.
     """
-    d, k = sc.baseB.n, sc.k
+    d = sc.baseB.n
     r, s_dim = len(res.nidx), len(res.kidx)
-    G = sc.G
-    nidx, kidx = res.nidx, res.kidx
-
-    def section(kc):
-        return G.exp(_embed(kc, kidx, k))
+    section = partial(_subgroup_exp, sc.G, res.kidx)
+    n_of = partial(_subgroup_exp, sc.G, res.nidx)
 
     def L1(xk, xkdot, n_mat, n_dot, w):
         x, kc = xk[:d], xk[d:]
         xdot, kcdot = xkdot[:d], xkdot[d:]
-        nu = np.asarray([n_mat[i, -1] for i in range(r)])
-        nudot = np.asarray([n_dot[i, -1] for i in range(r)])
-
-        def n_of(nuv):
-            return G.exp(_embed(nuv, nidx, k))
-
+        nu, nudot = n_mat[:r, -1], n_dot[:r, -1]
         nG = n_of(nu)
         _, nG_dot = _dual.directional(n_of, np.asarray(nu, dtype=object), nudot)
         s_mat = section(kc)
@@ -707,5 +612,5 @@ def reduced_noether(sys: LPLagrangian, s: LPState, etabar):
     n, m = sys.n, sys.m
     if len(etabar) > m:
         raise DimensionMismatch("more symmetry coefficients than fiber slots")
-    grad = np.asarray(_dual.gradient(_scalar_body(sys.L), _pack(s)), dtype=float)
+    grad = _lagrangian_gradient(sys, s)
     return float(grad[2 * n : 2 * n + len(etabar)] @ etabar)

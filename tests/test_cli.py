@@ -537,6 +537,51 @@ def test_reduce_inline_heisenberg_matches_recorded_digest(tmp_path, name, digest
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+_DENSE_SO3_SCENARIO = """
+    scenario:
+      base:
+        n: 2
+        bounds: [[-1, 1], [-1, 1]]
+      group: so3
+      representation: defining
+      connection:
+        polynomial:
+          terms:
+            - {index: [0, 0], powers: [0, 1], coeff: 0.3}
+            - {index: [0, 1], powers: [1, 0], coeff: -0.45}
+            - {index: [0, 2], powers: [1, 1], coeff: 0.25}
+            - {index: [1, 0], powers: [2, 0], coeff: 0.15}
+            - {index: [1, 1], powers: [0, 1], coeff: 0.35}
+            - {index: [1, 2], powers: [1, 0], coeff: -0.2}
+            - {index: [0, 2], powers: [0, 0], coeff: 0.1}
+            - {index: [1, 0], powers: [0, 0], coeff: -0.05}
+    """
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        (
+            "reduce_report.json",
+            "e9e12bc1d439a5c5f66232d98ce2ed2514bf22a821899abebe0ea9c4c46f0282",
+        ),
+        (
+            "structure_samples.csv",
+            "eed46162ffa58d1a8f442ad69f44be20b1e7e14ae6448749f29de45a87bd0be1",
+        ),
+    ],
+)
+def test_reduce_dense_so3_scenario_matches_recorded_digest(tmp_path, name, digest):
+    """SHA-256 of the reduce artifacts of an so(3) scenario with the defining
+    representation and a connection whose every row has two or three nonzero
+    entries, pinned: each omega entry then sums several bracket products, so
+    a reordered sum in the reduced two-form shows in the last bits."""
+    cfg = write_cfg(tmp_path, _DENSE_SO3_SCENARIO)
+    assert main(["reduce", "--config", cfg, "--out", str(tmp_path)]) == 0
+    data = (tmp_path / name).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_reduce_constant_and_polynomial_connection_agree(tmp_path):
     """A scenario connection given as a constant table and as the same table
     in one polynomial term gives byte-identical reduce artifacts."""
