@@ -153,10 +153,9 @@ def _resolve_run(cfg, args):
     t_end = args.t_end if args.t_end is not None else _num(cfg.get("t_end", 1.0), "t_end")
     dt = args.dt if args.dt is not None else _num(cfg.get("dt", 1e-3), "dt")
     method = args.method or cfg.get("method", "rk4")
-    if t_end <= 0:
-        raise ConfigError("t_end: must be positive")
-    if dt <= 0:
-        raise ConfigError("dt: must be positive")
+    for label, val in (("t_end", t_end), ("dt", dt)):
+        if not 0 < val < np.inf:
+            raise ConfigError(f"{label}: must be positive and finite, got {val:g}")
     if method not in ("rk4", "euler"):
         raise ConfigError(f"method: expected 'rk4' or 'euler', got {method!r}")
     return t_end, dt, method

@@ -8,6 +8,8 @@ entries so group-valued expressions can be differentiated.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +24,12 @@ class MatrixLieGroup:
 
     ``exp_body``/``log_body`` work on coefficient vectors: exp takes algebra
     coefficients to a group matrix, log inverts it near the identity.
+
+    On dual (object) input, ``hat`` and ``unhat`` sum only over the exact
+    nonzero pattern of ``basis`` and of its pseudo-inverse, in the order of
+    numpy's dense object product.  On finite input each entry equals the
+    dense sum, up to the sign of an exact zero.  Float input takes the dense
+    product.
     """
 
     name: str
@@ -32,9 +40,12 @@ class MatrixLieGroup:
     check_body: callable = None
 
     def __post_init__(self):
-        # derived once: unhat is a product with the basis pseudo-inverse
+        # derived once: unhat is a product with the basis pseudo-inverse,
+        # and dual input skips the exact zeros of both matrices
         flat_basis = self.basis.reshape(self.dim, -1).T
         object.__setattr__(self, "_pinv", np.linalg.pinv(flat_basis))
+        object.__setattr__(self, "_hat_terms", _nonzero_terms(flat_basis))
+        object.__setattr__(self, "_unhat_terms", _nonzero_terms(self._pinv))
 
     @property
     def dim(self):
@@ -47,14 +58,22 @@ class MatrixLieGroup:
             raise DimensionMismatch(
                 f"{self.name}: expected {self.dim} coefficients, got {xi.shape}"
             )
-        return np.tensordot(xi, self.basis, axes=1)
+        if xi.dtype != object:
+            return np.tensordot(xi, self.basis, axes=1)
+        out = _sparse_sum(self._hat_terms, xi.tolist())
+        return out.reshape(self.basis.shape[1:])
 
     def unhat(self, M):
         """Algebra matrix back to coefficients (least squares in the basis).
 
         The solve is linear, so dual-valued matrices keep their dual parts.
         """
-        return self._pinv @ np.asarray(M).ravel()
+        M = np.asarray(M).ravel()
+        if M.size != self._pinv.shape[1]:
+            raise DimensionMismatch(f"{self.name}: expected a {self.mat_dim}x{self.mat_dim} matrix")
+        if M.dtype != object:
+            return self._pinv @ M
+        return _sparse_sum(self._unhat_terms, M.tolist())
 
     def exp(self, xi):
         """Group element from algebra coefficients; dual entries pass through."""
@@ -83,6 +102,25 @@ class MatrixLieGroup:
         if g.dtype == object:
             raise NotSupported("inverse of dual-valued group elements")
         return np.linalg.inv(g)
+
+
+def _nonzero_terms(coeffs):
+    """Per row of ``coeffs``, its (column, value) pairs with value != 0: exact,
+    so tiny entries such as so(3)'s 6.3e-17 in the pseudo-inverse stay."""
+    return [[(j, v) for j, v in enumerate(row) if v != 0] for row in coeffs.tolist()]
+
+
+def _sparse_sum(terms, xs):
+    """Object vector of sum_j xs[j] * v over each row's (j, v) terms.
+
+    The first product starts the sum and the rest are added in column
+    order, as numpy's object dot does; a row without terms gives 0.0.
+    """
+    out = np.empty(len(terms), dtype=object)
+    for o, row in enumerate(terms):
+        prods = [xs[j] * v for j, v in row]
+        out[o] = functools.reduce(operator.add, prods) if prods else 0.0
+    return out
 
 
 def structure_constants(group: MatrixLieGroup):

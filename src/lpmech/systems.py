@@ -59,6 +59,8 @@ def _require_spd(M, what):
 def _unitriangular_inverse(g):
     """Inverse of I + N with N nilpotent, as a finite Neumann sum."""
     n = g.shape[0]
+    if g.dtype != object and np.array_equal(g, np.eye(n)):
+        return np.eye(n)  # the identity that reduce_lagrangian passes as g
     eye = np.eye(n, dtype=object)
     N = np.asarray(g, dtype=object) - eye
     out = eye.copy()

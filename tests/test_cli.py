@@ -125,6 +125,7 @@ _INLINE_BUNDLE = "bundle: {n: 1, m: 1}\n"
 _INLINE_SCENARIO = "scenario: {base: {n: 0}, group: so3}\n"
 _STAGES = "system: heisenberg_stages\n"
 _TRIVIAL = "scenario: {base: {n: 0}, group: so3, representation: {trivial: %d}}\n"
+_SIMULATE = "system: free_particle_planar\n"
 
 
 @pytest.mark.parametrize(
@@ -161,6 +162,12 @@ _TRIVIAL = "scenario: {base: {n: 0}, group: so3, representation: {trivial: %d}}\
             [],
             "scenario.representation.trivial: must be at least 1",
         ),
+        ("simulate", _SIMULATE + "t_end: .inf\n", [], "t_end: must be positive and finite"),
+        ("simulate", _SIMULATE, ["--t-end", "inf"], "t_end: must be positive and finite"),
+        ("simulate", _SIMULATE + "t_end: .nan\n", [], "t_end: must be positive and finite"),
+        ("simulate", _SIMULATE, ["--t-end", "nan"], "t_end: must be positive and finite"),
+        ("simulate", _SIMULATE + "dt: .nan\n", [], "dt: must be positive and finite"),
+        ("simulate", _SIMULATE, ["--dt", "nan"], "dt: must be positive and finite"),
     ],
     ids=[
         "samples-axioms",
@@ -179,6 +186,12 @@ _TRIVIAL = "scenario: {base: {n: 0}, group: so3, representation: {trivial: %d}}\
         "nidx-whole-group",
         "trivial-negative",
         "trivial-zero",
+        "t_end-inf-config",
+        "t_end-inf-flag",
+        "t_end-nan-config",
+        "t_end-nan-flag",
+        "dt-nan-config",
+        "dt-nan-flag",
     ],
 )
 def test_out_of_range_settings_are_config_errors(

@@ -5,6 +5,9 @@ and against scipy-free matrix-power series computed in the test itself;
 derivative flow through exp is compared to central differences.
 """
 
+import functools
+import operator
+
 import mpmath
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from lpmech.liegroups import (
     so3,
     structure_constants,
 )
+from lpmech.systems import _unitriangular_inverse
 
 
 def series_expm(M, terms=30):
@@ -357,3 +361,74 @@ def test_exp_tangent_matches_central_difference(case):
     fd = (G.exp(xi + h * dxi) - G.exp(xi - h * dxi)) / (2 * h)
     assert np.allclose(np.asarray(val, dtype=float), G.exp(xi), rtol=0.0, atol=1e-14)
     assert np.allclose(np.asarray(tan, dtype=float), fd, rtol=0.0, atol=1e-7)
+
+
+def _omitted_sums(x, coeffs, product):
+    """Per row of ``coeffs``: the products with an exact-zero coefficient,
+    summed in column order, or None when the row has none.  These are the
+    terms the sparse dual sums of hat and unhat leave out."""
+    out = []
+    for row in coeffs.tolist():
+        terms = [product(x[j], v) for j, v in enumerate(row) if v == 0]
+        out.append(functools.reduce(operator.add, terms) if terms else None)
+    return out
+
+
+def _assert_sparse_matches_dense(sparse, dense, coeffs, x, product, lev):
+    """Entries fed by a nonzero coefficient equal the dense sum in value and
+    tangent; with the omitted zero products added back they equal it bit for
+    bit, sign of zero included.  Every other entry is the float 0.0."""
+    fed = np.any(coeffs != 0, axis=1)
+    omitted = _omitted_sums(x, coeffs, product)
+    restored = np.array(
+        [s if z is None else s + z for s, z in zip(sparse, omitted)], dtype=object
+    )
+    for got in (sparse, restored):
+        for a, b in zip(_parts(got[fed], lev), _parts(dense[fed], lev)):
+            assert np.array_equal(a, b)
+    for a, b in zip(_parts(restored[fed], lev), _parts(dense[fed], lev)):
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+    for e in sparse[~fed]:
+        assert type(e) is float and e == 0.0 and not np.signbit(e)
+
+
+@_props
+@given(group_with_vectors())
+def test_sparse_dual_hat_and_unhat_are_the_dense_sums(case):
+    """On dual input, hat and unhat sum only over the exact nonzero pattern
+    of the basis and of its pseudo-inverse, in the order of numpy's dense
+    object product."""
+    G, xi, dxi, seed = case
+    lev = _dual.fresh_level()
+    flat_basis = G.basis.reshape(G.dim, -1).T
+    x = _seeded(xi, dxi, lev)
+    H = G.hat(x)
+    assert H.shape == (G.mat_dim, G.mat_dim)
+    _assert_sparse_matches_dense(
+        H.ravel(), np.tensordot(x, G.basis, axes=1).ravel(), flat_basis, x,
+        lambda a, v: a * v, lev,
+    )
+
+    rng = np.random.default_rng(seed)
+    M, dM = rng.standard_normal((2, G.mat_dim, G.mat_dim))
+    # a dense dual matrix, and hat's output with its float zeros
+    for Md in (_seeded(M, dM, lev), H):
+        flat = Md.ravel()
+        _assert_sparse_matches_dense(
+            G.unhat(Md), G._pinv @ flat, G._pinv, flat, lambda a, v: v * a, lev
+        )
+
+
+def test_sparse_pattern_is_exact_and_identity_inverse_stays_float():
+    # so(3)'s pseudo-inverse has two entries of about 6.3e-17; a tolerance
+    # would drop them and change the sums in the last bits
+    G = so3()
+    tiny = G._pinv[(G._pinv != 0) & (np.abs(G._pinv) < 1e-16)]
+    assert tiny.size == 2
+    kept = [v for row in G._unhat_terms for _, v in row]
+    assert sorted(kept, key=abs)[:2] == sorted(tiny.tolist(), key=abs)
+    assert len(kept) == np.count_nonzero(G._pinv)
+
+    for n in (3, 4):
+        inv = _unitriangular_inverse(np.eye(n))
+        assert inv.dtype == float and np.array_equal(inv, np.eye(n))
