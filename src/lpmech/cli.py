@@ -72,8 +72,6 @@ from .reduction import (
 from .smoothmap import SmoothMap, constant_map
 from .systems import SystemRecord, build_system
 
-_MISSING = object()
-
 
 # ---------------------------------------------------------------------------
 # config loading and schema helpers
@@ -115,6 +113,23 @@ def _num(val, label):
     return float(val)
 
 
+def _finite(val, label):
+    val = _num(val, label)
+    if not np.isfinite(val):
+        raise ConfigError(f"{label}: must be finite, got {val:g}")
+    return val
+
+
+def _require_finite_params(val, label):
+    """Reject the first infinite or NaN number in a catalog parameter,
+    looking into nested lists."""
+    if isinstance(val, float):
+        _finite(val, label)
+    elif isinstance(val, list):
+        for i, v in enumerate(val):
+            _require_finite_params(v, f"{label}[{i}]")
+
+
 def _int(val, label, least=None):
     if isinstance(val, bool) or not isinstance(val, int):
         raise ConfigError(f"{label}: expected an integer, got {type(val).__name__}")
@@ -126,7 +141,7 @@ def _int(val, label, least=None):
 def _vector(val, length, label):
     if not isinstance(val, list) or len(val) != length:
         raise ConfigError(f"{label}: expected a list of {length} numbers")
-    return np.array([_num(v, f"{label}[{i}]") for i, v in enumerate(val)])
+    return np.array([_finite(v, f"{label}[{i}]") for i, v in enumerate(val)])
 
 
 def _resolve_seed(flag_seed, cfg):
@@ -216,7 +231,7 @@ def polynomial_map(n_vars, shape, terms, label):
         powers = [_int(p, f"{tl}.powers[{i}]") for i, p in enumerate(powers)]
         if any(p < 0 for p in powers):
             raise ConfigError(f"{tl}.powers: exponents must be nonnegative")
-        coeff = _num(_need(term, "coeff", tl), f"{tl}.coeff")
+        coeff = _finite(_need(term, "coeff", tl), f"{tl}.coeff")
         index = term.get("index", [])
         if not isinstance(index, list) or len(index) != len(shape):
             raise ConfigError(f"{tl}.index: expected {len(shape)} entries")
@@ -267,6 +282,11 @@ def _table_field(node, key, n_vars, shape, label):
             raise ConfigError(
                 f"{fl}.constant: expected shape {tuple(shape)}, got {arr.shape}"
             )
+        bad = np.argwhere(~np.isfinite(arr))
+        if bad.size:
+            idx = tuple(bad[0])
+            where = "".join(f"[{i}]" for i in idx)
+            raise ConfigError(f"{fl}.constant{where}: must be finite, got {arr[idx]:g}")
         return constant_map(n_vars, arr, key)
     if "polynomial" in sub:
         terms = _need(sub["polynomial"], "terms", f"{fl}.polynomial")
@@ -333,7 +353,7 @@ def group_from_config(node, label):
     if name == "so3":
         return so3()
     if name == "heisenberg3":
-        return heisenberg3(_num(node.get("coupling", 1.0), f"{label}.coupling"))
+        return heisenberg3(_finite(node.get("coupling", 1.0), f"{label}.coupling"))
     if name == "abelian":
         dim = _int(_need(node, "dim", label), f"{label}.dim")
         if dim < 1:
@@ -380,6 +400,8 @@ def resolve_system(cfg, args):
         params = cfg.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("params: expected a mapping")
+        for key, val in params.items():
+            _require_finite_params(val, f"params.{key}")
         try:
             return build_system(name, **params)
         except KeyError as exc:
@@ -647,8 +669,8 @@ def cmd_stages(cfg, args):
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        res = stages_reduce(sc, nidx, override_A_N=override, seed=seed)
-        staged_sys = two_stage_lagrangian(res, sc, record.unreduced_lagrangian)
+        res = stages_reduce(record.handle, nidx, override_A_N=override, seed=seed)
+        staged_sys = two_stage_lagrangian(res, record.unreduced_lagrangian)
     messages = [str(w.message) for w in caught]
 
     s0 = resolve_initial(cfg, record)
@@ -804,10 +826,7 @@ def main(argv=None):
     try:
         cfg = load_config(args.config) if args.config else {}
         return args.handler(cfg, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except (NotSupported, DimensionMismatch) as exc:
+    except (ConfigError, NotSupported, DimensionMismatch) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (AxiomViolation, InvarianceViolation, NotNormal) as exc:

@@ -204,11 +204,15 @@ def lp_operator(sys: LPLagrangian, s2: LPState2):
 
 def _solve_velocity_block(M, rhs):
     """Solve M z = rhs in the (qdot, v) block Hessian M of a Lagrangian;
-    raises SingularHessian when M is ill conditioned (threshold 1e12)."""
+    raises SingularHessian when M has a non-finite entry or is ill
+    conditioned (threshold 1e12)."""
     if not M.size:
         return np.zeros(0)
-    cond = np.linalg.cond(M)
-    if cond > HESSIAN_COND_LIMIT:
+    try:
+        cond = np.linalg.cond(M)
+    except np.linalg.LinAlgError:  # the SVD does not converge on a NaN entry
+        raise SingularHessian("velocity-block Hessian has a non-finite entry") from None
+    if not cond <= HESSIAN_COND_LIMIT:
         raise SingularHessian(
             f"velocity-block Hessian condition {cond:.3e} exceeds "
             f"{HESSIAN_COND_LIMIT:.0e}"
@@ -220,7 +224,8 @@ def accelerations(sys: LPLagrangian, s: LPState):
     """The unique (qddot, vdot) zeroing the equation residual at s.
 
     Solves one linear system in the (qdot, v) block Hessian of L; raises
-    SingularHessian when that block is ill conditioned (threshold 1e12).
+    SingularHessian when that block is non-finite or ill conditioned
+    (threshold 1e12).
     """
     n, m = sys.n, sys.m
     _, grad, H = _grad_hess(sys, s)

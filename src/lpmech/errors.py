@@ -32,7 +32,8 @@ class NonFiniteState(NumericalFailure):
 
 
 class SingularHessian(NumericalFailure):
-    """The velocity-block Hessian is numerically singular (condition > 1e12)."""
+    """The velocity-block Hessian is non-finite or numerically singular
+    (condition > 1e12)."""
 
 
 class NoConvergence(NumericalFailure):

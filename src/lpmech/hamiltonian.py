@@ -130,9 +130,7 @@ def poisson_bracket(b: LPBundleChart, f, g, s) -> float:
 
     gf = _grad(fm, x)
     gg = _grad(gm, x)
-    G = eval_map(b.Gamma, q)
-    C = eval_map(b.c, q)
-    Om = eval_map(b.omega, q)
+    G, C, Om = b.tables(q)
 
     def cov_q(grad):
         out = []
@@ -204,9 +202,7 @@ def hamiltonian_vector_field(b: LPBundleChart, H, s):
     b.base.require_inside(_real_vec(q))
 
     grad = _grad(fm, x)
-    G = eval_map(b.Gamma, q)
-    C = eval_map(b.c, q)
-    Om = eval_map(b.omega, q)
+    G, C, Om = b.tables(q)
     hq, hp, hnu = grad[:n], grad[n : 2 * n], grad[2 * n :]
 
     qdot = list(hp)

@@ -16,6 +16,7 @@ the closure conditions that make the section bracket a Lie bracket live here.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,12 +126,10 @@ class LPBundleChart:
         return self.base.n
 
     def tables(self, q):
-        """(Gamma, c, omega) evaluated at the float point q, as float arrays."""
-        return (
-            np.asarray(eval_map(self.Gamma, q), dtype=float),
-            np.asarray(eval_map(self.c, q), dtype=float),
-            np.asarray(eval_map(self.omega, q), dtype=float),
-        )
+        """(Gamma, c, omega) evaluated at q: float arrays at a float point,
+        object arrays at an object point, which may carry dual numbers."""
+        dtype = object if np.asarray(q).dtype == object else float
+        return tuple(np.asarray(eval_map(M, q), dtype) for M in (self.Gamma, self.c, self.omega))
 
 
 @dataclass(frozen=True)
@@ -359,7 +358,12 @@ class AxiomReport:
 
 
 def _max_abs(*tensors):
+    """Largest absolute entry over all tensors; NaN if any entry is NaN."""
     vals = [np.max(np.abs(t)) if np.size(t) else 0.0 for t in tensors]
+    # max() drops a NaN that is not first; the values are nonnegative, so
+    # their sum is NaN exactly when one of them is
+    if len(vals) > 1 and math.isnan(sum(vals)):
+        return math.nan
     return float(max(vals)) if vals else 0.0
 
 
@@ -385,8 +389,11 @@ def check_axioms(
         f_curvature_coupling    connection curvature equals -c(omega, .)
 
     Residuals are compared against tol * (1 + scale) with scale the largest
-    magnitude among the terms entering each identity.  Deterministic for a
-    fixed seed.
+    magnitude among the terms entering each identity.  The worst point is
+    the last sample attaining the largest residual.  A non-finite residual
+    or scale fails its condition; a NaN one is reported with the first
+    sample giving it, and that sample's residual and scale.  Deterministic
+    for a fixed seed.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample point")
@@ -406,6 +413,11 @@ def check_axioms(
 
     def note(name, resid, scale, q):
         rec = tracker[name]
+        if math.isnan(rec[0]) or math.isnan(rec[2]):
+            return  # the first NaN sample stays the reported one
+        if math.isnan(resid) or math.isnan(scale):
+            rec[:] = resid, q.copy(), scale
+            return
         rec[2] = max(rec[2], scale)
         if resid >= rec[0]:
             rec[0], rec[1] = resid, q.copy()
@@ -446,7 +458,9 @@ def check_axioms(
             rec[0],
             rec[1],
             rec[2],
-            rec[0] <= tol * (1.0 + rec[2]),
+            math.isfinite(rec[0])
+            and math.isfinite(rec[2])
+            and rec[0] <= tol * (1.0 + rec[2]),
         )
         for name, rec in tracker.items()
     ]

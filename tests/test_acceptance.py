@@ -176,7 +176,7 @@ def _heavy_unit_traj():
 def _heis_stages():
     if "heis_stages" not in _cache:
         rec = _record("heisenberg_stages")
-        _cache["heis_stages"] = stages_reduce(rec.scenario, rec.params["nidx"])
+        _cache["heis_stages"] = stages_reduce(rec.handle, rec.params["nidx"])
     return _cache["heis_stages"]
 
 
@@ -447,7 +447,7 @@ def test_criterion_05_staged_reduction_matches_direct_reduction():
     one-shot reduction through the fiber identification."""
     rec = _record("heisenberg_stages")
     res = _heis_stages()
-    l2 = two_stage_lagrangian(res, rec.scenario, rec.unreduced_lagrangian)
+    l2 = two_stage_lagrangian(res, rec.unreduced_lagrangian)
     beta = res.beta
     v0 = rec.initial.v
     tr_d = integrate_lp(rec.lagrangian, rec.initial, 0.0, 1.0, 1e-3)

@@ -168,6 +168,55 @@ _SIMULATE = "system: free_particle_planar\n"
         ("simulate", _SIMULATE, ["--t-end", "nan"], "t_end: must be positive and finite"),
         ("simulate", _SIMULATE + "dt: .nan\n", [], "dt: must be positive and finite"),
         ("simulate", _SIMULATE, ["--dt", "nan"], "dt: must be positive and finite"),
+        (
+            "simulate",
+            "system: central_potential_particle\nparams: {stiffness: .nan}\n",
+            [],
+            "params.stiffness: must be finite, got nan",
+        ),
+        (
+            "simulate",
+            "system: parameter_lagrangian\nparams: {chi: [0, 0, .inf]}\n",
+            [],
+            "params.chi[2]: must be finite, got inf",
+        ),
+        (
+            "reduce",
+            "scenario: {base: {n: 0}, group: {name: heisenberg3, coupling: .nan}}\n",
+            [],
+            "scenario.group.coupling: must be finite, got nan",
+        ),
+        (
+            "check-axioms",
+            "bundle: {n: 1, m: 1, c: {constant: [[[.nan]]]}}\n",
+            [],
+            "bundle.c.constant[0][0][0]: must be finite, got nan",
+        ),
+        (
+            "stages",
+            _STAGES + "stages: {override_A_N: {constant: [[.nan], [0.0]]}}\n",
+            [],
+            "stages.override_A_N.constant[0][0]: must be finite, got nan",
+        ),
+        (
+            "simulate",
+            "system: rigid_body\ninitial: {q: [], qdot: [], v: [.nan, 0.0, 0.0]}\n",
+            [],
+            "initial.v[0]: must be finite, got nan",
+        ),
+        (
+            "noether",
+            "system: central_potential_particle\netas: [[.nan]]\n",
+            [],
+            "etas[0][0]: must be finite, got nan",
+        ),
+        (
+            "simulate",
+            _INLINE_BUNDLE
+            + "lagrangian: {polynomial: {terms: [{powers: [0, 0, 2], coeff: .inf}]}}\n",
+            [],
+            "lagrangian.polynomial.terms[0].coeff: must be finite, got inf",
+        ),
     ],
     ids=[
         "samples-axioms",
@@ -192,6 +241,14 @@ _SIMULATE = "system: free_particle_planar\n"
         "t_end-nan-flag",
         "dt-nan-config",
         "dt-nan-flag",
+        "params-nan",
+        "params-list-inf",
+        "coupling-nan",
+        "constant-nan",
+        "override-constant-nan",
+        "initial-nan",
+        "etas-nan",
+        "coeff-inf",
     ],
 )
 def test_out_of_range_settings_are_config_errors(
@@ -277,6 +334,28 @@ def test_simulate_singular_lagrangian_exits_three(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical failure" in err
     assert "state: q=" in err
+
+
+def test_simulate_non_finite_hessian_exits_three(tmp_path, capsys):
+    # finite coefficients whose Hessian entries overflow: inf - inf = nan
+    cfg = write_cfg(
+        tmp_path,
+        """
+        bundle: {n: 0, m: 1}
+        lagrangian:
+          polynomial:
+            terms:
+              - {powers: [2], coeff: 1.0e+308}
+              - {powers: [2], coeff: -1.0e+308}
+        initial: {q: [], qdot: [], v: [2.0]}
+        """,
+    )
+    code = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert "non-finite" in err and "state: q=[] at t=0.0" in err
+    assert not (tmp_path / "trajectory.csv").exists()
 
 
 def test_simulate_non_finite_state_exits_three(tmp_path, capsys):

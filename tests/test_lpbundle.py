@@ -541,6 +541,24 @@ def test_check_axioms_deterministic_across_runs():
     assert r1.as_dict() == r2.as_dict()
 
 
+def test_check_axioms_fails_on_a_nan_table_entry():
+    # NaN compares false both ways, so a max fold that skips it would report
+    # every residual as 0.0 and pass the bundle
+    c = np.zeros((2, 2, 2))
+    c[0, 0, 1] = np.nan
+    base = ChartDomain(1)
+    report = check_axioms(LPBundleChart(base, 2, c=c), n_samples=5, seed=0)
+    assert not report.passed
+    first = base.sample(np.random.default_rng(0))
+    for name in ("c_skew", "c_jacobi", "e_bracket_parallel", "f_curvature_coupling"):
+        cond = report.condition(name)
+        assert not cond.passed
+        assert np.isnan(cond.max_residual)
+        assert np.array_equal(cond.worst_point, first)
+    assert report.condition("omega_skew").passed
+    assert report.condition("d_two_form_closed").passed
+
+
 def test_check_axioms_rejects_empty_sampling():
     with pytest.raises(ValueError):
         check_axioms(all_zero_bundle(), n_samples=0)

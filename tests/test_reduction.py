@@ -5,6 +5,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from lpmech import reduction
 from lpmech.dynamics import (
     LPState,
     LPState2,
@@ -354,6 +355,25 @@ def test_reduce_rejects_noninvariant_lagrangian():
     assert exc.worst_sample["xi"].shape == (3,) and exc.worst_sample["eta"].shape == (3,)
 
 
+def test_reduce_rejects_lagrangian_that_is_nan_off_the_identity():
+    # NaN compares false both ways, so a worst-residual fold that skips it
+    # would pass this Lagrangian as invariant
+    sc = PrincipalScenario(ChartDomain(0), so3())
+    handle = build_reduced_bundle(sc)
+    eye = np.eye(3)
+
+    def L(x, xdot, g, gdot, w):
+        if not np.array_equal(np.asarray(g, dtype=float), eye):
+            return np.nan
+        return 0.5 * np.sum(gdot * gdot)
+
+    with pytest.raises(InvarianceViolation, match="relative residual nan") as info:
+        reduce_lagrangian(sc, L, handle=handle)
+    exc = info.value
+    assert np.isnan(exc.residual)
+    assert sorted(exc.worst_sample) == ["eta", "x", "xi"]
+
+
 # ---------------------------------------------------------------------------
 # projecting unreduced trajectories
 
@@ -521,13 +541,14 @@ def abelian_invariant_lagrangian(x, xdot, g, gdot, w):
 
 def test_stages_abelian_plane_is_exact_reshuffle():
     sc = abelian_plane_scenario()
-    res = stages_reduce(sc, [0])
+    handle = build_reduced_bundle(sc)
+    res = stages_reduce(handle, [0])
     assert res.kidx == (1,) and res.nidx == (0,)
     assert np.max(np.abs(res.beta - np.array([[0.0, 1.0], [1.0, 0.0]]))) == 0.0
     assert res.structure_deviation < 1e-12
 
-    l2 = two_stage_lagrangian(res, sc, abelian_invariant_lagrangian)
-    direct = reduce_lagrangian(sc, abelian_invariant_lagrangian)
+    l2 = two_stage_lagrangian(res, abelian_invariant_lagrangian)
+    direct = reduce_lagrangian(sc, abelian_invariant_lagrangian, handle=handle)
     rng = np.random.default_rng(12)
     for _ in range(20):
         x = sc.baseB.sample(rng)
@@ -540,6 +561,24 @@ def test_stages_abelian_plane_is_exact_reshuffle():
 
 def heisenberg_scenario():
     return PrincipalScenario(ChartDomain(0), heisenberg3())
+
+
+def test_stages_reduce_checks_only_the_two_stages(monkeypatch):
+    """The direct reduction comes from the caller; stages_reduce checks the
+    axioms of stage 1 and of stage 2, once each, and of nothing else."""
+    handle = build_reduced_bundle(heisenberg_scenario())
+    checked = []
+    real = reduction.check_axioms
+
+    def counting(bundle, *args, **kwargs):
+        checked.append(bundle)
+        return real(bundle, *args, **kwargs)
+
+    monkeypatch.setattr(reduction, "check_axioms", counting)
+    res = stages_reduce(handle, [2])
+    assert len(checked) == 2
+    assert checked[0] is res.stage1.bundle and checked[1] is res.stage2.bundle
+    assert res.stage2.scenario is handle.scenario
 
 
 def heisenberg_quadratic(Q, coupling=1.0):
@@ -556,7 +595,8 @@ def heisenberg_quadratic(Q, coupling=1.0):
 
 def test_stages_heisenberg_center():
     sc = heisenberg_scenario()
-    res = stages_reduce(sc, [2])
+    handle = build_reduced_bundle(sc)
+    res = stages_reduce(handle, [2])
     assert res.kidx == (0, 1) and res.nidx == (2,)
 
     # intermediate two-form on the K-plane: constant, equal to -coupling
@@ -569,8 +609,8 @@ def test_stages_heisenberg_center():
     assert res.structure_deviation < 1e-8
 
     Q = np.array([1.0, 1.3, 1.7])
-    l2 = two_stage_lagrangian(res, sc, heisenberg_quadratic(Q))
-    direct = reduce_lagrangian(sc, heisenberg_quadratic(Q))
+    l2 = two_stage_lagrangian(res, heisenberg_quadratic(Q))
+    direct = reduce_lagrangian(sc, heisenberg_quadratic(Q), handle=handle)
     rng = np.random.default_rng(3)
     for _ in range(100):
         v = rng.normal(size=3)
@@ -603,12 +643,13 @@ def test_staged_reduction_equals_direct_reduction(coupling, d, seed, Q):
     base = ChartDomain(d, [[-1.0, 1.0]] * d) if d else ChartDomain(0)
     A, _, _ = linear_table(d, 3, seed)
     sc = PrincipalScenario(base, heisenberg3(coupling), A)
-    res = stages_reduce(sc, [2])
+    handle = build_reduced_bundle(sc)
+    res = stages_reduce(handle, [2])
     assert res.structure_deviation <= 1e-8
 
     L = heisenberg_quadratic(Q, coupling)
-    l2 = two_stage_lagrangian(res, sc, L)
-    direct = reduce_lagrangian(sc, L)
+    l2 = two_stage_lagrangian(res, L)
+    direct = reduce_lagrangian(sc, L, handle=handle)
     rng = np.random.default_rng(seed)
     for _ in range(10):
         x = base.sample(rng)
@@ -640,25 +681,28 @@ def so3_cross_r():
 
 def test_stages_rejects_bad_subgroups():
     with pytest.raises(NotNormal):
-        stages_reduce(PrincipalScenario(ChartDomain(0), so3()), [0])
+        stages_reduce(build_reduced_bundle(PrincipalScenario(ChartDomain(0), so3())), [0])
+    heis = build_reduced_bundle(heisenberg_scenario())
     with pytest.raises(NotSupported, match="central"):
-        stages_reduce(heisenberg_scenario(), [0, 2])
+        stages_reduce(heis, [0, 2])
     with pytest.raises(NotSupported, match="abelian"):
-        stages_reduce(PrincipalScenario(ChartDomain(0), so3_cross_r()), [3])
+        stages_reduce(
+            build_reduced_bundle(PrincipalScenario(ChartDomain(0), so3_cross_r())), [3]
+        )
     with pytest.raises(ValueError, match="indices"):
-        stages_reduce(heisenberg_scenario(), [])
+        stages_reduce(heis, [])
     with pytest.raises(ValueError, match="proper"):
-        stages_reduce(heisenberg_scenario(), [0, 1, 2])
+        stages_reduce(heis, [0, 1, 2])
     sc_w = PrincipalScenario(
         ChartDomain(0), heisenberg3(), repW=trivial_representation(heisenberg3(), 2)
     )
     with pytest.raises(NotSupported, match="auxiliary"):
-        stages_reduce(sc_w, [2])
+        stages_reduce(build_reduced_bundle(sc_w), [2])
 
 
 def test_stages_override_warns_and_reports_deviation():
-    sc = heisenberg_scenario()
-    res0 = stages_reduce(sc, [2])
+    handle = build_reduced_bundle(heisenberg_scenario())
+    res0 = stages_reduce(handle, [2])
 
     def biased(xk):
         base = eval_map(res0.stage1.scenario.A, xk)
@@ -669,6 +713,6 @@ def test_stages_override_warns_and_reports_deviation():
 
     override = SmoothMap(2, 2, biased, out_shape=(2, 1))
     with pytest.warns(UserWarning, match="overriding"):
-        res = stages_reduce(sc, [2], override_A_N=override)
+        res = stages_reduce(handle, [2], override_A_N=override)
     assert res.compatibility_deviation > 1e-4
     assert res.structure_deviation > 1e-8
