@@ -120,28 +120,35 @@ def _finite(val, label):
     return val
 
 
-def _require_finite_params(val, label):
-    """Reject the first infinite or NaN number in a catalog parameter,
-    looking into nested lists."""
-    if isinstance(val, float):
-        _finite(val, label)
-    elif isinstance(val, list):
-        for i, v in enumerate(val):
-            _require_finite_params(v, f"{label}[{i}]")
-
-
-def _int(val, label, least=None):
+def _int(val, label, least):
     if isinstance(val, bool) or not isinstance(val, int):
         raise ConfigError(f"{label}: expected an integer, got {type(val).__name__}")
-    if least is not None and val < least:
+    if val < least:
         raise ConfigError(f"{label}: must be at least {least}, got {val}")
     return val
 
 
-def _vector(val, length, label):
-    if not isinstance(val, list) or len(val) != length:
-        raise ConfigError(f"{label}: expected a list of {length} numbers")
-    return np.array([_finite(v, f"{label}[{i}]") for i, v in enumerate(val)])
+def _shape_of(val):
+    """The shape of a nested list, read off the first entry at each depth."""
+    shape = []
+    while isinstance(val, list):
+        shape.append(len(val))
+        val = val[0] if val else None
+    return tuple(shape)
+
+
+def _numbers(val, label, shape=None):
+    """A number or a nested list of numbers as a float array of ``shape``
+    (a tuple; by default the shape of the first entries).  The first leaf
+    that is not a finite number, or entry of the wrong shape, is named by
+    its index path."""
+    shape = _shape_of(val) if shape is None else shape
+    if _shape_of(val)[:1] != shape[:1]:
+        raise ConfigError(f"{label}: expected shape {shape}, got {_shape_of(val)}")
+    if not shape:
+        return np.array(_finite(val, label))
+    rows = [_numbers(v, f"{label}[{i}]", shape[1:]) for i, v in enumerate(val)]
+    return np.array(rows).reshape(shape)
 
 
 def _resolve_seed(flag_seed, cfg):
@@ -185,10 +192,7 @@ def _resolve_out(cfg, args):
 
 
 def _resolve_tol(cfg, args, default):
-    if args.tol is not None:
-        tol = float(args.tol)
-    else:
-        tol = _num(cfg.get("tol", default), "tol")
+    tol = args.tol if args.tol is not None else _num(cfg.get("tol", default), "tol")
     if not 0 <= tol < np.inf:
         raise ConfigError(f"tol: must be nonnegative and finite, got {tol:g}")
     return tol
@@ -228,17 +232,15 @@ def polynomial_map(n_vars, shape, terms, label):
         powers = term.get("powers", [0] * n_vars)
         if not isinstance(powers, list) or len(powers) != n_vars:
             raise ConfigError(f"{tl}.powers: expected {n_vars} exponents")
-        powers = [_int(p, f"{tl}.powers[{i}]") for i, p in enumerate(powers)]
-        if any(p < 0 for p in powers):
-            raise ConfigError(f"{tl}.powers: exponents must be nonnegative")
+        powers = [_int(p, f"{tl}.powers[{i}]", least=0) for i, p in enumerate(powers)]
         coeff = _finite(_need(term, "coeff", tl), f"{tl}.coeff")
         index = term.get("index", [])
         if not isinstance(index, list) or len(index) != len(shape):
             raise ConfigError(f"{tl}.index: expected {len(shape)} entries")
         idx = []
         for axis, extent in enumerate(shape):
-            i = _int(index[axis], f"{tl}.index[{axis}]")
-            if not 0 <= i < extent:
+            i = _int(index[axis], f"{tl}.index[{axis}]", least=0)
+            if i >= extent:
                 raise ConfigError(
                     f"{tl}.index[{axis}]: {i} out of range for extent {extent}"
                 )
@@ -274,20 +276,7 @@ def _table_field(node, key, n_vars, shape, label):
     if "constant" in sub and "polynomial" in sub:
         raise ConfigError(f"{fl}: give 'constant' or 'polynomial', not both")
     if "constant" in sub:
-        try:
-            arr = np.array(sub["constant"], dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{fl}.constant: expected a nested list of numbers")
-        if arr.shape != tuple(shape):
-            raise ConfigError(
-                f"{fl}.constant: expected shape {tuple(shape)}, got {arr.shape}"
-            )
-        bad = np.argwhere(~np.isfinite(arr))
-        if bad.size:
-            idx = tuple(bad[0])
-            where = "".join(f"[{i}]" for i in idx)
-            raise ConfigError(f"{fl}.constant{where}: must be finite, got {arr[idx]:g}")
-        return constant_map(n_vars, arr, key)
+        return constant_map(n_vars, _numbers(sub["constant"], f"{fl}.constant", shape), key)
     if "polynomial" in sub:
         terms = _need(sub["polynomial"], "terms", f"{fl}.polynomial")
         return polynomial_map(n_vars, shape, terms, f"{fl}.polynomial.terms")
@@ -299,19 +288,10 @@ def _table_field(node, key, n_vars, shape, label):
 
 
 def domain_from_config(node, label):
-    n = _int(_need(node, "n", label), f"{label}.n")
-    if n < 0:
-        raise ConfigError(f"{label}.n: must be nonnegative")
+    n = _int(_need(node, "n", label), f"{label}.n", least=0)
     bounds = node.get("bounds")
     if bounds is not None:
-        if not isinstance(bounds, list) or len(bounds) != n:
-            raise ConfigError(f"{label}.bounds: expected {n} [lo, hi] pairs")
-        bounds = [
-            [_num(v, f"{label}.bounds[{i}][{j}]") for j, v in enumerate(pair)]
-            if isinstance(pair, list) and len(pair) == 2
-            else _bad_pair(label, i)
-            for i, pair in enumerate(bounds)
-        ]
+        bounds = _numbers(bounds, f"{label}.bounds", (n, 2))
     periodic = node.get("periodic")
     if periodic is not None:
         if not isinstance(periodic, list) or len(periodic) != n:
@@ -325,16 +305,10 @@ def domain_from_config(node, label):
         raise ConfigError(f"{label}: {exc}")
 
 
-def _bad_pair(label, i):
-    raise ConfigError(f"{label}.bounds[{i}]: expected an [lo, hi] pair")
-
-
 def bundle_from_config(node):
     label = "bundle"
     base = domain_from_config(node, label)
-    m = _int(_need(node, "m", label), f"{label}.m")
-    if m < 0:
-        raise ConfigError(f"{label}.m: must be nonnegative")
+    m = _int(_need(node, "m", label), f"{label}.m", least=0)
     n = base.n
     allowed = {"n", "m", "bounds", "periodic", "gamma", "c", "omega"}
     unknown = sorted(set(node) - allowed)
@@ -355,10 +329,7 @@ def group_from_config(node, label):
     if name == "heisenberg3":
         return heisenberg3(_finite(node.get("coupling", 1.0), f"{label}.coupling"))
     if name == "abelian":
-        dim = _int(_need(node, "dim", label), f"{label}.dim")
-        if dim < 1:
-            raise ConfigError(f"{label}.dim: must be positive")
-        return abelian(dim)
+        return abelian(_int(_need(node, "dim", label), f"{label}.dim", least=1))
     raise ConfigError(f"{label}.name: unknown group {name!r}")
 
 
@@ -400,8 +371,8 @@ def resolve_system(cfg, args):
         params = cfg.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("params: expected a mapping")
-        for key, val in params.items():
-            _require_finite_params(val, f"params.{key}")
+        params = {k: v if v is None or isinstance(v, str) else _numbers(v, f"params.{k}")
+                  for k, v in params.items()}
         try:
             return build_system(name, **params)
         except KeyError as exc:
@@ -428,9 +399,9 @@ def resolve_initial(cfg, record):
             raise ConfigError("initial: required (no catalog default available)")
         return record.initial
     n, m = record.bundle.n, record.bundle.m
-    q = _vector(_need(node, "q", "initial"), n, "initial.q")
-    qdot = _vector(_need(node, "qdot", "initial"), n, "initial.qdot")
-    v = _vector(node.get("v", [0.0] * m), m, "initial.v")
+    q = _numbers(_need(node, "q", "initial"), "initial.q", (n,))
+    qdot = _numbers(_need(node, "qdot", "initial"), "initial.qdot", (n,))
+    v = _numbers(node.get("v", [0.0] * m), "initial.v", (m,))
     return LPState(q, qdot, v)
 
 
@@ -650,11 +621,11 @@ def cmd_stages(cfg, args):
         raise ConfigError(
             f"stages.nidx: expected a list of basis indices, got {type(nidx).__name__}"
         )
-    nidx = tuple(_int(i, "stages.nidx") for i in nidx)
+    nidx = tuple(_int(i, "stages.nidx", least=0) for i in nidx)
     sc = record.scenario
     k = sc.k
     distinct = len(set(nidx)) == len(nidx)
-    if not (distinct and 0 < len(nidx) < k and all(0 <= i < k for i in nidx)):
+    if not (distinct and 0 < len(nidx) < k and all(i < k for i in nidx)):
         raise ConfigError(
             f"stages.nidx: expected 1 to {k - 1} distinct indices in 0..{k - 1} "
             f"(a proper subgroup), got {list(nidx)}"
@@ -732,15 +703,10 @@ def cmd_noether(cfg, args):
     out = _resolve_out(cfg, args)
     sys_ = record.lagrangian
 
-    etas_node = cfg.get("etas")
-    if etas_node is None:
-        etas = [np.eye(act.dim_g)[g] for g in range(act.dim_g)]
-    else:
-        if not isinstance(etas_node, list) or not etas_node:
-            raise ConfigError("etas: expected a nonempty list of algebra vectors")
-        etas = [
-            _vector(e, act.dim_g, f"etas[{i}]") for i, e in enumerate(etas_node)
-        ]
+    etas = cfg.get("etas", np.eye(act.dim_g).tolist())
+    if not isinstance(etas, list) or not etas:
+        raise ConfigError("etas: expected a nonempty list of algebra vectors")
+    etas = _numbers(etas, "etas", (len(etas), act.dim_g))
 
     traj = _integrate(sys_, s0, t_end, dt, method)
     N = len(traj)

@@ -153,13 +153,16 @@ def covariant_derivative(b: LPBundleChart, X, w: Section, q):
 
     Dual-safe: both q and X may carry dual numbers.
     """
-    X = np.asarray(X, dtype=object).reshape(b.n)
     q = np.asarray(q, dtype=object).reshape(b.n)
+    return _covariant_derivative(b.tables(q)[0], X, w, q)
+
+
+def _covariant_derivative(G, X, w, q):
+    X = np.asarray(X, dtype=object).reshape(len(q))
     Jw = jacobian(w.w, q)  # (m, n)
-    G = np.asarray(eval_map(b.Gamma, q), dtype=object)
     wv = eval_map(w.w, q)
     out = Jw @ X
-    for i in range(b.n):
+    for i in range(len(q)):
         out = out + X[i] * (G[i] @ wv)
     return out
 
@@ -172,7 +175,7 @@ def curvature(b: LPBundleChart, q):
     """
     n, m = b.n, b.m
     q = np.asarray(q, dtype=float)
-    G = np.asarray(eval_map(b.Gamma, q), dtype=float)
+    G = b.tables(q)[0]
     dG = np.asarray(jacobian(b.Gamma, q), dtype=float).reshape(n, m, m, n)
     return _curvature(G, dG)
 
@@ -196,8 +199,7 @@ def ext_cov_derivative_omega(b: LPBundleChart, q):
     """
     n, m = b.n, b.m
     q = np.asarray(q, dtype=float)
-    G = np.asarray(eval_map(b.Gamma, q), dtype=float)
-    Om = np.asarray(eval_map(b.omega, q), dtype=float)
+    G, _, Om = b.tables(q)
     dOm = np.asarray(jacobian(b.omega, q), dtype=float).reshape(m, n, n, n)
     return _ext_cov_derivative_omega(G, Om, dOm)
 
@@ -220,18 +222,16 @@ def section_bracket(b: LPBundleChart, Z1: Section, Z2: Section, q):
     """
     n, m = b.n, b.m
     q = np.asarray(q, dtype=object).reshape(n)
+    G, C, Om = b.tables(q)  # object tables: a float-matrix/dual-vector dot is unsafe
     X1 = eval_map(Z1.X, q)
     X2 = eval_map(Z2.X, q)
     J1 = jacobian(Z1.X, q)
     J2 = jacobian(Z2.X, q)
     base = J2 @ X1 - J1 @ X2
 
-    fiber = covariant_derivative(b, X1, Z2, q) - covariant_derivative(b, X2, Z1, q)
-    # matrices go to object dtype: mixed float-matrix/dual-vector dot is unsafe
-    Om = np.asarray(eval_map(b.omega, q), dtype=object)
+    fiber = _covariant_derivative(G, X1, Z2, q) - _covariant_derivative(G, X2, Z1, q)
     for a in range(m):
         fiber[a] = fiber[a] - np.dot(X1, np.dot(Om[a], X2))
-    C = np.asarray(eval_map(b.c, q), dtype=object)
     w1 = eval_map(Z1.w, q)
     w2 = eval_map(Z2.w, q)
     for g in range(m):

@@ -311,8 +311,9 @@ def _body_velocity(A, xdot, va):
     return np.array(body, dtype=object)
 
 
-def reduce_lagrangian(sc: PrincipalScenario, L, handle=None):
-    """Quotient an invariant Lagrangian L(x, xdot, g, gdot, w) to the chart.
+def reduce_lagrangian(handle: ReducedBundleHandle, L):
+    """Quotient an invariant Lagrangian L(x, xdot, g, gdot, w) to the chart
+    of ``handle``, the reduced bundle of its scenario.
 
     Invariance is sampled before reducing (INVARIANCE_SAMPLES seeded points,
     relative tolerance INVARIANCE_TOL); violations, a non-finite residual
@@ -320,9 +321,8 @@ def reduce_lagrangian(sc: PrincipalScenario, L, handle=None):
     (x, xdot, xi + a) is L evaluated at the identity with the
     connection-corrected body velocity.
     """
+    sc = handle.scenario
     _sample_invariance(sc, L)
-    if handle is None:
-        handle = build_reduced_bundle(sc)
     k = sc.k
     eye = np.eye(sc.G.mat_dim)
 
@@ -586,7 +586,7 @@ def two_stage_lagrangian(res: StagesResult, L):
         gdot = s_dot @ nG + s_mat @ nG_dot
         return L(x, xdot, g, gdot, w)
 
-    l1 = reduce_lagrangian(res.stage1.scenario, L1, handle=res.stage1)
+    l1 = reduce_lagrangian(res.stage1, L1)
 
     def f2(x, xdot, va):
         kdot = _body_velocity(eval_map(res.A_K, x), xdot, va)

@@ -179,7 +179,7 @@ def rigid_body(inertia=(1.0, 2.0, 3.0)):
     sc = PrincipalScenario(ChartDomain(0), so3())
     handle = build_reduced_bundle(sc)
     L_inv = _rigid_body_invariant(inertia)
-    red = reduce_lagrangian(sc, L_inv, handle=handle)
+    red = reduce_lagrangian(handle, L_inv)
     return SystemRecord(
         name="rigid_body",
         bundle=handle.bundle,
@@ -250,7 +250,7 @@ def parameter_lagrangian(
         val = val + sum(avec[k] * bvec[k] for k in range(3))
         return val
 
-    red = reduce_lagrangian(sc, L_inv, handle=handle)
+    red = reduce_lagrangian(handle, L_inv)
     v0 = np.concatenate([np.asarray(xi0, float), np.asarray(a0, float), np.asarray(b0, float)])
     return SystemRecord(
         name="parameter_lagrangian",
@@ -293,7 +293,7 @@ def heisenberg_stages(coupling=1.0, weights=(1.0, 1.3, 1.7)):
         xi = G.unhat(ginv @ np.asarray(gdot, dtype=object))
         return 0.5 * sum(weights[k] * xi[k] * xi[k] for k in range(3))
 
-    red = reduce_lagrangian(sc, L_inv, handle=handle)
+    red = reduce_lagrangian(handle, L_inv)
     return SystemRecord(
         name="heisenberg_stages",
         bundle=handle.bundle,

@@ -15,8 +15,11 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from lpmech.cli import main
+from lpmech.cli import _numbers, main
+from lpmech.errors import ConfigError
 
 
 def write_cfg(tmp_path, text, name="cfg.yaml"):
@@ -217,6 +220,26 @@ _SIMULATE = "system: free_particle_planar\n"
             [],
             "lagrangian.polynomial.terms[0].coeff: must be finite, got inf",
         ),
+        (
+            "check-axioms",
+            "bundle: {n: 1, m: 0, bounds: [[-.inf, .inf]]}\n",
+            [],
+            "bundle.bounds[0][0]: must be finite, got -inf",
+        ),
+        (
+            "reduce",
+            "scenario: {base: {n: 1, bounds: [[-1, .nan]]}, group: so3}\n",
+            [],
+            "scenario.base.bounds[0][1]: must be finite, got nan",
+        ),
+        (
+            "simulate",
+            "bundle: {n: 1, m: 0, bounds: [[-1, .inf]]}\n"
+            + "lagrangian: {polynomial: {terms: [{powers: [0, 2], coeff: 0.5}]}}\n"
+            + "initial: {q: [0.0], qdot: [1.0]}\n",
+            [],
+            "bundle.bounds[0][1]: must be finite, got inf",
+        ),
     ],
     ids=[
         "samples-axioms",
@@ -249,6 +272,9 @@ _SIMULATE = "system: free_particle_planar\n"
         "initial-nan",
         "etas-nan",
         "coeff-inf",
+        "bounds-inf",
+        "bounds-nan",
+        "bounds-inf-simulate",
     ],
 )
 def test_out_of_range_settings_are_config_errors(
@@ -260,6 +286,82 @@ def test_out_of_range_settings_are_config_errors(
     assert code == 1
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert message in err
+
+
+_props = settings(derandomize=True, database=None, deadline=None)
+_leaf = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2**70), 2**70)
+)
+
+
+def _nest(flat, shape):
+    """The nested list of ``shape`` holding ``flat`` in C order."""
+    if not shape:
+        return flat[0]
+    step = len(flat) // shape[0] if shape[0] else 0
+    return [_nest(flat[i * step : (i + 1) * step], shape[1:]) for i in range(shape[0])]
+
+
+@st.composite
+def nested_numbers(draw, least=0):
+    """A shape of rank 0 to 3 and a nested list of that shape."""
+    shape = tuple(draw(st.lists(st.integers(least, 3), max_size=3)))
+    size = int(np.prod(shape, dtype=int))
+    return shape, _nest(draw(st.lists(_leaf, min_size=size, max_size=size)), shape)
+
+
+@_props
+@given(nested_numbers())
+def test_numbers_reads_nested_lists_bit_for_bit(case):
+    shape, val = case
+    want = np.array(val, dtype=float)
+    got = _numbers(val, "x")
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    got = _numbers(val, "x", shape)
+    assert got.shape == shape and got.tobytes() == want.tobytes()
+
+
+_BAD_LEAVES = [
+    (float("nan"), "must be finite, got nan"),
+    (float("inf"), "must be finite, got inf"),
+    (float("-inf"), "must be finite, got -inf"),
+    (True, "expected a number, got bool"),
+    ("1.5", "expected a number, got str"),
+    ([1.0], "expected shape (), got (1,)"),
+]
+
+
+@_props
+@given(nested_numbers(least=1), st.sampled_from(_BAD_LEAVES), st.data())
+def test_numbers_names_the_one_bad_leaf(case, bad, data):
+    shape, val = case
+    path = [data.draw(st.integers(0, d - 1)) for d in shape]
+    leaf, message = bad
+    if path:
+        node = val
+        for i in path[:-1]:
+            node = node[i]
+        node[path[-1]] = leaf
+    else:
+        val = leaf
+    expected = "x" + "".join(f"[{i}]" for i in path) + ": " + message
+    with pytest.raises(ConfigError) as info:
+        _numbers(val, "x", shape)
+    assert str(info.value) == expected
+    if not isinstance(leaf, list):  # without a shape a list leaf may read as an axis
+        with pytest.raises(ConfigError) as info:
+            _numbers(val, "x")
+        assert str(info.value) == expected
+
+
+@_props
+@given(nested_numbers(least=1), st.lists(st.integers(1, 3), max_size=3).map(tuple))
+def test_numbers_rejects_a_wrong_shape(case, other):
+    shape, val = case
+    assume(other != shape)
+    with pytest.raises(ConfigError, match=r"^x(\[\d+\])*: expected shape \("):
+        _numbers(val, "x", other)
 
 
 # ---------------------------------------------------------------------------

@@ -317,7 +317,7 @@ def test_reduce_group_independent_lagrangian():
     def L(x, xdot, g, gdot, w):
         return 0.5 * (xdot[0] * xdot[0] + 2.0 * xdot[1] * xdot[1]) + x[0]
 
-    red = reduce_lagrangian(sc, L, handle=handle)
+    red = reduce_lagrangian(handle, L)
     val = red.value(np.array([0.2, -0.3]), np.array([0.5, 0.1]), np.array([0.4, 0.0, -0.2]))
     assert abs(val - (0.5 * (0.25 + 2 * 0.01) + 0.2)) < 1e-14
 
@@ -326,7 +326,7 @@ def test_reduced_rigid_body_follows_euler_equations():
     inertia = np.array([1.0, 2.0, 3.0])
     sc = PrincipalScenario(ChartDomain(0), so3())
     handle = build_reduced_bundle(sc)
-    red = reduce_lagrangian(sc, rigid_body_lagrangian(inertia), handle=handle)
+    red = reduce_lagrangian(handle, rigid_body_lagrangian(inertia))
 
     xi = np.array([0.7, -0.4, 0.9])
     val = red.value(np.zeros(0), np.zeros(0), xi)
@@ -346,7 +346,7 @@ def test_reduce_rejects_noninvariant_lagrangian():
         return g[0, 0] + 0.5 * sum(gdot[i, -1] * gdot[i, -1] for i in range(3))
 
     with pytest.raises(InvarianceViolation, match="residual") as info:
-        reduce_lagrangian(sc, L, handle=handle)
+        reduce_lagrangian(handle, L)
     exc = info.value
     assert exc.residual > 1e-10
     assert f"relative residual {exc.residual:.3e}" in str(exc)
@@ -368,7 +368,7 @@ def test_reduce_rejects_lagrangian_that_is_nan_off_the_identity():
         return 0.5 * np.sum(gdot * gdot)
 
     with pytest.raises(InvarianceViolation, match="relative residual nan") as info:
-        reduce_lagrangian(sc, L, handle=handle)
+        reduce_lagrangian(handle, L)
     exc = info.value
     assert np.isnan(exc.residual)
     assert sorted(exc.worst_sample) == ["eta", "x", "xi"]
@@ -477,7 +477,7 @@ def coupled_semidirect_system():
         val = val + sum(a[k] * xi[k] for k in range(3))
         return val
 
-    return reduce_lagrangian(sc, L, handle=handle), handle
+    return reduce_lagrangian(handle, L), handle
 
 
 def test_vertical_split_reassembles_fiber_equation():
@@ -495,7 +495,7 @@ def test_vertical_split_reassembles_fiber_equation():
 def test_vertical_split_without_auxiliary_fiber():
     sc = PrincipalScenario(ChartDomain(0), so3())
     handle = build_reduced_bundle(sc)
-    red = reduce_lagrangian(sc, rigid_body_lagrangian(np.array([1.0, 2.0, 3.0])), handle=handle)
+    red = reduce_lagrangian(handle, rigid_body_lagrangian(np.array([1.0, 2.0, 3.0])))
     s2 = LPState2(np.zeros(0), np.zeros(0), np.array([0.3, 0.1, -0.2]), np.zeros(0), np.zeros(3))
     gpart, wpart = reduced_vertical_split(red, s2, 3)
     assert wpart.size == 0
@@ -509,7 +509,7 @@ def test_reduced_noether_is_momentum_pairing():
     inertia = np.array([1.0, 2.0, 3.0])
     sc = PrincipalScenario(ChartDomain(0), so3())
     handle = build_reduced_bundle(sc)
-    red = reduce_lagrangian(sc, rigid_body_lagrangian(inertia), handle=handle)
+    red = reduce_lagrangian(handle, rigid_body_lagrangian(inertia))
     xi = np.array([0.5, -0.3, 0.2])
     s = LPState(np.zeros(0), np.zeros(0), xi)
     eta = np.array([1.0, 1.0, -2.0])
@@ -548,7 +548,7 @@ def test_stages_abelian_plane_is_exact_reshuffle():
     assert res.structure_deviation < 1e-12
 
     l2 = two_stage_lagrangian(res, abelian_invariant_lagrangian)
-    direct = reduce_lagrangian(sc, abelian_invariant_lagrangian, handle=handle)
+    direct = reduce_lagrangian(handle, abelian_invariant_lagrangian)
     rng = np.random.default_rng(12)
     for _ in range(20):
         x = sc.baseB.sample(rng)
@@ -610,7 +610,7 @@ def test_stages_heisenberg_center():
 
     Q = np.array([1.0, 1.3, 1.7])
     l2 = two_stage_lagrangian(res, heisenberg_quadratic(Q))
-    direct = reduce_lagrangian(sc, heisenberg_quadratic(Q), handle=handle)
+    direct = reduce_lagrangian(handle, heisenberg_quadratic(Q))
     rng = np.random.default_rng(3)
     for _ in range(100):
         v = rng.normal(size=3)
@@ -649,7 +649,7 @@ def test_staged_reduction_equals_direct_reduction(coupling, d, seed, Q):
 
     L = heisenberg_quadratic(Q, coupling)
     l2 = two_stage_lagrangian(res, L)
-    direct = reduce_lagrangian(sc, L, handle=handle)
+    direct = reduce_lagrangian(handle, L)
     rng = np.random.default_rng(seed)
     for _ in range(10):
         x = base.sample(rng)
