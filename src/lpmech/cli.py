@@ -110,7 +110,12 @@ def _need(node, key, label):
 def _num(val, label):
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{label}: expected a number, got {type(val).__name__}")
-    return float(val)
+    try:
+        return float(val)
+    except OverflowError:
+        raise ConfigError(
+            f"{label}: must be finite, got an integer beyond the float range"
+        ) from None
 
 
 def _finite(val, label):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -127,9 +128,29 @@ class LPBundleChart:
 
     def tables(self, q):
         """(Gamma, c, omega) evaluated at q: float arrays at a float point,
-        object arrays at an object point, which may carry dual numbers."""
-        dtype = object if np.asarray(q).dtype == object else float
+        object arrays at an object point, which may carry dual numbers.
+
+        Over a point base (n = 0) the float tables are constants: they are
+        evaluated once, on the first float read, and every float read returns
+        the same read-only arrays.  Object points, and every base of
+        dimension above 0, evaluate the maps at each read.
+        """
+        q = np.asarray(q)
+        if self.n == 0 and q.shape == (0,) and q.dtype != object:
+            return self._point_tables
+        dtype = object if q.dtype == object else float
         return tuple(np.asarray(eval_map(M, q), dtype) for M in (self.Gamma, self.c, self.omega))
+
+    @cached_property
+    def _point_tables(self):
+        # cached_property writes the instance __dict__, so it works on a
+        # frozen dataclass and stays out of its fields, eq and hash
+        out = tuple(
+            np.array(eval_map(M, np.zeros(0)), float) for M in (self.Gamma, self.c, self.omega)
+        )
+        for arr in out:
+            arr.setflags(write=False)
+        return out
 
 
 @dataclass(frozen=True)

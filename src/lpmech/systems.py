@@ -56,11 +56,24 @@ def _require_spd(M, what):
     return M
 
 
+def _inverse_times(g, M, inverse):
+    """g^-1 M as an object array, with g^-1 = inverse(g).
+
+    At the float identity, which reduce_lagrangian passes as g inside every
+    grad_hess, M comes back as is: the dense product would only add
+    1.0 * M[i, j] to zero products, and 1.0 * x is x bit for bit.  Any other
+    g, float or dual, goes through the dense object product.
+    """
+    M = np.asarray(M, dtype=object)
+    g = np.asarray(g)
+    if g.dtype != object and np.array_equal(g, np.eye(len(g))):
+        return M
+    return inverse(g) @ M
+
+
 def _unitriangular_inverse(g):
     """Inverse of I + N with N nilpotent, as a finite Neumann sum."""
     n = g.shape[0]
-    if g.dtype != object and np.array_equal(g, np.eye(n)):
-        return np.eye(n)  # the identity that reduce_lagrangian passes as g
     eye = np.eye(n, dtype=object)
     N = np.asarray(g, dtype=object) - eye
     out = eye.copy()
@@ -159,8 +172,7 @@ def _rigid_body_invariant(inertia):
     inertia = np.asarray(inertia, dtype=float)
 
     def L(x, xdot, g, gdot, w):
-        gt = np.asarray(g).T
-        xi = G.unhat(gt @ np.asarray(gdot, dtype=object))
+        xi = G.unhat(_inverse_times(g, gdot, np.transpose))
         return 0.5 * sum(inertia[a] * xi[a] * xi[a] for a in range(3))
 
     return L
@@ -241,10 +253,9 @@ def parameter_lagrangian(
     handle = build_reduced_bundle(sc)
 
     def L_inv(x, xdot, g, gdot, w):
-        gt = np.asarray(g).T
-        xi = G.unhat(gt @ np.asarray(gdot, dtype=object))
-        avec = [sum(gt[i, r] * w[r] for r in range(3)) for i in range(3)]
-        bvec = [sum(gt[i, r] * w[3 + r] for r in range(3)) for i in range(3)]
+        xi = G.unhat(_inverse_times(g, gdot, np.transpose))
+        # columns: the advected direction a and its conjugate b, both g^-1 w
+        avec, bvec = _inverse_times(g, np.reshape(w, (2, 3)).T, np.transpose).T
         val = 0.5 * sum(inertia[k] * xi[k] * xi[k] for k in range(3))
         val = val - mgl * sum(avec[k] * chi[k] for k in range(3))
         val = val + sum(avec[k] * bvec[k] for k in range(3))
@@ -289,8 +300,7 @@ def heisenberg_stages(coupling=1.0, weights=(1.0, 1.3, 1.7)):
     handle = build_reduced_bundle(sc)
 
     def L_inv(x, xdot, g, gdot, w):
-        ginv = _unitriangular_inverse(np.asarray(g))
-        xi = G.unhat(ginv @ np.asarray(gdot, dtype=object))
+        xi = G.unhat(_inverse_times(g, gdot, _unitriangular_inverse))
         return 0.5 * sum(weights[k] * xi[k] * xi[k] for k in range(3))
 
     red = reduce_lagrangian(handle, L_inv)

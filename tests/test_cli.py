@@ -240,6 +240,18 @@ _SIMULATE = "system: free_particle_planar\n"
             [],
             "bundle.bounds[0][1]: must be finite, got inf",
         ),
+        (
+            "simulate",
+            "system: free_particle_planar\nt_end: 1" + "0" * 400 + "\n",
+            [],
+            "t_end: must be finite, got an integer beyond the float range",
+        ),
+        (
+            "check-axioms",
+            "bundle: {n: 1, m: 1, c: {constant: [[[-1" + "0" * 400 + "]]]}}\n",
+            [],
+            "bundle.c.constant[0][0][0]: must be finite, got an integer beyond the float range",
+        ),
     ],
     ids=[
         "samples-axioms",
@@ -275,6 +287,8 @@ _SIMULATE = "system: free_particle_planar\n"
         "bounds-inf",
         "bounds-nan",
         "bounds-inf-simulate",
+        "t_end-huge-int",
+        "constant-huge-int",
     ],
 )
 def test_out_of_range_settings_are_config_errors(

@@ -103,6 +103,41 @@ def test_point_base_chart_allowed():
     assert k.shape == (0, 0, 3, 3)
 
 
+def test_point_base_float_tables_are_read_once_and_read_only():
+    calls = []
+
+    def chart(n):
+        def body(q):
+            calls.append(q.dtype)
+            return np.arange(8.0).reshape(2, 2, 2)
+
+        return LPBundleChart(box(n), 2, c=SmoothMap(n, 8, body, out_shape=(2, 2, 2)))
+
+    b = chart(0)
+    first = b.tables(np.zeros(0))
+    for _ in range(3):
+        assert all(x is y for x, y in zip(b.tables(np.zeros(0)), first))
+    assert len(calls) == 1
+    for got, M in zip(first, (b.Gamma, b.c, b.omega)):
+        assert got.dtype == float and not got.flags.writeable
+        assert np.array_equal(got, eval_map(M, np.zeros(0)))
+    with pytest.raises(ValueError):
+        first[1][0, 0, 0] = 1.0
+    with pytest.raises(DimensionMismatch):
+        b.tables(np.zeros(1))
+
+    # object points, and a base of dimension 1, evaluate at every read
+    calls.clear()
+    for _ in range(3):
+        assert b.tables(np.zeros(0, dtype=object))[1].dtype == object
+    assert calls == [object] * 3
+    b1 = chart(1)
+    calls.clear()
+    for _ in range(3):
+        b1.tables(np.array([0.5]))
+    assert len(calls) == 3
+
+
 # ---------------------------------------------------------------------------
 # covariant derivative
 

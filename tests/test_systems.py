@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lpmech import _dual
 from lpmech.dynamics import (
     LPState,
     accelerations,
@@ -14,6 +15,8 @@ from lpmech.dynamics import (
 from lpmech.lpbundle import check_axioms
 from lpmech.systems import (
     CATALOG,
+    _inverse_times,
+    _unitriangular_inverse,
     build_system,
     central_potential_particle,
     flat_bundle_particle,
@@ -193,6 +196,64 @@ def test_heisenberg_zero_coupling_freezes_velocity():
     _, vdot = accelerations(rec.lagrangian, s)
     assert np.max(np.abs(vdot)) < 1e-14
     assert rec.expected["linear_flow_at_zero_coupling"]
+
+
+# ---------------------------------------------------------------------------
+# the group Lagrangians at the identity that reduce_lagrangian passes
+
+
+def _twice_dual(rng, shape, inner, outer):
+    """Random entries carrying two nested dual levels, as inside grad_hess."""
+    flat = [
+        _dual.Dual(_dual.Dual(a, b, inner), _dual.Dual(c, d, inner), outer)
+        for a, b, c, d in rng.normal(size=(int(np.prod(shape)), 4))
+    ]
+    return np.array(flat, dtype=object).reshape(shape)
+
+
+def _dual_components(y, levels):
+    """The coefficients of y on every product of the given levels,
+    outermost level first."""
+    if not levels:
+        return [y]
+    lev, rest = levels[0], levels[1:]
+    return _dual_components(_dual.primal_part(y, lev), rest) + _dual_components(
+        _dual.tangent_part(y, lev), rest
+    )
+
+
+@pytest.mark.parametrize("ctor", [rigid_body, parameter_lagrangian, heisenberg_stages])
+def test_group_lagrangian_at_float_identity_equals_dense_product(ctor):
+    rec = ctor()
+    L, G = rec.unreduced_lagrangian, rec.scenario.G
+    n = G.mat_dim
+    inner, outer = _dual.fresh_level(), _dual.fresh_level()
+    rng = np.random.default_rng(12)
+    w = _twice_dual(rng, (rec.scenario.dim_w,), inner, outer)
+    empty = np.zeros(0)
+    # hat's output with its float zeros, and a dense dual matrix
+    xi = _twice_dual(rng, (G.dim,), inner, outer)
+    for gdot in (G.hat(xi), _twice_dual(rng, (n, n), inner, outer)):
+        fast = L(empty, empty, np.eye(n), gdot, w)
+        dense = L(empty, empty, np.eye(n, dtype=object), gdot, w)
+        got = _dual_components(fast, [outer, inner])
+        want = _dual_components(dense, [outer, inner])
+        assert all(isinstance(v, float) for v in got + want)
+        assert got == want
+
+
+@pytest.mark.parametrize(
+    "ctor, inverse", [(rigid_body, np.transpose), (heisenberg_stages, _unitriangular_inverse)]
+)
+def test_inverse_times_off_the_identity_is_the_dense_product(ctor, inverse):
+    G = ctor().scenario.G
+    rng = np.random.default_rng(13)
+    g = np.asarray(G.exp(rng.normal(size=G.dim)), dtype=float)
+    M = rng.normal(size=(G.mat_dim, G.mat_dim))
+    got = _inverse_times(g, M, inverse)
+    assert got.dtype == object
+    assert np.array_equal(got, inverse(g) @ M.astype(object))
+    assert np.allclose(got.astype(float), np.linalg.solve(g, M), rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
