@@ -66,6 +66,7 @@ from .reduction import (
     build_reduced_bundle,
     defining_representation,
     stages_reduce,
+    subgroup_indices,
     trivial_representation,
     two_stage_lagrangian,
 )
@@ -105,6 +106,16 @@ def _need(node, key, label):
     if key not in node:
         raise ConfigError(f"{label}: missing required key '{key}'")
     return node[key]
+
+
+def _known_keys(node, allowed, label):
+    """Require a mapping with keys from ``allowed`` only: a misspelled key
+    would otherwise fall back to its default unnoticed."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"{label}: expected a mapping")
+    unknown = sorted(set(node) - set(allowed))
+    if unknown:
+        raise ConfigError(f"{label}: unknown key '{unknown[0]}'")
 
 
 def _num(val, label):
@@ -192,7 +203,10 @@ def _resolve_out(cfg, args):
     out = args.out or cfg.get("out", ".")
     if not isinstance(out, str):
         raise ConfigError("out: expected a directory path")
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out: cannot create directory {out}: {exc.strerror or exc}")
     return out
 
 
@@ -229,11 +243,7 @@ def polynomial_map(n_vars, shape, terms, label):
     compiled = []
     for ti, term in enumerate(terms):
         tl = f"{label}[{ti}]"
-        if not isinstance(term, dict):
-            raise ConfigError(f"{tl}: expected a mapping")
-        unknown = sorted(set(term) - {"index", "powers", "coeff"})
-        if unknown:
-            raise ConfigError(f"{tl}: unknown key '{unknown[0]}'")
+        _known_keys(term, ("index", "powers", "coeff"), tl)
         powers = term.get("powers", [0] * n_vars)
         if not isinstance(powers, list) or len(powers) != n_vars:
             raise ConfigError(f"{tl}.powers: expected {n_vars} exponents")
@@ -292,7 +302,8 @@ def _table_field(node, key, n_vars, shape, label):
 # building objects from config nodes
 
 
-def domain_from_config(node, label):
+def domain_from_config(node, label, extra=()):
+    _known_keys(node, ("n", "bounds", "periodic", *extra), label)
     n = _int(_need(node, "n", label), f"{label}.n", least=0)
     bounds = node.get("bounds")
     if bounds is not None:
@@ -312,13 +323,9 @@ def domain_from_config(node, label):
 
 def bundle_from_config(node):
     label = "bundle"
-    base = domain_from_config(node, label)
+    base = domain_from_config(node, label, ("m", "gamma", "c", "omega"))
     m = _int(_need(node, "m", label), f"{label}.m", least=0)
     n = base.n
-    allowed = {"n", "m", "bounds", "periodic", "gamma", "c", "omega"}
-    unknown = sorted(set(node) - allowed)
-    if unknown:
-        raise ConfigError(f"{label}: unknown key '{unknown[0]}'")
     Gamma = _table_field(node, "gamma", n, (n, m, m), label)
     c = _table_field(node, "c", n, (m, m, m), label)
     omega = _table_field(node, "omega", n, (m, n, n), label)
@@ -330,16 +337,20 @@ def group_from_config(node, label):
         node = {"name": node}
     name = _need(node, "name", label)
     if name == "so3":
+        _known_keys(node, ("name",), label)
         return so3()
     if name == "heisenberg3":
+        _known_keys(node, ("name", "coupling"), label)
         return heisenberg3(_finite(node.get("coupling", 1.0), f"{label}.coupling"))
     if name == "abelian":
+        _known_keys(node, ("name", "dim"), label)
         return abelian(_int(_need(node, "dim", label), f"{label}.dim", least=1))
     raise ConfigError(f"{label}.name: unknown group {name!r}")
 
 
 def scenario_from_config(node):
     label = "scenario"
+    _known_keys(node, ("base", "group", "connection", "representation"), label)
     base = domain_from_config(_need(node, "base", label), f"{label}.base")
     G = group_from_config(_need(node, "group", label), f"{label}.group")
     d, k = base.n, G.dim
@@ -349,6 +360,7 @@ def scenario_from_config(node):
     if rep == "defining":
         repW = defining_representation(G)
     elif isinstance(rep, dict) and "trivial" in rep:
+        _known_keys(rep, ("trivial",), f"{label}.representation")
         dim_w = _int(rep["trivial"], f"{label}.representation.trivial", least=1)
         repW = trivial_representation(G, dim_w)
     elif rep is not None:
@@ -403,6 +415,7 @@ def resolve_initial(cfg, record):
         if record.initial is None:
             raise ConfigError("initial: required (no catalog default available)")
         return record.initial
+    _known_keys(node, ("q", "qdot", "v"), "initial")
     n, m = record.bundle.n, record.bundle.m
     q = _numbers(_need(node, "q", "initial"), "initial.q", (n,))
     qdot = _numbers(_need(node, "qdot", "initial"), "initial.qdot", (n,))
@@ -523,24 +536,8 @@ def _structure_sample_rows(bundle, n_dump, seed):
     """Seeded base points with the structure functions evaluated at each."""
     n, m = bundle.n, bundle.m
     header = [f"x{i + 1}" for i in range(n)]
-    header += [
-        f"Gamma_{i + 1}_{a + 1}_{b + 1}"
-        for i in range(n)
-        for a in range(m)
-        for b in range(m)
-    ]
-    header += [
-        f"c_{g + 1}_{a + 1}_{b + 1}"
-        for g in range(m)
-        for a in range(m)
-        for b in range(m)
-    ]
-    header += [
-        f"omega_{a + 1}_{i + 1}_{j + 1}"
-        for a in range(m)
-        for i in range(n)
-        for j in range(n)
-    ]
+    for name, shape in (("Gamma", (n, m, m)), ("c", (m, m, m)), ("omega", (m, n, n))):
+        header += [name + "".join(f"_{i + 1}" for i in idx) for idx in np.ndindex(*shape)]
     rng = np.random.default_rng(seed)
     rows = []
     for _ in range(n_dump):
@@ -617,8 +614,7 @@ def cmd_stages(cfg, args):
             f"system '{record.name}' has no stored invariant Lagrangian to stage"
         )
     node = cfg.get("stages", {})
-    if not isinstance(node, dict):
-        raise ConfigError("stages: expected a mapping")
+    _known_keys(node, ("nidx", "override_A_N"), "stages")
     nidx = node.get("nidx", record.params.get("nidx"))
     if nidx is None:
         raise ConfigError("stages.nidx: required (no catalog default)")
@@ -626,15 +622,12 @@ def cmd_stages(cfg, args):
         raise ConfigError(
             f"stages.nidx: expected a list of basis indices, got {type(nidx).__name__}"
         )
-    nidx = tuple(_int(i, "stages.nidx", least=0) for i in nidx)
     sc = record.scenario
-    k = sc.k
-    distinct = len(set(nidx)) == len(nidx)
-    if not (distinct and 0 < len(nidx) < k and all(i < k for i in nidx)):
-        raise ConfigError(
-            f"stages.nidx: expected 1 to {k - 1} distinct indices in 0..{k - 1} "
-            f"(a proper subgroup), got {list(nidx)}"
-        )
+    nidx = [_int(i, "stages.nidx", least=0) for i in nidx]
+    try:
+        nidx = subgroup_indices(nidx, sc.k)
+    except ValueError as exc:
+        raise ConfigError(f"stages.nidx: {exc}")
 
     seed = _resolve_seed(args.seed, cfg)
     t_end, dt, method = _resolve_run(cfg, args)
@@ -715,12 +708,10 @@ def cmd_noether(cfg, args):
 
     traj = _integrate(sys_, s0, t_end, dt, method)
     N = len(traj)
-    currents = [
-        np.array([noether_current(sys_, act, s, eta) for s in traj.states])
-        for eta in etas
-    ]
     try:
-        residuals = [noether_drift_residual(sys_, act, traj, eta) for eta in etas]
+        currents, residuals = zip(
+            *(noether_drift_residual(sys_, act, traj, eta) for eta in etas)
+        )
     except ValueError as exc:
         raise ConfigError(str(exc))
 

@@ -372,29 +372,30 @@ class GroupAction:
         object.__setattr__(self, "algebra_c", c)
 
 
-def noether_current(sys: LPLagrangian, act: GroupAction, s: LPState, eta):
-    """J = <dL/dqdot, genQ(eta, q)>; linear in eta."""
-    n = sys.n
-    grad = _lagrangian_gradient(sys, s)
-    etaQ = np.asarray(act.genQ(np.asarray(eta, dtype=float), s.q), dtype=float)
+def _current(n, grad, etaQ):
+    """J = <dL/dqdot, genQ> from the packed gradient and the base generator."""
     return float(grad[n : 2 * n] @ etaQ)
 
 
-def _vertical_generator(G, act, eta, q, v):
-    """rho'(eta)v plus the connection part Gamma(genQ) v, with Gamma = G at q."""
-    etaQ = np.asarray(act.genQ(eta, q), dtype=float)
-    gen = np.asarray(act.genV(eta, q, v), dtype=float)
-    return gen + np.einsum("iab,i,b->a", G, etaQ, v), etaQ
+def noether_current(sys: LPLagrangian, act: GroupAction, s: LPState, eta):
+    """J = <dL/dqdot, genQ(eta, q)>; linear in eta."""
+    grad = _lagrangian_gradient(sys, s)
+    etaQ = np.asarray(act.genQ(np.asarray(eta, dtype=float), s.q), dtype=float)
+    return _current(sys.n, grad, etaQ)
 
 
 def noether_drift_residual(sys: LPLagrangian, act: GroupAction, traj: Trajectory, eta):
-    """Residual of the current-drift identity at interior grid points.
+    """The current series and the residual of its drift identity.
+
+    Returns (J, residual): J = noether_current at every state of ``traj``,
+    and at the interior grid points
 
     residual = dJ/dt  +  <mu, omega(qdot, genQ) + rho'(eta)v + Gamma(genQ)v>
 
-    dJ/dt uses the centered 5-point stencil, so the result has
+    dJ/dt uses the centered 5-point stencil, so the residual has
     len(traj) - 4 entries.  Vanishes (to integrator accuracy) along
-    solutions of an invariant Lagrangian.
+    solutions of an invariant Lagrangian.  One gradient per state serves
+    J and mu.
     """
     N = len(traj)
     if N < 5:
@@ -406,18 +407,21 @@ def noether_drift_residual(sys: LPLagrangian, act: GroupAction, traj: Trajectory
         raise ValueError("drift residual needs a uniform time grid")
 
     eta = np.asarray(eta, dtype=float)
-    J = np.array([noether_current(sys, act, s, eta) for s in traj.states])
+    n = sys.n
+    grads = [_lagrangian_gradient(sys, s) for s in traj.states]
+    etaQs = [np.asarray(act.genQ(eta, s.q), dtype=float) for s in traj.states]
+    J = np.array([_current(n, grad, etaQ) for grad, etaQ in zip(grads, etaQs)])
     out = np.empty(N - 4)
     for i in range(2, N - 2):
         dJdt = (-J[i + 2] + 8 * J[i + 1] - 8 * J[i - 1] + J[i - 2]) / (12 * h)
-        s = traj.states[i]
-        grad = _lagrangian_gradient(sys, s)
-        mu = grad[2 * sys.n :]
+        s, etaQ, mu = traj.states[i], etaQs[i], grads[i][2 * n :]
         G, _, Om = sys.bundle.tables(s.q)
-        ver2, etaQ = _vertical_generator(G, act, eta, s.q, s.v)
+        # rho'(eta)v plus the connection part Gamma(genQ)v
+        gen = np.asarray(act.genV(eta, s.q, s.v), dtype=float)
+        ver2 = gen + np.einsum("iab,i,b->a", G, etaQ, s.v)
         om_term = np.einsum("aij,i,j->a", Om, s.qdot, etaQ)
         out[i - 2] = dJdt + float(mu @ (om_term + ver2))
-    return out
+    return J, out
 
 
 def invariance_residual(sys: LPLagrangian, act: GroupAction, s: LPState, eta):

@@ -413,6 +413,17 @@ def _subgroup_exp(G: MatrixLieGroup, idx, coords):
     return G.exp(_embed(coords, idx, G.dim))
 
 
+def subgroup_indices(nidx, k):
+    """``nidx`` as a tuple of 1 to k-1 distinct basis indices in 0..k-1."""
+    nidx = tuple(int(i) for i in nidx)
+    if not (0 < len(set(nidx)) == len(nidx) < k and set(nidx) <= set(range(k))):
+        raise ValueError(
+            f"expected 1 to {k - 1} distinct indices in 0..{k - 1} "
+            f"(a proper subgroup), got {list(nidx)}"
+        )
+    return nidx
+
+
 def stages_reduce(direct: ReducedBundleHandle, nidx, override_A_N=None, seed=0):
     """Reduce by a central normal subgroup N, then by the abelian K = G/N.
 
@@ -428,11 +439,7 @@ def stages_reduce(direct: ReducedBundleHandle, nidx, override_A_N=None, seed=0):
     sc = direct.scenario
     d, k = sc.baseB.n, sc.k
     c = sc._c
-    nidx = tuple(int(i) for i in nidx)
-    if not nidx or len(set(nidx)) != len(nidx) or any(i < 0 or i >= k for i in nidx):
-        raise ValueError("subgroup must be named by distinct basis indices")
-    if len(nidx) == k:
-        raise ValueError("subgroup must be proper")
+    nidx = subgroup_indices(nidx, k)
     kidx = tuple(i for i in range(k) if i not in nidx)
     r, s_dim = len(nidx), len(kidx)
 

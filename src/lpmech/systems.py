@@ -56,6 +56,34 @@ def _require_spd(M, what):
     return M
 
 
+def _positive3(w, what):
+    w = np.asarray(w, dtype=float).reshape(3)
+    if np.any(w <= 0):
+        raise ValueError(f"{what} must be positive")
+    return w
+
+
+def _quadratic(w, xi):
+    """0.5 sum_k w[k] xi[k]^2, the kinetic term of the three group systems."""
+    return 0.5 * sum(w[k] * xi[k] * xi[k] for k in range(3))
+
+
+def _reduced_record(name, sc, L_inv, v0, expected, params):
+    """The record of an invariant Lagrangian reduced over a point base."""
+    handle = build_reduced_bundle(sc)
+    return SystemRecord(
+        name=name,
+        bundle=handle.bundle,
+        lagrangian=reduce_lagrangian(handle, L_inv),
+        scenario=sc,
+        handle=handle,
+        unreduced_lagrangian=L_inv,
+        initial=LPState(np.zeros(0), np.zeros(0), v0),
+        expected=expected,
+        params=params,
+    )
+
+
 def _inverse_times(g, M, inverse):
     """g^-1 M as an object array, with g^-1 = inverse(g).
 
@@ -167,17 +195,6 @@ def flat_bundle_particle(
 # free rigid body
 
 
-def _rigid_body_invariant(inertia):
-    G = so3()
-    inertia = np.asarray(inertia, dtype=float)
-
-    def L(x, xdot, g, gdot, w):
-        xi = G.unhat(_inverse_times(g, gdot, np.transpose))
-        return 0.5 * sum(inertia[a] * xi[a] * xi[a] for a in range(3))
-
-    return L
-
-
 def rigid_body(inertia=(1.0, 2.0, 3.0)):
     """Free rotation of a body with distinct principal moments.
 
@@ -185,27 +202,23 @@ def rigid_body(inertia=(1.0, 2.0, 3.0)):
     momentum equations; kinetic energy and the squared momentum norm are
     both conserved, and spin about a principal axis is an equilibrium.
     """
-    inertia = np.asarray(inertia, dtype=float).reshape(3)
-    if np.any(inertia <= 0):
-        raise ValueError("principal moments must be positive")
-    sc = PrincipalScenario(ChartDomain(0), so3())
-    handle = build_reduced_bundle(sc)
-    L_inv = _rigid_body_invariant(inertia)
-    red = reduce_lagrangian(handle, L_inv)
-    return SystemRecord(
-        name="rigid_body",
-        bundle=handle.bundle,
-        lagrangian=red,
-        scenario=sc,
-        handle=handle,
-        unreduced_lagrangian=L_inv,
-        initial=LPState(np.zeros(0), np.zeros(0), [0.4, 0.7, -0.3]),
-        expected={
+    inertia = _positive3(inertia, "principal moments")
+    G = so3()
+
+    def L_inv(x, xdot, g, gdot, w):
+        return _quadratic(inertia, G.unhat(_inverse_times(g, gdot, np.transpose)))
+
+    return _reduced_record(
+        "rigid_body",
+        PrincipalScenario(ChartDomain(0), G),
+        L_inv,
+        [0.4, 0.7, -0.3],
+        {
             "energy_conserved": True,
             "momentum_norm_conserved": True,
             "principal_axis_equilibrium": True,
         },
-        params={"inertia": inertia},
+        {"inertia": inertia},
     )
 
 
@@ -229,9 +242,7 @@ def parameter_lagrangian(
     momentum equation.  The pairing <a, b> closes the energy bookkeeping:
     0.5<I xi, xi> + <a, b> is the conserved energy of the chart dynamics.
     """
-    inertia = np.asarray(inertia, dtype=float).reshape(3)
-    if np.any(inertia <= 0):
-        raise ValueError("principal moments must be positive")
+    inertia = _positive3(inertia, "principal moments")
     chi = np.asarray(chi, dtype=float).reshape(3)
     mgl = float(mgl)
     G = so3()
@@ -248,35 +259,27 @@ def parameter_lagrangian(
         out[3:, 3:] = gmat
         return out
 
-    rep = RepW(6, gen, rho)
-    sc = PrincipalScenario(ChartDomain(0), G, repW=rep)
-    handle = build_reduced_bundle(sc)
-
     def L_inv(x, xdot, g, gdot, w):
         xi = G.unhat(_inverse_times(g, gdot, np.transpose))
         # columns: the advected direction a and its conjugate b, both g^-1 w
         avec, bvec = _inverse_times(g, np.reshape(w, (2, 3)).T, np.transpose).T
-        val = 0.5 * sum(inertia[k] * xi[k] * xi[k] for k in range(3))
+        val = _quadratic(inertia, xi)
         val = val - mgl * sum(avec[k] * chi[k] for k in range(3))
         val = val + sum(avec[k] * bvec[k] for k in range(3))
         return val
 
-    red = reduce_lagrangian(handle, L_inv)
     v0 = np.concatenate([np.asarray(xi0, float), np.asarray(a0, float), np.asarray(b0, float)])
-    return SystemRecord(
-        name="parameter_lagrangian",
-        bundle=handle.bundle,
-        lagrangian=red,
-        scenario=sc,
-        handle=handle,
-        unreduced_lagrangian=L_inv,
-        initial=LPState(np.zeros(0), np.zeros(0), v0),
-        expected={
+    return _reduced_record(
+        "parameter_lagrangian",
+        PrincipalScenario(ChartDomain(0), G, repW=RepW(6, gen, rho)),
+        L_inv,
+        v0,
+        {
             "advected_reconstruction": True,
             "energy_conserved": True,
             "euler_flow_when_unforced": True,
         },
-        params={"inertia": inertia, "mgl": mgl, "chi": chi, "a0": np.asarray(a0, float)},
+        {"inertia": inertia, "mgl": mgl, "chi": chi, "a0": np.asarray(a0, float)},
     )
 
 
@@ -292,32 +295,23 @@ def heisenberg_stages(coupling=1.0, weights=(1.0, 1.3, 1.7)):
     exact constant of motion, and scaling ``coupling`` to zero turns the
     flow into uncoupled straight lines.
     """
-    weights = np.asarray(weights, dtype=float).reshape(3)
-    if np.any(weights <= 0):
-        raise ValueError("quadratic form weights must be positive")
+    weights = _positive3(weights, "quadratic form weights")
     G = heisenberg3(coupling)
-    sc = PrincipalScenario(ChartDomain(0), G)
-    handle = build_reduced_bundle(sc)
 
     def L_inv(x, xdot, g, gdot, w):
-        xi = G.unhat(_inverse_times(g, gdot, _unitriangular_inverse))
-        return 0.5 * sum(weights[k] * xi[k] * xi[k] for k in range(3))
+        return _quadratic(weights, G.unhat(_inverse_times(g, gdot, _unitriangular_inverse)))
 
-    red = reduce_lagrangian(handle, L_inv)
-    return SystemRecord(
-        name="heisenberg_stages",
-        bundle=handle.bundle,
-        lagrangian=red,
-        scenario=sc,
-        handle=handle,
-        unreduced_lagrangian=L_inv,
-        initial=LPState(np.zeros(0), np.zeros(0), [0.7, -0.4, 0.9]),
-        expected={
+    return _reduced_record(
+        "heisenberg_stages",
+        PrincipalScenario(ChartDomain(0), G),
+        L_inv,
+        [0.7, -0.4, 0.9],
+        {
             "center_momentum_conserved": True,
             "stages_match_direct": True,
             "linear_flow_at_zero_coupling": coupling == 0.0,
         },
-        params={"coupling": float(coupling), "weights": weights, "nidx": (2,)},
+        {"coupling": float(coupling), "weights": weights, "nidx": (2,)},
     )
 
 

@@ -497,7 +497,7 @@ def test_criterion_06_symmetry_currents_conserved_or_drift_accounted():
             [noether_current(rec.lagrangian, rec.action, s, eta) for s in tr.states]
         )
         rate = np.max(np.abs((-Js[4:] + 8 * Js[3:-1] - 8 * Js[1:-3] + Js[:-4]) / (12 * h)))
-        resid = noether_drift_residual(rec.lagrangian, rec.action, tr, eta)
+        _, resid = noether_drift_residual(rec.lagrangian, rec.action, tr, eta)
         max_rate = max(max_rate, rate)
         max_resid = max(max_resid, np.max(np.abs(resid)))
 

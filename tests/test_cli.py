@@ -15,9 +15,10 @@ import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from lpmech import dynamics
 from lpmech.cli import _numbers, main
 from lpmech.errors import ConfigError
 
@@ -252,6 +253,45 @@ _SIMULATE = "system: free_particle_planar\n"
             [],
             "bundle.c.constant[0][0][0]: must be finite, got an integer beyond the float range",
         ),
+        ("simulate", _SIMULATE, ["--out", "{tmp}/cfg.yaml"], "out: cannot create directory"),
+        ("simulate", _SIMULATE, ["--out", "{tmp}/cfg.yaml/sub"], "out: cannot create directory"),
+        ("stages", _STAGES + "stages: {nidex: [0, 2]}\n", [], "stages: unknown key 'nidex'"),
+        (
+            "reduce",
+            "scenario: {base: {n: 0}, group: so3, conection: {constant: []}}\n",
+            [],
+            "scenario: unknown key 'conection'",
+        ),
+        (
+            "reduce",
+            "scenario: {base: {n: 0, bound: []}, group: so3}\n",
+            [],
+            "scenario.base: unknown key 'bound'",
+        ),
+        (
+            "reduce",
+            "scenario: {base: {n: 0}, group: {name: heisenberg3, couplng: 2.0}}\n",
+            [],
+            "scenario.group: unknown key 'couplng'",
+        ),
+        (
+            "reduce",
+            "scenario: {base: {n: 0}, group: {name: so3, dim: 3}}\n",
+            [],
+            "scenario.group: unknown key 'dim'",
+        ),
+        (
+            "reduce",
+            "scenario: {base: {n: 0}, group: so3, representation: {trivial: 2, dim: 3}}\n",
+            [],
+            "scenario.representation: unknown key 'dim'",
+        ),
+        (
+            "simulate",
+            "system: rigid_body\ninitial: {q: [], qdot: [], w: [1.0, 0.0, 0.0]}\n",
+            [],
+            "initial: unknown key 'w'",
+        ),
     ],
     ids=[
         "samples-axioms",
@@ -289,20 +329,30 @@ _SIMULATE = "system: free_particle_planar\n"
         "bounds-inf-simulate",
         "t_end-huge-int",
         "constant-huge-int",
+        "out-is-a-file",
+        "out-under-a-file",
+        "stages-unknown-key",
+        "scenario-unknown-key",
+        "scenario-base-unknown-key",
+        "group-unknown-key",
+        "group-key-of-another-group",
+        "representation-unknown-key",
+        "initial-unknown-key",
     ],
 )
 def test_out_of_range_settings_are_config_errors(
     tmp_path, capsys, command, text, flags, message
 ):
     cfg = write_cfg(tmp_path, text)
-    code = main([command, "--config", cfg, *flags, "--out", str(tmp_path)])
+    # a later --out wins, so a flag's own --out (under the temp dir) goes last
+    flags = [f.format(tmp=tmp_path) for f in flags]
+    code = main([command, "--config", cfg, "--out", str(tmp_path), *flags])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert message in err
 
 
-_props = settings(derandomize=True, database=None, deadline=None)
 _leaf = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2**70), 2**70)
 )
@@ -324,7 +374,6 @@ def nested_numbers(draw, least=0):
     return shape, _nest(draw(st.lists(_leaf, min_size=size, max_size=size)), shape)
 
 
-@_props
 @given(nested_numbers())
 def test_numbers_reads_nested_lists_bit_for_bit(case):
     shape, val = case
@@ -346,7 +395,6 @@ _BAD_LEAVES = [
 ]
 
 
-@_props
 @given(nested_numbers(least=1), st.sampled_from(_BAD_LEAVES), st.data())
 def test_numbers_names_the_one_bad_leaf(case, bad, data):
     shape, val = case
@@ -369,7 +417,6 @@ def test_numbers_names_the_one_bad_leaf(case, bad, data):
         assert str(info.value) == expected
 
 
-@_props
 @given(nested_numbers(least=1), st.lists(st.integers(1, 3), max_size=3).map(tuple))
 def test_numbers_rejects_a_wrong_shape(case, other):
     shape, val = case
@@ -918,6 +965,25 @@ def test_noether_zero_generator_gives_zero_columns(tmp_path):
     assert np.max(np.abs(data[:, header.index("resid1")])) <= 1e-6
     report = read_json(tmp_path, "noether_report.json")
     assert report["residual_max"][1] == 0.0
+
+
+def test_noether_takes_one_gradient_per_state_and_generator(tmp_path, monkeypatch):
+    """The current series and the drift residual share one gradient of L at
+    each state: 21 states and 3 generators make 63 gradient passes."""
+    calls = []
+    gradient = dynamics._lagrangian_gradient
+
+    def counted(sys, s):
+        calls.append(s)
+        return gradient(sys, s)
+
+    monkeypatch.setattr(dynamics, "_lagrangian_gradient", counted)
+    argv = ["noether", "--system", "free_particle_planar", "--t-end", "0.02"]
+    code = main(argv + ["--dt", "0.001", "--out", str(tmp_path)])
+    assert code == 0
+    report = read_json(tmp_path, "noether_report.json")
+    assert report["generators"] == 3 and report["rows"] == 21 - 4
+    assert len(calls) == 3 * 21
 
 
 def test_noether_coupled_two_form_drifts_with_small_residual(tmp_path):

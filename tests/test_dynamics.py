@@ -493,7 +493,7 @@ def test_conserved_current_central_potential():
     traj = integrate_lp(sys, LPState([0.8, 0.0], [0.1, 0.6], []), 0.0, 0.4, 4e-3)
     js = [noether_current(sys, rot, s, [1.0]) for s in traj.states]
     assert max(abs(j - js[0]) for j in js) <= 1e-8
-    res = noether_drift_residual(sys, rot, traj, [1.0])
+    _, res = noether_drift_residual(sys, rot, traj, [1.0])
     assert res.shape == (len(traj) - 4,)
     assert np.max(np.abs(res)) <= 1e-6
 
@@ -508,7 +508,7 @@ def test_drift_residual_matches_invariance_defect():
     rot = planar_rotation_action()
     s0 = LPState([0.2, -0.1], [0.7, 0.3], [])
     traj = integrate_lp(sys, s0, 0.0, 0.2, 0.01)
-    res = noether_drift_residual(sys, rot, traj, [1.0])
+    _, res = noether_drift_residual(sys, rot, traj, [1.0])
     defect = 0.7 * 0.3
     assert np.allclose(res, defect, atol=1e-10)
     for s in traj.states[:: 5]:
@@ -530,7 +530,7 @@ def test_drift_residual_with_fiber_terms():
     assert abs(invariance_residual(sys, act, s0, [1.0])) <= 1e-12
 
     traj = integrate_lp(sys, s0, 0.0, 0.5, 5e-3)
-    res = noether_drift_residual(sys, act, traj, [1.0])
+    _, res = noether_drift_residual(sys, act, traj, [1.0])
     assert np.max(np.abs(res)) <= 1e-6
 
     js = np.array([noether_current(sys, act, s, [1.0]) for s in traj.states])

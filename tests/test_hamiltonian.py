@@ -11,6 +11,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from lpmech import _dual
 from lpmech.dynamics import LPLagrangian, LPState, energy, integrate_lp
@@ -35,6 +37,7 @@ from lpmech.hamiltonian import (
 )
 from lpmech.lpbundle import ChartDomain, LPBundleChart, Section
 from lpmech.smoothmap import SmoothMap
+from lpmech.systems import flat_bundle_particle, rigid_body
 
 
 def box(n, lo=-4.0, hi=4.0, periodic=None):
@@ -511,6 +514,37 @@ def test_inverse_legendre_round_trips():
         again = legendre(sys, back)
         assert np.max(np.abs(again.p - hs.p)) <= 1e-12
         assert np.max(np.abs(again.nu - hs.nu)) <= 1e-12
+
+
+_velocity = st.floats(-3.0, 3.0)
+
+
+@st.composite
+def catalog_states(draw):
+    """A catalog system and a state drawn inside its chart: the rigid body
+    (point base, fiber 3) or the closed flat bundle (base 2, fiber 2)."""
+    if draw(st.booleans()):
+        rec = rigid_body()
+        q = []
+    else:
+        rec = flat_bundle_particle(omega_mode="closed")
+        q = [draw(st.floats(0.05, 0.95)), draw(st.floats(-1.9, 1.9))]
+    n, m = rec.bundle.n, rec.bundle.m
+    qdot = draw(st.lists(_velocity, min_size=n, max_size=n))
+    v = draw(st.lists(_velocity, min_size=m, max_size=m))
+    return rec.lagrangian, LPState(q, qdot, v)
+
+
+# no shrink phase, as in the staged-reduction property test
+@settings(max_examples=40, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(catalog_states())
+def test_inverse_legendre_recovers_catalog_states(case):
+    sys, s = case
+    hs = legendre(sys, s)
+    back = inverse_legendre(sys, hs, LPState(s.q, np.zeros(sys.n), np.zeros(sys.m)))
+    assert np.array_equal(back.q, s.q)
+    assert np.max(np.abs(back.qdot - s.qdot), initial=0.0) <= 1e-10
+    assert np.max(np.abs(back.v - s.v), initial=0.0) <= 1e-10
 
 
 def test_inverse_legendre_failures():

@@ -11,7 +11,7 @@ import operator
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from lpmech import _dual
@@ -293,10 +293,6 @@ def test_abelian_exp_with_duals():
 # ---------------------------------------------------------------------------
 # properties of hat, unhat and exp over the whole catalog
 
-# derandomized and without an example database: every run draws the same
-# examples and leaves no files behind
-_props = settings(derandomize=True, database=None, deadline=None)
-
 _coeff = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 
 _groups = st.one_of(
@@ -327,14 +323,12 @@ def _parts(arr, lev):
     return re, tan.reshape(arr.shape)
 
 
-@_props
 @given(group_with_vectors())
 def test_unhat_inverts_hat(case):
     G, xi, _, _ = case
     assert np.allclose(G.unhat(G.hat(xi)), xi, rtol=0.0, atol=1e-12)
 
 
-@_props
 @given(group_with_vectors())
 def test_hat_and_unhat_carry_dual_parts_linearly(case):
     """On dual input, hat and unhat act on the values and on the tangents
@@ -352,7 +346,6 @@ def test_hat_and_unhat_carry_dual_parts_linearly(case):
     assert np.allclose(tan, G.unhat(dM), rtol=0.0, atol=1e-13)
 
 
-@_props
 @given(group_with_vectors())
 def test_exp_tangent_matches_central_difference(case):
     G, xi, dxi, _ = case
@@ -392,7 +385,6 @@ def _assert_sparse_matches_dense(sparse, dense, coeffs, x, product, lev):
         assert type(e) is float and e == 0.0 and not np.signbit(e)
 
 
-@_props
 @given(group_with_vectors())
 def test_sparse_dual_hat_and_unhat_are_the_dense_sums(case):
     """On dual input, hat and unhat sum only over the exact nonzero pattern

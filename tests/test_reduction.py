@@ -621,13 +621,7 @@ def test_stages_heisenberg_center():
 
 # no shrink phase: a failing example is reported as drawn, in seconds rather
 # than the minutes that shrinking three axiom checks per example takes
-@settings(
-    derandomize=True,
-    database=None,
-    deadline=None,
-    max_examples=5,
-    phases=(Phase.explicit, Phase.reuse, Phase.generate),
-)
+@settings(max_examples=5, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(
     coupling=st.floats(-2.0, 2.0),
     d=st.integers(0, 2),

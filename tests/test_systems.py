@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpmech import _dual
 from lpmech.dynamics import (
@@ -11,6 +13,7 @@ from lpmech.dynamics import (
     integrate_lp,
     invariance_residual,
     noether_current,
+    noether_drift_residual,
 )
 from lpmech.lpbundle import check_axioms
 from lpmech.systems import (
@@ -288,3 +291,27 @@ def test_central_potential_conserves_energy_and_angular_momentum():
     assert np.max(np.abs(np.asarray(series) - series[0])) < 1e-10
     with pytest.raises(ValueError, match="stiffness"):
         central_potential_particle(stiffness=-1.0)
+
+
+_POINT_SYSTEMS = {
+    "flat_bundle_particle": lambda: flat_bundle_particle(omega_mode="closed"),
+    "central_potential_particle": central_potential_particle,
+    "free_particle_planar": free_particle_planar,
+}
+
+
+@settings(max_examples=30)
+@given(name=st.sampled_from(sorted(_POINT_SYSTEMS)), data=st.data())
+def test_drift_residual_returns_the_current_series(name, data):
+    """The J that noether_drift_residual returns is noether_current at every
+    state of the trajectory, bit for bit."""
+    rec = _POINT_SYSTEMS[name]()
+    p = rec.action.dim_g
+    eta = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=p, max_size=p)))
+    kick = np.array(data.draw(st.lists(st.floats(-0.5, 0.5), min_size=2, max_size=2)))
+    s0 = rec.initial
+    traj = integrate_lp(rec.lagrangian, LPState(s0.q, s0.qdot + kick, s0.v), 0.0, 0.01, 1e-3)
+    J, residual = noether_drift_residual(rec.lagrangian, rec.action, traj, eta)
+    want = [noether_current(rec.lagrangian, rec.action, s, eta) for s in traj.states]
+    assert J.tolist() == want
+    assert residual.shape == (len(traj) - 4,)
