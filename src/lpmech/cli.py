@@ -48,6 +48,7 @@ from .dynamics import (
     noether_drift_residual,
     write_trajectory_csv,
     _csv_text,
+    _step_count,
     _write_text,
 )
 from .errors import (
@@ -194,6 +195,10 @@ def _resolve_run(cfg, args):
     for label, val in (("t_end", t_end), ("dt", dt)):
         if not 0 < val < np.inf:
             raise ConfigError(f"{label}: must be positive and finite, got {val:g}")
+    try:
+        _step_count(t_end, dt)
+    except ValueError as exc:
+        raise ConfigError(f"t_end/dt: {exc} (t_end {t_end:g}, dt {dt:g})")
     if method not in ("rk4", "euler"):
         raise ConfigError(f"method: expected 'rk4' or 'euler', got {method!r}")
     return t_end, dt, method
@@ -459,15 +464,16 @@ def cmd_check_axioms(cfg, args):
     return 2
 
 
-def _lp_residual_max(sys, traj):
+def _lp_residual_max(sys, traj, jets):
     """Largest equation residual when the solved accelerations are fed back,
-    at 25 evenly spaced grid points."""
+    at 25 evenly spaced grid points; ``jets`` holds the jet of L at each
+    state of ``traj``."""
     idx = np.unique(np.linspace(0, len(traj) - 1, 25).astype(int))
     worst = 0.0
     for i in idx:
-        s = traj.states[i]
-        qdd, vd = accelerations(sys, s)
-        hor, ver = lp_operator(sys, LPState2(s.q, s.qdot, s.v, qdd, vd))
+        s, jet = traj.states[i], jets[i]
+        qdd, vd = accelerations(sys, s, jet=jet)
+        hor, ver = lp_operator(sys, LPState2(s.q, s.qdot, s.v, qdd, vd), jet=jet)
         for part in (hor, ver):
             if part.size:
                 worst = max(worst, float(np.max(np.abs(part))))
@@ -485,17 +491,22 @@ def cmd_simulate(cfg, args):
     sys_ = record.lagrangian
 
     traj = _integrate(sys_, s0, t_end, dt, method)
-    energies = [energy(sys_, s) for s in traj.states]
+    # the integrator's jets of sys_ serve every diagnostic: no further AD pass
+    grads = [grad for _, grad, _ in traj.jets]
+    energies = [energy(sys_, s, grad=g) for s, g in zip(traj.states, grads)]
     drift = float(max(abs(e - energies[0]) for e in energies))
-    resid = _lp_residual_max(sys_, traj)
+    resid = _lp_residual_max(sys_, traj, traj.jets)
 
     noether = None
     if record.action is not None:
         act = record.action
         eye = np.eye(act.dim_g)
         series = [
-            [noether_current(sys_, act, s, eye[g]) for s in traj.states]
-            for g in range(act.dim_g)
+            [
+                noether_current(sys_, act, s, eye[k], grad=g)
+                for s, g in zip(traj.states, grads)
+            ]
+            for k in range(act.dim_g)
         ]
         noether = {
             "initial": [col[0] for col in series],
@@ -708,9 +719,10 @@ def cmd_noether(cfg, args):
 
     traj = _integrate(sys_, s0, t_end, dt, method)
     N = len(traj)
+    grads = [grad for _, grad, _ in traj.jets]
     try:
         currents, residuals = zip(
-            *(noether_drift_residual(sys_, act, traj, eta) for eta in etas)
+            *(noether_drift_residual(sys_, act, traj, eta, grads=grads) for eta in etas)
         )
     except ValueError as exc:
         raise ConfigError(str(exc))

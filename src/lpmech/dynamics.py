@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,6 +100,14 @@ class LPState:
             raise DimensionMismatch("q and qdot must have the same length")
 
 
+class _Slots(NamedTuple):
+    """The slots of a packed state as views, without LPState's copies."""
+
+    q: np.ndarray
+    qdot: np.ndarray
+    v: np.ndarray
+
+
 @dataclass(frozen=True)
 class LPState2:
     q: np.ndarray
@@ -124,18 +133,31 @@ class LPState2:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled states on a time grid; the states are LPState or HPState."""
+    """Sampled states on a time grid; the states are LPState or HPState.
+
+    ``jets`` is empty, or holds one jet (value, gradient, Hessian) of the
+    Lagrangian per state, in the packed (q, qdot, v) order: integrate_lp
+    keeps the jet its first RK4 (or Euler) stage takes at each accepted
+    state, and one more at the final state.  The diagnostics take those
+    jets only when passed explicitly, for the Lagrangian that was
+    integrated.  Memory grows linearly with the step count, a state plus
+    its jet per row.  HP, projected and hand-built trajectories carry none.
+    """
 
     times: np.ndarray
     states: tuple
     meta: dict = field(default_factory=dict)
+    jets: tuple = ()
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "jets", tuple(self.jets))
         if len(t) != len(self.states) or len(t) < 2:
             raise ValueError("need matching times/states with at least two samples")
+        if self.jets and len(self.jets) != len(t):
+            raise ValueError("need one jet per state, or none")
         if np.any(np.diff(t) <= 0):
             raise ValueError("times must be strictly increasing")
 
@@ -174,15 +196,16 @@ def _grad_hess(sys: LPLagrangian, s: LPState):
     return _dual.grad_hess(_scalar_body(sys.L), _pack(s))
 
 
-def lp_operator(sys: LPLagrangian, s2: LPState2):
+def lp_operator(sys: LPLagrangian, s2: LPState2, jet=None):
     """Equation-of-motion residual at full second-order data.
 
     Returns (base covector of length n, fiber covector of length m); both
-    vanish exactly on solutions.
+    vanish exactly on solutions.  ``jet`` is (value, gradient, Hessian) of
+    L at s2.state, as in Trajectory.jets; it is computed when None.
     """
     n, m = sys.n, sys.m
     s = s2.state
-    _, grad, H = _grad_hess(sys, s)
+    _, grad, H = _grad_hess(sys, s) if jet is None else jet
     sq, sqd, sv = slice(0, n), slice(n, 2 * n), slice(2 * n, 2 * n + m)
     G, C, Om = sys.bundle.tables(s.q)
     mu = grad[sv]
@@ -209,9 +232,15 @@ def _solve_velocity_block(M, rhs):
     if not M.size:
         return np.zeros(0)
     try:
-        cond = np.linalg.cond(M)
+        s = np.linalg.svd(M, compute_uv=False)
     except np.linalg.LinAlgError:  # the SVD does not converge on a NaN entry
         raise SingularHessian("velocity-block Hessian has a non-finite entry") from None
+    # the 2-norm condition np.linalg.cond gives, inf where s[0] / s[-1] is
+    # 0/0 or inf/inf (a zero block, or an infinite entry)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cond = s[0] / s[-1]
+    if np.isnan(cond):
+        cond = np.inf
     if not cond <= HESSIAN_COND_LIMIT:
         raise SingularHessian(
             f"velocity-block Hessian condition {cond:.3e} exceeds "
@@ -220,15 +249,17 @@ def _solve_velocity_block(M, rhs):
     return np.linalg.solve(M, rhs)
 
 
-def accelerations(sys: LPLagrangian, s: LPState):
+def accelerations(sys: LPLagrangian, s: LPState, jet=None):
     """The unique (qddot, vdot) zeroing the equation residual at s.
 
     Solves one linear system in the (qdot, v) block Hessian of L; raises
     SingularHessian when that block is non-finite or ill conditioned
-    (threshold 1e12).
+    (threshold 1e12).  ``jet`` is (value, gradient, Hessian) of L at s, as
+    in Trajectory.jets; it is computed when None.  Only s.q, s.qdot and
+    s.v are read, so integrate_lp passes its stage points as _Slots.
     """
     n, m = sys.n, sys.m
-    _, grad, H = _grad_hess(sys, s)
+    _, grad, H = _grad_hess(sys, s) if jet is None else jet
     sq, sqd, sv = slice(0, n), slice(n, 2 * n), slice(2 * n, 2 * n + m)
     G, C, Om = sys.bundle.tables(s.q)
     mu = grad[sv]
@@ -248,29 +279,50 @@ def accelerations(sys: LPLagrangian, s: LPState):
     return z[:n], z[n:]
 
 
-def energy(sys: LPLagrangian, s: LPState):
-    """E = <dL/dqdot, qdot> + <dL/dv, v> - L."""
+def energy(sys: LPLagrangian, s: LPState, grad=None):
+    """E = <dL/dqdot, qdot> + <dL/dv, v> - L.
+
+    ``grad`` is dL at s in the packed order (the gradient of its jet in
+    Trajectory.jets); it is computed when None.  L itself is evaluated on
+    floats.
+    """
     n = sys.n
-    grad = _lagrangian_gradient(sys, s)
+    grad = _lagrangian_gradient(sys, s) if grad is None else grad
     val = float(eval_map(sys.L, _pack(s)).reshape(-1)[0])
     return float(grad[n : 2 * n] @ s.qdot + grad[2 * n :] @ s.v - val)
 
 
-def _step(ydot, y, h, method):
+def _step(ydot, y, h, method, k1):
+    """One step from y, whose first stage ydot(y) is k1."""
     if method == "rk4":
-        k1 = ydot(y)
         k2 = ydot(y + 0.5 * h * k1)
         k3 = ydot(y + 0.5 * h * k2)
         k4 = ydot(y + h * k3)
         return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y + h * ydot(y)
+    return y + h * k1
 
 
-def _integrate_fixed(ydot, state_type, dom, s0, t0, t1, h, method):
+def _step_count(span, h):
+    """The number of steps of size h in span; a ValueError unless it is a
+    whole number of at least one whose time grid numpy can allocate."""
+    ratio = float(span) / float(h)
+    if not ratio < np.iinfo(np.intp).max // np.dtype(float).itemsize:
+        raise ValueError(f"{ratio:.3g} steps exceed the largest numpy array")
+    steps = int(round(ratio))
+    if steps < 1 or abs(steps * h - span) > 1e-9 * max(1.0, abs(span)):
+        raise ValueError("time span must be a whole number of steps")
+    return steps
+
+
+def _integrate_fixed(ydot, state_type, dom, s0, t0, t1, h, method, jet=None):
     """Fixed-step RK4 or Euler on the packed vector of s0's three slots.
 
     ``ydot`` maps the packed vector to its time derivative, and
-    ``state_type`` builds a state from the three slots, q first.
+    ``state_type`` builds a state from the three slots, q first.  With
+    ``jet`` (a map of the packed vector), ``ydot`` also takes jet(y) as a
+    second argument: the first stage of each step is given the jet of the
+    accepted state, and the trajectory keeps those jets, plus jet(y) at the
+    final state, in Trajectory.jets.
 
     After each step the periodic coordinates of q are wrapped and the state
     is checked: a non-finite entry raises NonFiniteState and a non-periodic
@@ -282,22 +334,26 @@ def _integrate_fixed(ydot, state_type, dom, s0, t0, t1, h, method):
         raise ValueError(f"unknown method {method!r}")
     if h <= 0:
         raise ValueError("step size must be positive")
-    span = float(t1) - float(t0)
-    steps = int(round(span / h))
-    if steps < 1 or abs(steps * h - span) > 1e-9 * max(1.0, abs(span)):
-        raise ValueError("time span must be a whole number of steps")
+    steps = _step_count(float(t1) - float(t0), h)
 
     n = dom.n
     y = np.concatenate([np.asarray(part, dtype=float) for part in s0])
     times = float(t0) + h * np.arange(steps + 1)
-    states = []
+    states, jets = [], []
+
+    def first_stage(x):
+        if jet is None:
+            return ydot(x)
+        jets.append(jet(x))
+        return ydot(x, jets[-1])
+
     # overflow and NaN are reported once, as NonFiniteState, not as warnings
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for k in range(steps + 1):
             t = float(times[k])
             if k:
                 try:
-                    y = _step(ydot, y, h, method)
+                    y = _step(ydot, y, h, method, first_stage(y))
                 except NumericalFailure as exc:
                     if exc.t is None:
                         exc.t = float(times[k - 1])
@@ -311,10 +367,11 @@ def _integrate_fixed(ydot, state_type, dom, s0, t0, t1, h, method):
             y[:n] = dom.wrap(y[:n])
             dom.require_inside(y[:n], t=t)
             states.append(state_type(y[:n], y[n : 2 * n], y[2 * n :]))
+        if jet is not None:
+            jets.append(jet(y))
 
-    return Trajectory(
-        times, states, {"integrator": method, "h": float(h), "seed": None}
-    )
+    meta = {"integrator": method, "h": float(h), "seed": None}
+    return Trajectory(times, states, meta, jets)
 
 
 def integrate_lp(sys: LPLagrangian, s0: LPState, t0, t1, h, method="rk4"):
@@ -322,17 +379,23 @@ def integrate_lp(sys: LPLagrangian, s0: LPState, t0, t1, h, method="rk4"):
 
     Raises ChartExit if a non-periodic coordinate leaves the chart,
     NonFiniteState if a step produces a non-finite state, and propagates
-    SingularHessian from the acceleration solve.
+    SingularHessian from the acceleration solve.  Each stage takes one jet
+    (value, gradient, Hessian) of L; the trajectory keeps the jet of every
+    state (see Trajectory), the final one taken without a solve.
     """
     n = sys.n
+    f = _scalar_body(sys.L)
 
-    def ydot(y):
-        st = LPState(y[:n], y[n : 2 * n], y[2 * n :])
-        qdd, vd = accelerations(sys, st)
-        return np.concatenate([st.qdot, qdd, vd])
+    def jet(y):
+        return _dual.grad_hess(f, y)
+
+    def ydot(y, j=None):
+        s = _Slots(y[:n], y[n : 2 * n], y[2 * n :])
+        qdd, vd = accelerations(sys, s, jet=jet(y) if j is None else j)
+        return np.concatenate([s.qdot, qdd, vd])
 
     return _integrate_fixed(
-        ydot, LPState, sys.bundle.base, (s0.q, s0.qdot, s0.v), t0, t1, h, method
+        ydot, LPState, sys.bundle.base, (s0.q, s0.qdot, s0.v), t0, t1, h, method, jet
     )
 
 
@@ -377,14 +440,19 @@ def _current(n, grad, etaQ):
     return float(grad[n : 2 * n] @ etaQ)
 
 
-def noether_current(sys: LPLagrangian, act: GroupAction, s: LPState, eta):
-    """J = <dL/dqdot, genQ(eta, q)>; linear in eta."""
-    grad = _lagrangian_gradient(sys, s)
+def noether_current(
+    sys: LPLagrangian, act: GroupAction, s: LPState, eta, grad=None
+):
+    """J = <dL/dqdot, genQ(eta, q)>; linear in eta.  ``grad`` is dL at s,
+    as for energy; it is computed when None."""
+    grad = _lagrangian_gradient(sys, s) if grad is None else grad
     etaQ = np.asarray(act.genQ(np.asarray(eta, dtype=float), s.q), dtype=float)
     return _current(sys.n, grad, etaQ)
 
 
-def noether_drift_residual(sys: LPLagrangian, act: GroupAction, traj: Trajectory, eta):
+def noether_drift_residual(
+    sys: LPLagrangian, act: GroupAction, traj: Trajectory, eta, grads=None
+):
     """The current series and the residual of its drift identity.
 
     Returns (J, residual): J = noether_current at every state of ``traj``,
@@ -395,7 +463,9 @@ def noether_drift_residual(sys: LPLagrangian, act: GroupAction, traj: Trajectory
     dJ/dt uses the centered 5-point stencil, so the residual has
     len(traj) - 4 entries.  Vanishes (to integrator accuracy) along
     solutions of an invariant Lagrangian.  One gradient per state serves
-    J and mu.
+    J and mu: ``grads`` (one dL per state, such as the gradients of
+    traj.jets for the Lagrangian that was integrated), or one computed here
+    when None.
     """
     N = len(traj)
     if N < 5:
@@ -408,7 +478,8 @@ def noether_drift_residual(sys: LPLagrangian, act: GroupAction, traj: Trajectory
 
     eta = np.asarray(eta, dtype=float)
     n = sys.n
-    grads = [_lagrangian_gradient(sys, s) for s in traj.states]
+    if grads is None:
+        grads = [_lagrangian_gradient(sys, s) for s in traj.states]
     etaQs = [np.asarray(act.genQ(eta, s.q), dtype=float) for s in traj.states]
     J = np.array([_current(n, grad, etaQ) for grad, etaQ in zip(grads, etaQs)])
     out = np.empty(N - 4)

@@ -414,7 +414,8 @@ def check_axioms(
     the last sample attaining the largest residual.  A non-finite residual
     or scale fails its condition; a NaN one is reported with the first
     sample giving it, and that sample's residual and scale.  Deterministic
-    for a fixed seed.
+    for a fixed seed.  On a point base the one point is evaluated once and
+    stands for all n_samples.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample point")
@@ -443,7 +444,8 @@ def check_axioms(
         if resid >= rec[0]:
             rec[0], rec[1] = resid, q.copy()
 
-    for _ in range(n_samples):
+    # a point base (n = 0) has one point, and every sample would repeat it
+    for _ in range(n_samples if n else 1):
         q = b.base.sample(rng)
         G, C, Om = b.tables(q)
 

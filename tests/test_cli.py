@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from lpmech import dynamics
+from lpmech import _dual
 from lpmech.cli import _numbers, main
 from lpmech.errors import ConfigError
 
@@ -292,6 +292,25 @@ _SIMULATE = "system: free_particle_planar\n"
             [],
             "initial: unknown key 'w'",
         ),
+
+        (
+            "simulate",
+            _SIMULATE,
+            ["--t-end", "1", "--dt", "1e-300"],
+            "t_end/dt: 1e+300 steps exceed the largest numpy array (t_end 1, dt 1e-300)",
+        ),
+        (
+            "noether",
+            _SIMULATE + "t_end: 1.0e+300\ndt: 1\n",
+            [],
+            "t_end/dt: 1e+300 steps exceed the largest numpy array",
+        ),
+        (
+            "stages",
+            _STAGES + "t_end: 1\ndt: 0.3\n",
+            [],
+            "t_end/dt: time span must be a whole number of steps (t_end 1, dt 0.3)",
+        ),
     ],
     ids=[
         "samples-axioms",
@@ -338,6 +357,9 @@ _SIMULATE = "system: free_particle_planar\n"
         "group-key-of-another-group",
         "representation-unknown-key",
         "initial-unknown-key",
+        "grid-too-fine-flag",
+        "grid-too-long-config",
+        "grid-not-whole-stages",
     ],
 )
 def test_out_of_range_settings_are_config_errors(
@@ -967,23 +989,33 @@ def test_noether_zero_generator_gives_zero_columns(tmp_path):
     assert report["residual_max"][1] == 0.0
 
 
-def test_noether_takes_one_gradient_per_state_and_generator(tmp_path, monkeypatch):
-    """The current series and the drift residual share one gradient of L at
-    each state: 21 states and 3 generators make 63 gradient passes."""
-    calls = []
-    gradient = dynamics._lagrangian_gradient
+def test_simulate_and_noether_take_no_ad_pass_beyond_the_integration(
+    tmp_path, monkeypatch
+):
+    """Energy, currents, equation residuals and drift residuals read the
+    integrator's jets: a 20-step RK4 run makes one grad_hess per stage plus
+    one at the final state (4 * 20 + 1) and no gradient pass."""
+    counts = {}
 
-    def counted(sys, s):
-        calls.append(s)
-        return gradient(sys, s)
+    def counting(name):
+        inner = getattr(_dual, name)
 
-    monkeypatch.setattr(dynamics, "_lagrangian_gradient", counted)
-    argv = ["noether", "--system", "free_particle_planar", "--t-end", "0.02"]
-    code = main(argv + ["--dt", "0.001", "--out", str(tmp_path)])
-    assert code == 0
-    report = read_json(tmp_path, "noether_report.json")
-    assert report["generators"] == 3 and report["rows"] == 21 - 4
-    assert len(calls) == 3 * 21
+        def counted(*args):
+            counts[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(_dual, name, counted)
+
+    counting("grad_hess")
+    counting("gradient")
+    argv = ["--system", "free_particle_planar", "--t-end", "0.02", "--dt", "0.001"]
+    for command in ("noether", "simulate"):
+        counts.update(grad_hess=0, gradient=0)
+        assert main([command, *argv, "--out", str(tmp_path)]) == 0
+        assert counts == {"grad_hess": 4 * 20 + 1, "gradient": 0}, command
+    assert read_json(tmp_path, "noether_report.json")["rows"] == 21 - 4
+    report = read_json(tmp_path, "simulate_report.json")
+    assert report["rows"] == 21 and len(report["noether"]["series"]) == 3
 
 
 def test_noether_coupled_two_form_drifts_with_small_residual(tmp_path):

@@ -6,10 +6,12 @@ discretized action under constrained fiber variations must match the
 integrated residual pairing to second order in the grid spacing.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
-from lpmech import _dual
+from lpmech import _dual, dynamics
 from lpmech.dynamics import (
     GroupAction,
     LPLagrangian,
@@ -120,6 +122,23 @@ def test_trajectory_validation():
     tr = Trajectory([0.0, 0.1], [s, s], {"integrator": "rk4"})
     assert len(tr) == 2
     assert tr.q_array().shape == (2, 1)
+    assert tr.jets == ()
+    with pytest.raises(ValueError, match="one jet per state"):
+        Trajectory([0.0, 0.1], [s, s], jets=[(0.5, np.zeros(2), np.zeros((2, 2)))])
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+def test_integration_keeps_the_jet_of_every_state(method):
+    """One jet per state, equal bit for bit to a fresh grad_hess there: the
+    first stage of each step and one more at the final state."""
+    sys, _, _ = twisted_system()
+    s0 = LPState([0.2, 0.1], [0.5, -0.2], [0.3, -0.1])
+    traj = integrate_lp(sys, s0, 0.0, 0.05, 0.01, method)
+    assert len(traj.jets) == len(traj) == 6
+    for s, (val, grad, H) in zip(traj.states, traj.jets):
+        want = dynamics._grad_hess(sys, s)
+        assert val == want[0]
+        assert np.array_equal(grad, want[1]) and np.array_equal(H, want[2])
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +348,20 @@ def test_degenerate_lagrangian_rejected():
         accelerations(sys, LPState([0.0], [0.0], []))
     qdd, _ = accelerations(sys, LPState([0.0], [1.0], []))
     assert np.allclose(qdd, 0.0, atol=1e-12)
+
+
+def test_singular_block_reports_an_infinite_condition():
+    """A velocity block whose smallest singular value is 0 reports condition
+    inf, as np.linalg.cond does, and warns of nothing: the zero block (0/0)
+    and diag(1, 0) (1/0)."""
+    chart = LPBundleChart(box(1), 1)
+    zero = LPLagrangian.from_callable(chart, lambda q, qd, v: 0.25 * qd[0] ** 4)
+    rank_one = LPLagrangian.from_callable(chart, lambda q, qd, v: 0.5 * qd[0] ** 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sys in (zero, rank_one):
+            with pytest.raises(SingularHessian, match="condition inf exceeds"):
+                accelerations(sys, LPState([0.0], [0.0], [0.0]))
 
 
 # ---------------------------------------------------------------------------

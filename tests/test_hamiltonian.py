@@ -282,7 +282,7 @@ def test_integrate_free_flow_and_casimirs():
     )
     s0 = HPState([0.1, -0.2], [0.4, 0.3], [0.7, -0.5])
     traj = integrate_hp(b, H, s0, 0.0, 1.0, 0.05)
-    assert len(traj) == 21
+    assert len(traj) == 21 and traj.jets == ()  # no Lagrangian jets on the dual side
     # with c = 0 and Gamma = 0 the fiber covector is a Casimir: frozen bitwise
     for s in traj.states:
         assert np.array_equal(s.nu, s0.nu)

@@ -1,12 +1,17 @@
 """Catalog systems: wiring, conservation behavior, documented expectations."""
 
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from lpmech import _dual
+from lpmech import _dual, dynamics, lpbundle
+from lpmech.cli import _lp_residual_max, bundle_from_config, polynomial_map
 from lpmech.dynamics import (
+    GroupAction,
+    LPLagrangian,
     LPState,
     accelerations,
     energy,
@@ -18,6 +23,7 @@ from lpmech.dynamics import (
 from lpmech.lpbundle import check_axioms
 from lpmech.systems import (
     CATALOG,
+    SystemRecord,
     _inverse_times,
     _unitriangular_inverse,
     build_system,
@@ -315,3 +321,113 @@ def test_drift_residual_returns_the_current_series(name, data):
     want = [noether_current(rec.lagrangian, rec.action, s, eta) for s in traj.states]
     assert J.tolist() == want
     assert residual.shape == (len(traj) - 4,)
+
+
+@pytest.mark.parametrize(
+    "name", ["rigid_body", "parameter_lagrangian", "heisenberg_stages"]
+)
+def test_point_base_axiom_report_is_its_one_sample(name, monkeypatch):
+    """On a point base every sample is the one point: the 100-sample report
+    equals the one-sample report but for the count, and the point is
+    evaluated once (three Jacobians)."""
+    bundle = build_system(name).bundle
+    assert bundle.n == 0
+    calls = []
+    jacobian = lpbundle.jacobian
+    monkeypatch.setattr(
+        lpbundle, "jacobian", lambda *args: calls.append(args) or jacobian(*args)
+    )
+    full = check_axioms(bundle, n_samples=100, seed=5)
+    assert len(calls) == 3
+    one = check_axioms(bundle, n_samples=1, seed=5)
+    assert full.n_samples == 100 and one.n_samples == 1
+    assert {**full.as_dict(), "n_samples": 1} == one.as_dict()
+    assert full.as_text().replace("100 samples", "1 samples") == one.as_text()
+
+
+def _inline_polynomial():
+    """A polynomial Lagrangian on a bundle with constant Gamma and omega,
+    read as the CLI reads an inline config, with the translations of q2 as
+    a generator (L is not invariant under them; the current still exists)."""
+    bundle = bundle_from_config({
+        "n": 2,
+        "m": 1,
+        "gamma": {"constant": [[[0.4]], [[-0.2]]]},
+        "omega": {"constant": [[[0.0, 0.3], [-0.3, 0.0]]]},
+    })
+    terms = [
+        {"powers": powers, "coeff": coeff}
+        for powers, coeff in (
+            ([0, 0, 2, 0, 0], 0.5),
+            ([0, 0, 0, 2, 0], 0.7),
+            ([0, 0, 0, 0, 2], 0.6),
+            ([0, 0, 1, 0, 1], 0.1),
+            ([1, 0, 0, 1, 0], 0.2),
+            ([2, 0, 0, 0, 0], -0.3),
+            ([0, 0, 2, 0, 1], 0.05),
+            ([0, 1, 0, 0, 2], 0.1),
+        )
+    ]
+    L = polynomial_map(5, (), terms, "lagrangian")
+    action = GroupAction(
+        1, lambda eta, q: np.array([0.0, eta[0]]), lambda eta, q, v: 0.0 * v
+    )
+    initial = LPState([0.1, -0.2], [0.3, 0.2], [0.4])
+    return SystemRecord(
+        "inline", bundle, LPLagrangian(bundle, L), action=action, initial=initial
+    )
+
+
+_VARIANTS = {
+    **{name: functools.partial(build_system, name) for name in CATALOG},
+    "flat_bundle_particle-closed": functools.partial(
+        build_system, "flat_bundle_particle", omega_mode="closed"
+    ),
+    "inline": _inline_polynomial,
+}
+
+
+@functools.cache
+def _variant(name):
+    return _VARIANTS[name]()
+
+
+# no shrink phase: each example integrates, and a failure is plain as drawn
+@pytest.mark.parametrize("name", sorted(_VARIANTS))
+@settings(max_examples=15, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(
+    steps=st.integers(5, 8),
+    method=st.sampled_from(["rk4", "euler"]),
+    data=st.data(),
+)
+def test_diagnostics_from_the_jets_equal_fresh_passes(name, steps, method, data):
+    """Energy, every current, the drift residuals and the equation residual
+    read off the integrator's jets equal fresh AD passes at the same states,
+    bit for bit."""
+    rec = _variant(name)
+    sys, s0 = rec.lagrangian, rec.initial
+
+    def kick(size, width):
+        return np.array(
+            data.draw(st.lists(st.floats(-width, width), min_size=size, max_size=size))
+        )
+
+    s0 = LPState(
+        s0.q + kick(sys.n, 0.05), s0.qdot + kick(sys.n, 0.2), s0.v + kick(sys.m, 0.2)
+    )
+    traj = integrate_lp(sys, s0, 0.0, steps * 0.01, 0.01, method)
+    grads = [grad for _, grad, _ in traj.jets]
+    for s, grad in zip(traj.states, grads):
+        assert grad.tolist() == dynamics._lagrangian_gradient(sys, s).tolist()
+        assert energy(sys, s, grad=grad) == energy(sys, s)
+    fresh = [None] * len(traj)  # accelerations and lp_operator take their own pass
+    assert _lp_residual_max(sys, traj, traj.jets) == _lp_residual_max(sys, traj, fresh)
+    if rec.action is None:
+        return
+    for eta in np.eye(rec.action.dim_g):
+        for s, grad in zip(traj.states, grads):
+            want = noether_current(sys, rec.action, s, eta)
+            assert noether_current(sys, rec.action, s, eta, grad=grad) == want
+        J, residual = noether_drift_residual(sys, rec.action, traj, eta, grads=grads)
+        J0, residual0 = noether_drift_residual(sys, rec.action, traj, eta)
+        assert J.tolist() == J0.tolist() and residual.tolist() == residual0.tolist()
