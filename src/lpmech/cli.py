@@ -222,14 +222,6 @@ def _resolve_tol(cfg, args, default):
     return tol
 
 
-def _integrate(sys_, s0, t_end, dt, method):
-    """Run the integrator, turning grid-setup complaints into config errors."""
-    try:
-        return integrate_lp(sys_, s0, 0.0, t_end, dt, method=method)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
 # ---------------------------------------------------------------------------
 # polynomial tables
 
@@ -490,10 +482,10 @@ def cmd_simulate(cfg, args):
     out = _resolve_out(cfg, args)
     sys_ = record.lagrangian
 
-    traj = _integrate(sys_, s0, t_end, dt, method)
+    traj = integrate_lp(sys_, s0, 0.0, t_end, dt, method)
     # the integrator's jets of sys_ serve every diagnostic: no further AD pass
     grads = [grad for _, grad, _ in traj.jets]
-    energies = [energy(sys_, s, grad=g) for s, g in zip(traj.states, grads)]
+    energies = [energy(sys_, s, jet=jet) for s, jet in zip(traj.states, traj.jets)]
     drift = float(max(abs(e - energies[0]) for e in energies))
     resid = _lp_residual_max(sys_, traj, traj.jets)
 
@@ -593,7 +585,7 @@ def cmd_reduce(cfg, args):
     if record is not None and record.lagrangian is not None:
         s0 = resolve_initial(cfg, record)
         t_end, dt, method = _resolve_run(cfg, args)
-        traj = _integrate(record.lagrangian, s0, t_end, dt, method)
+        traj = integrate_lp(record.lagrangian, s0, 0.0, t_end, dt, method)
         write_trajectory_csv(os.path.join(out, "reduced_trajectory.csv"), traj)
         trajectory_rows = len(traj)
 
@@ -601,8 +593,8 @@ def cmd_reduce(cfg, args):
         "system": record.name if record is not None else "inline scenario",
         "group": scenario.G.name,
         "base_dim": scenario.baseB.n,
-        "algebra_dim": handle.k,
-        "aux_dim": handle.dim_w,
+        "algebra_dim": scenario.k,
+        "aux_dim": scenario.dim_w,
         "fiber_dim": handle.bundle.m,
         "axioms": handle.provenance["axioms"],
         "structure_samples": n_dump,
@@ -654,9 +646,9 @@ def cmd_stages(cfg, args):
     messages = [str(w.message) for w in caught]
 
     s0 = resolve_initial(cfg, record)
-    direct = _integrate(record.lagrangian, s0, t_end, dt, method)
-    staged = _integrate(
-        staged_sys, LPState(s0.q, s0.qdot, res.beta @ s0.v), t_end, dt, method
+    direct = integrate_lp(record.lagrangian, s0, 0.0, t_end, dt, method)
+    staged = integrate_lp(
+        staged_sys, LPState(s0.q, s0.qdot, res.beta @ s0.v), 0.0, t_end, dt, method
     )
     dev = 0.0
     for sd, ss in zip(direct.states, staged.states):
@@ -708,6 +700,12 @@ def cmd_noether(cfg, args):
     act = record.action
     s0 = resolve_initial(cfg, record)
     t_end, dt, method = _resolve_run(cfg, args)
+    steps = _step_count(t_end, dt)
+    if steps < 4:
+        raise ConfigError(
+            f"t_end/dt: the 5-point stencil of the drift residual needs at least "
+            f"4 steps, got {steps} (t_end {t_end:g}, dt {dt:g})"
+        )
     seed = _resolve_seed(args.seed, cfg)
     out = _resolve_out(cfg, args)
     sys_ = record.lagrangian
@@ -717,15 +715,12 @@ def cmd_noether(cfg, args):
         raise ConfigError("etas: expected a nonempty list of algebra vectors")
     etas = _numbers(etas, "etas", (len(etas), act.dim_g))
 
-    traj = _integrate(sys_, s0, t_end, dt, method)
+    traj = integrate_lp(sys_, s0, 0.0, t_end, dt, method)
     N = len(traj)
     grads = [grad for _, grad, _ in traj.jets]
-    try:
-        currents, residuals = zip(
-            *(noether_drift_residual(sys_, act, traj, eta, grads=grads) for eta in etas)
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    currents, residuals = zip(
+        *(noether_drift_residual(sys_, act, traj, eta, grads=grads) for eta in etas)
+    )
 
     header = ["t"]
     header += [f"J{g + 1}" for g in range(len(etas))]
@@ -745,9 +740,7 @@ def cmd_noether(cfg, args):
         "current_drift_max": [
             float(max(abs(x - col[0]) for x in col)) for col in currents
         ],
-        "residual_max": [
-            float(np.max(np.abs(col))) if col.size else 0.0 for col in residuals
-        ],
+        "residual_max": [float(np.max(np.abs(col))) for col in residuals],
         "t_end": t_end,
         "dt": dt,
         "seed": seed,

@@ -279,17 +279,19 @@ def accelerations(sys: LPLagrangian, s: LPState, jet=None):
     return z[:n], z[n:]
 
 
-def energy(sys: LPLagrangian, s: LPState, grad=None):
+def energy(sys: LPLagrangian, s: LPState, jet=None):
     """E = <dL/dqdot, qdot> + <dL/dv, v> - L.
 
-    ``grad`` is dL at s in the packed order (the gradient of its jet in
-    Trajectory.jets); it is computed when None.  L itself is evaluated on
-    floats.
+    ``jet`` is (value, gradient, Hessian) of L at s, as in Trajectory.jets,
+    and gives L and dL; when None, L is evaluated on floats and dL takes one
+    gradient pass.
     """
     n = sys.n
-    grad = _lagrangian_gradient(sys, s) if grad is None else grad
-    val = float(eval_map(sys.L, _pack(s)).reshape(-1)[0])
-    return float(grad[n : 2 * n] @ s.qdot + grad[2 * n :] @ s.v - val)
+    if jet is None:
+        val, grad = eval_map(sys.L, _pack(s)).reshape(-1)[0], _lagrangian_gradient(sys, s)
+    else:
+        val, grad, _ = jet
+    return float(grad[n : 2 * n] @ s.qdot + grad[2 * n :] @ s.v - float(val))
 
 
 def _step(ydot, y, h, method, k1):

@@ -4,7 +4,9 @@ A scenario is a trivialized bundle Q = B x G with a local connection form
 and, optionally, a linear G-action on an auxiliary vector fiber W.  From
 this the module builds the reduced bundle chart over B with fiber
 (algebra + W), reduces invariant Lagrangians, projects trajectories, and
-performs two-stage reduction through a central normal subgroup.
+performs two-stage reduction through an abelian normal subgroup N with
+abelian quotient K.  One construction serves both stages: stage 2 reduces
+the stage-1 bundle, whose two-form it takes as input, with g = n s(k).
 
 Conventions: the group acts on the left, h.(x, g) = (x, h g); reduced
 fiber coordinates are the body values xi = coords(g^-1 gdot) + A(x) xdot
@@ -143,12 +145,10 @@ def curvature_form(sc: PrincipalScenario, x):
 class ReducedBundleHandle:
     bundle: LPBundleChart
     scenario: PrincipalScenario
-    k: int
-    dim_w: int
     provenance: dict = field(default_factory=dict)
 
 
-def _reduced_structure_maps(sc: PrincipalScenario):
+def _reduced_structure_maps(sc: PrincipalScenario, two_form=None):
     d, k, w = sc.baseB.n, sc.k, sc.dim_w
     m = k + w
     c = sc._c
@@ -165,11 +165,28 @@ def _reduced_structure_maps(sc: PrincipalScenario):
         c_red[k:, k:, :k] = -gen.transpose(1, 2, 0)
     bracket = c.transpose(1, 2, 0)  # bracket[g, h, a] = c[a, g, h]
 
+    def lifted(x):
+        """two_form at (x, 0) and the horizontal lift P = [I; -A^T] of the
+        base into base x group coordinates, shapes (w, d + k, d + k), (d + k, d)."""
+        pt = np.concatenate([np.asarray(x, dtype=object), np.zeros(k).astype(object)])
+        P = np.concatenate([np.eye(d), -eval_map(sc.A, x).T])
+        return eval_map(two_form, pt), P
+
+    def c_body(x):
+        O, _ = lifted(x)
+        out = c_red.astype(object)
+        out[k:, :k, :k] -= O[:, d:, d:]
+        return out
+
     def gamma_body(x):
         A = eval_map(sc.A, x)
         out = np.zeros((d, m, m)).astype(A.dtype)
         for blk, negT in blocks:
             out[:, blk, blk] = np.einsum("gab,ig->iab", negT, A)
+        if two_form is not None:
+            O, P = lifted(x)
+            out = out.astype(object)  # O may be an object table at a float x
+            out[:, k:, :k] -= np.einsum("vi,pvb->ipb", P, O[:, :, d:])
         return out
 
     def omega_body(x):
@@ -181,11 +198,16 @@ def _reduced_structure_maps(sc: PrincipalScenario):
         alg = np.subtract.reduce(
             np.concatenate([_exterior_derivative(sc.A, x)[None], terms.reshape(k * k, k, d, d)])
         )
-        return np.concatenate([alg, np.zeros((w, d, d))])
+        if two_form is None:
+            return np.concatenate([alg, np.zeros((w, d, d))])
+        O, P = lifted(x)
+        return np.concatenate([alg, np.einsum("vi,pvu,uj->pij", P, O, P)])
 
     Gamma = SmoothMap(d, d * m * m, gamma_body, out_shape=(d, m, m), name="Gamma_red")
     Omega = SmoothMap(d, m * d * d, omega_body, out_shape=(m, d, d), name="omega_red")
-    return Gamma, c_red, Omega
+    if two_form is None:
+        return Gamma, c_red, Omega
+    return Gamma, SmoothMap(d, m**3, c_body, out_shape=(m, m, m), name="c_red"), Omega
 
 
 def require_axioms(report, what):
@@ -198,24 +220,25 @@ def require_axioms(report, what):
     return report
 
 
-def build_reduced_bundle(sc: PrincipalScenario, n_samples=100, seed=0):
+def build_reduced_bundle(sc: PrincipalScenario, n_samples=100, seed=0, two_form=None):
     """Reduced bundle chart over the scenario base; must pass the axioms.
 
     The fiber is algebra + W with the adjoint/representation connection
     blocks and the reduced two-form dA - [A, A] on the algebra rows.
+    ``two_form`` makes W the fiber of an LP bundle over B x G with zero
+    bracket and connection: it maps (x, group coordinates) to that bundle's
+    W-valued two-form Omega, shape (w, d + k, d + k).  Read at group
+    coordinate 0 and pulled back along the lift P = [I; -A^T], it gives
+    c[W, alg, alg] -= Omega, Gamma[:, W, alg] -= P^T Omega and the W rows
+    P^T Omega P of the two-form.
     """
-    Gamma, c_red, Omega = _reduced_structure_maps(sc)
+    Gamma, c_red, Omega = _reduced_structure_maps(sc, two_form)
     bundle = LPBundleChart(sc.baseB, sc.k + sc.dim_w, Gamma=Gamma, c=c_red, omega=Omega)
     report = require_axioms(
         check_axioms(bundle, n_samples=n_samples, seed=seed), "reduced bundle"
     )
-    return ReducedBundleHandle(
-        bundle,
-        sc,
-        sc.k,
-        sc.dim_w,
-        {"construction": "adjoint/representation blocks", "axioms": report.as_dict()},
-    )
+    provenance = {"construction": "adjoint/representation blocks", "axioms": report.as_dict()}
+    return ReducedBundleHandle(bundle, sc, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +419,7 @@ class StagesResult:
     kidx: tuple
     structure_deviation: float
     compatibility_deviation: float
-    A_K: SmoothMap
+    scenario: PrincipalScenario
 
 
 def _embed(coords, idx, k):
@@ -425,16 +448,20 @@ def subgroup_indices(nidx, k):
 
 
 def stages_reduce(direct: ReducedBundleHandle, nidx, override_A_N=None, seed=0):
-    """Reduce by a central normal subgroup N, then by the abelian K = G/N.
+    """Reduce by an abelian normal subgroup N, then by the abelian K = G/N.
 
-    ``direct`` is the caller's build_reduced_bundle handle; its scenario is
-    staged and its tables are the reference, so only stages 1 and 2 are
-    axiom-checked here.  Returns both stage handles and the fiber reshuffle
-    beta identifying the direct reduction with the composition.  The
-    canonical intermediate connection is the N-projection of the scenario
-    form dressed by the section of K; overriding it skips the exactness
-    guarantee and reports the deviation instead.  Both deviations are
-    sampled at STAGES_SAMPLES seeded points; a NaN one fails the gate.
+    ``direct`` is the caller's build_reduced_bundle handle: its scenario is
+    staged and its tables are the reference.  Each stage is one
+    build_reduced_bundle call, so two axiom checks.  Stage 1 reduces by N
+    over B x K, with g = n(nu) s(kc) and the section s(kc) = exp(kc).
+    Stage 2 reduces the stage-1 bundle by K, which translates kc and acts on
+    the fiber n by Ad_s(kc); that bundle's bracket and connection are zero,
+    so it hands on only its two-form.  Returns both stage handles and the
+    fiber reshuffle beta identifying the direct reduction with the
+    composition.  The canonical intermediate connection is the N-projection
+    of the scenario form dressed by the section of K; overriding it skips the
+    exactness guarantee and reports the deviation instead.  Both deviations
+    are sampled at STAGES_SAMPLES seeded points; a NaN one fails the gate.
     """
     sc = direct.scenario
     d, k = sc.baseB.n, sc.k
@@ -451,25 +478,30 @@ def stages_reduce(direct: ReducedBundleHandle, nidx, override_A_N=None, seed=0):
         raise NotNormal(
             f"span of basis indices {nidx} is not an ideal (residual {worst:.2e})"
         )
-    if not _max_abs(c[:, :, N]) <= 1e-12:
-        raise NotSupported("only central normal subgroups are supported")
+    if not _max_abs(c[np.ix_(N, N, N)]) <= 1e-12:
+        raise NotSupported("the normal subgroup must be abelian")
     if not _max_abs(c[np.ix_(K, K, K)]) <= 1e-12:
         raise NotSupported("quotient by the subgroup must be abelian")
 
     G = sc.G
     section = partial(_subgroup_exp, G, kidx)
+    gen = c[np.ix_(N, K, N)].transpose(1, 0, 2)  # gen[j][p, q] = c[N_p, K_j, N_q]
+
+    def ad_n(s, sinv):
+        """Ad_s on n in the N coordinates: column q is s e_{N_q} s^-1."""
+        return np.array([G.unhat(s @ G.basis[i] @ sinv)[N] for i in N]).T
 
     def a_n_body(xk):
-        """N-block of s(kc)^-1 (A_G(x) dx + ds) in the coordinates (x, kc)."""
+        """N-block of s(kc)^-1 (A_G(x) dx + ds), carried to the stage-1
+        fiber by Ad_s(kc), in the coordinates (x, kc)."""
         x, kc = xk[:d], xk[d:]
         sinv = G.exp(-_embed(kc, kidx, k))
-        ds = [
-            _dual.directional(section, np.asarray(kc, dtype=object), e)[1]
-            for e in np.eye(s_dim)
-        ]
-        rows = np.concatenate([eval_map(sc.A, x), [G.unhat(sinv @ m) for m in ds]])
+        jets = [_dual.directional(section, np.asarray(kc, dtype=object), e) for e in np.eye(s_dim)]
+        rows = np.concatenate([eval_map(sc.A, x), [G.unhat(sinv @ ds) for _, ds in jets]])[:, N]
+        if gen.any():  # K acts on n; on a central n, Ad_s(kc) is the identity
+            rows = rows @ ad_n(jets[0][0], sinv).T
         # through a list, so the table is a float array when no entry is a dual
-        return np.array(rows[:, N].tolist())
+        return np.array(rows.tolist())
 
     canonical = SmoothMap(d + s_dim, (d + s_dim) * r, a_n_body, out_shape=(d + s_dim, r))
     if override_A_N is not None:
@@ -503,43 +535,9 @@ def stages_reduce(direct: ReducedBundleHandle, nidx, override_A_N=None, seed=0):
     stage1 = build_reduced_bundle(PrincipalScenario(base1, abelian(r), A_N))
 
     A_K = SmoothMap(d, d * s_dim, lambda x: eval_map(sc.A, x)[:, K], out_shape=(d, s_dim))
-
-    # stage-2 chart over B: fiber = quotient algebra + residual N-block; its
-    # tables are blocks of the stage-1 two-form at (x, 0), pulled back along
-    # the A_K horizontal lift P = [I; -A_K^T] of B into B x K
-    m2 = s_dim + r
-
-    def stage1_two_form(x):
-        """Omega_1 at (x, 0) and the lift P, shapes (r, d + s, d + s), (d + s, d)."""
-        pt = np.concatenate([np.asarray(x, dtype=object), np.zeros(s_dim).astype(object)])
-        P = np.concatenate([np.eye(d), -eval_map(A_K, x).T])
-        return eval_map(stage1.bundle.omega, pt), P
-
-    def c2_body(x):
-        O1, _ = stage1_two_form(x)
-        C2 = np.zeros((m2, m2, m2)).astype(O1.dtype)
-        C2[s_dim:, :s_dim, :s_dim] = -O1[:, d:, d:]
-        return C2
-
-    def gamma2_body(x):
-        O1, P = stage1_two_form(x)
-        G2 = np.zeros((d, m2, m2)).astype(O1.dtype)
-        G2[:, s_dim:, :s_dim] = -np.einsum("vi,pvb->ipb", P, O1[:, :, d:])
-        return G2
-
-    def omega2_body(x):
-        O1, P = stage1_two_form(x)
-        return np.concatenate(
-            [_exterior_derivative(A_K, x), np.einsum("vi,pvu,uj->pij", P, O1, P)]
-        )
-
-    Gamma2 = SmoothMap(d, d * m2 * m2, gamma2_body, out_shape=(d, m2, m2))
-    Omega2 = SmoothMap(d, m2 * d * d, omega2_body, out_shape=(m2, d, d))
-    C2 = SmoothMap(d, m2**3, c2_body, out_shape=(m2, m2, m2))
-    bundle2 = LPBundleChart(sc.baseB, m2, Gamma=Gamma2, c=C2, omega=Omega2)
-    report2 = require_axioms(check_axioms(bundle2), "two-stage bundle")
-    stage2 = ReducedBundleHandle(
-        bundle2, sc, s_dim, r, {"construction": "two-stage slice", "axioms": report2.as_dict()}
+    rep = RepW(r, gen, lambda h: ad_n(section(h[:s_dim, -1]), section(-h[:s_dim, -1])))
+    stage2 = build_reduced_bundle(
+        PrincipalScenario(sc.baseB, abelian(s_dim), A_K, rep), two_form=stage1.bundle.omega
     )
 
     beta = np.eye(k)[K + N]
@@ -550,7 +548,7 @@ def stages_reduce(direct: ReducedBundleHandle, nidx, override_A_N=None, seed=0):
     for _ in range(STAGES_SAMPLES):
         x = sc.baseB.sample(rng)
         Gd, Cd, Od = direct.bundle.tables(x)
-        G2v, C2v, O2v = bundle2.tables(x)
+        G2v, C2v, O2v = stage2.bundle.tables(x)
         sdev = _max_abs(
             sdev,
             np.einsum("pa,iab,qb->ipq", beta, Gd, beta) - G2v,
@@ -563,19 +561,19 @@ def stages_reduce(direct: ReducedBundleHandle, nidx, override_A_N=None, seed=0):
             f"through beta (deviation {sdev:.3e})"
         )
 
-    return StagesResult(stage1, stage2, beta, nidx, kidx, sdev, compat_dev, A_K)
+    return StagesResult(stage1, stage2, beta, nidx, kidx, sdev, compat_dev, sc)
 
 
 def two_stage_lagrangian(res: StagesResult, L):
     """(L reduced by N) reduced by K, on the stage-2 bundle.
 
-    L lives on the scenario that ``res`` staged, ``res.stage2.scenario``.
-    Built through the honest composition: the stage-1 reduction runs the
-    generic quotient machinery over base B x K, and the K-stage applies the
-    same connection-corrected body velocity.  Nothing here looks at the
-    direct reduction, so comparing the two is a real consistency test.
+    L lives on the scenario that ``res`` staged, ``res.scenario``.  Built
+    through the honest composition: the stage-1 reduction runs the generic
+    quotient machinery over base B x K at g = n(nu) s(kc), and the K-stage
+    applies the same connection-corrected body velocity.  Nothing here looks
+    at the direct reduction, so comparing the two is a real consistency test.
     """
-    sc = res.stage2.scenario
+    sc = res.scenario
     d = sc.baseB.n
     r, s_dim = len(res.nidx), len(res.kidx)
     section = partial(_subgroup_exp, sc.G, res.kidx)
@@ -589,14 +587,14 @@ def two_stage_lagrangian(res: StagesResult, L):
         _, nG_dot = _dual.directional(n_of, np.asarray(nu, dtype=object), nudot)
         s_mat = section(kc)
         _, s_dot = _dual.directional(section, np.asarray(kc, dtype=object), kcdot)
-        g = s_mat @ nG
-        gdot = s_dot @ nG + s_mat @ nG_dot
+        g = nG @ s_mat
+        gdot = nG_dot @ s_mat + nG @ s_dot
         return L(x, xdot, g, gdot, w)
 
     l1 = reduce_lagrangian(res.stage1, L1)
 
     def f2(x, xdot, va):
-        kdot = _body_velocity(eval_map(res.A_K, x), xdot, va)
+        kdot = _body_velocity(eval_map(res.stage2.scenario.A, x), xdot, va)
         xk = np.concatenate([np.asarray(x, dtype=object), np.zeros(s_dim, dtype=object)])
         xkdot = np.concatenate([np.asarray(xdot, dtype=object), kdot])
         return l1.value(xk, xkdot, va[s_dim:])

@@ -288,6 +288,11 @@ def test_criterion_02_reduced_bundles_satisfy_closure_axioms():
     res = _heis_stages()
     bundles.append(("nilpotent stage 1", res.stage1.bundle))
     bundles.append(("nilpotent stage 2", res.stage2.bundle))
+    # non-central ideals: the quotient acts on the stage-1 fiber
+    for nidx in ((0, 2), (1, 2)):
+        res = stages_reduce(_record("heisenberg_stages").handle, nidx)
+        bundles.append((f"nilpotent {nidx} stage 1", res.stage1.bundle))
+        bundles.append((f"nilpotent {nidx} stage 2", res.stage2.bundle))
 
     verdicts = [
         (name, check_axioms(b, n_samples=100, seed=11, tol=1e-8).passed)

@@ -311,6 +311,13 @@ _SIMULATE = "system: free_particle_planar\n"
             [],
             "t_end/dt: time span must be a whole number of steps (t_end 1, dt 0.3)",
         ),
+        (
+            "noether",
+            _SIMULATE,
+            ["--t-end", "0.003", "--dt", "0.001"],
+            "t_end/dt: the 5-point stencil of the drift residual needs at least 4 steps, "
+            "got 3 (t_end 0.003, dt 0.001)",
+        ),
     ],
     ids=[
         "samples-axioms",
@@ -360,6 +367,7 @@ _SIMULATE = "system: free_particle_planar\n"
         "grid-too-fine-flag",
         "grid-too-long-config",
         "grid-not-whole-stages",
+        "grid-too-short-noether",
     ],
 )
 def test_out_of_range_settings_are_config_errors(
@@ -921,6 +929,21 @@ def test_stages_catalog_matches_direct(tmp_path):
     report = read_json(tmp_path, "stages_report.json")
     assert report["override"] is False
     assert report["warnings"] == []
+    assert report["structure_deviation"] <= 1e-8
+    assert report["lagrangian_deviation"] <= 1e-10
+    assert report["trajectory_deviation_max"] <= 1e-9
+
+
+@pytest.mark.parametrize("nidx", [[0, 2], [1, 2]])
+def test_stages_non_central_subgroup_matches_direct(tmp_path, nidx):
+    """An abelian ideal off the center, on which the quotient acts, stages
+    as exactly as the center does."""
+    cfg = write_cfg(
+        tmp_path, f"system: heisenberg_stages\nt_end: 0.05\nstages: {{nidx: {nidx}}}\n"
+    )
+    assert main(["stages", "--config", cfg, "--out", str(tmp_path)]) == 0
+    report = read_json(tmp_path, "stages_report.json")
+    assert report["nidx"] == nidx and report["warnings"] == []
     assert report["structure_deviation"] <= 1e-8
     assert report["lagrangian_deviation"] <= 1e-10
     assert report["trajectory_deviation_max"] <= 1e-9

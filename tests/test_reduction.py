@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from lpmech import reduction
@@ -486,7 +486,7 @@ def test_vertical_split_reassembles_fiber_equation():
     s2 = LPState2(
         np.zeros(0), np.zeros(0), rng.normal(size=6), np.zeros(0), rng.normal(size=6)
     )
-    gpart, wpart = reduced_vertical_split(red, s2, handle.k)
+    gpart, wpart = reduced_vertical_split(red, s2, handle.scenario.k)
     assert gpart.shape == (3,) and wpart.shape == (3,)
     _, ver = lp_operator(red, s2)
     assert np.max(np.abs(np.concatenate([gpart, wpart]) - ver)) < 1e-12
@@ -564,21 +564,28 @@ def heisenberg_scenario():
 
 
 def test_stages_reduce_checks_only_the_two_stages(monkeypatch):
-    """The direct reduction comes from the caller; stages_reduce checks the
-    axioms of stage 1 and of stage 2, once each, and of nothing else."""
+    """The direct reduction comes from the caller; stages_reduce builds stage 1
+    and stage 2 with build_reduced_bundle, once each, and checks the axioms
+    of those two bundles and of nothing else."""
     handle = build_reduced_bundle(heisenberg_scenario())
-    checked = []
-    real = reduction.check_axioms
+    built, checked = [], []
+    real_build, real_check = reduction.build_reduced_bundle, reduction.check_axioms
 
-    def counting(bundle, *args, **kwargs):
+    def counting_build(sc, *args, **kwargs):
+        built.append(sc)
+        return real_build(sc, *args, **kwargs)
+
+    def counting_check(bundle, *args, **kwargs):
         checked.append(bundle)
-        return real(bundle, *args, **kwargs)
+        return real_check(bundle, *args, **kwargs)
 
-    monkeypatch.setattr(reduction, "check_axioms", counting)
+    monkeypatch.setattr(reduction, "build_reduced_bundle", counting_build)
+    monkeypatch.setattr(reduction, "check_axioms", counting_check)
     res = stages_reduce(handle, [2])
-    assert len(checked) == 2
+    assert len(built) == 2 and len(checked) == 2
+    assert built[0] is res.stage1.scenario and built[1] is res.stage2.scenario
     assert checked[0] is res.stage1.bundle and checked[1] is res.stage2.bundle
-    assert res.stage2.scenario is handle.scenario
+    assert res.scenario is handle.scenario
 
 
 def heisenberg_quadratic(Q, coupling=1.0):
@@ -627,18 +634,24 @@ def test_stages_heisenberg_center():
     d=st.integers(0, 2),
     seed=st.integers(0, 2**16),
     Q=st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3),
+    nidx=st.sampled_from([(2,), (0, 2), (1, 2)]),
 )
-def test_staged_reduction_equals_direct_reduction(coupling, d, seed, Q):
-    """Reducing a Heisenberg scenario by its center and then by the quotient
-    gives the direct reduction: the structure tables agree through beta, and
-    the two-stage Lagrangian equals the directly reduced one.  With d >= 1 the
-    stage-2 connection block is nonzero, and with d = 2 so is the pulled-back
+# a non-central N with d >= 1: without the Ad_s(kc) dressing of the stage-1
+# connection both still pass at d = 0
+@example(coupling=1.0, d=2, seed=5, Q=[1.0, 1.3, 1.7], nidx=(0, 2))
+@example(coupling=-1.7, d=1, seed=9, Q=[0.8, 1.9, 1.2], nidx=(1, 2))
+def test_staged_reduction_equals_direct_reduction(coupling, d, seed, Q, nidx):
+    """Reducing a Heisenberg scenario by an abelian ideal, the center (2,) or
+    a non-central (0, 2) or (1, 2), and then by the quotient gives the direct
+    reduction: the structure tables agree through beta, and the two-stage
+    Lagrangian equals the directly reduced one.  With d >= 1 the stage-2
+    connection block is nonzero, and with d = 2 so is the pulled-back
     two-form block; no CLI run reaches either."""
     base = ChartDomain(d, [[-1.0, 1.0]] * d) if d else ChartDomain(0)
     A, _, _ = linear_table(d, 3, seed)
     sc = PrincipalScenario(base, heisenberg3(coupling), A)
     handle = build_reduced_bundle(sc)
-    res = stages_reduce(handle, [2])
+    res = stages_reduce(handle, nidx)
     assert res.structure_deviation <= 1e-8
 
     L = heisenberg_quadratic(Q, coupling)
@@ -677,8 +690,14 @@ def test_stages_rejects_bad_subgroups():
     with pytest.raises(NotNormal):
         stages_reduce(build_reduced_bundle(PrincipalScenario(ChartDomain(0), so3())), [0])
     heis = build_reduced_bundle(heisenberg_scenario())
-    with pytest.raises(NotSupported, match="central"):
-        stages_reduce(heis, [0, 2])
+    # a non-central abelian ideal is reduced, with the quotient acting on it
+    res = stages_reduce(heis, [0, 2])
+    assert res.kidx == (1,) and res.structure_deviation <= 1e-8
+    assert np.abs(res.stage2.scenario.repW.gen).max() == 1.0
+    with pytest.raises(NotSupported, match="normal subgroup must be abelian"):
+        stages_reduce(
+            build_reduced_bundle(PrincipalScenario(ChartDomain(0), so3_cross_r())), [0, 1, 2]
+        )
     with pytest.raises(NotSupported, match="abelian"):
         stages_reduce(
             build_reduced_bundle(PrincipalScenario(ChartDomain(0), so3_cross_r())), [3]

@@ -3,8 +3,11 @@ import fractions
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from lpmech import _dual
+from lpmech.cli import polynomial_map
 from lpmech._dual import Dual, fresh_level
 from lpmech.errors import DimensionMismatch
 from lpmech.smoothmap import SmoothMap, eval_map, fd_jacobian, jacobian
@@ -117,6 +120,37 @@ def test_jacobian_vs_fd_on_200_random_maps():
         Jfd = fd_jacobian(m, x, 1e-5)
         scale = 1.0 + np.max(np.abs(J))
         assert np.max(np.abs(J - Jfd)) <= 1e-6 * scale
+
+
+@st.composite
+def polynomial_tables(draw):
+    """A cli.polynomial_map table of degree <= 2 in n <= 2 variables with at
+    most 4 outputs, and a point in [-2, 2]^n."""
+    n = draw(st.integers(0, 2))
+    shape = draw(st.sampled_from([[], [1], [3], [4], [2, 2]]))
+    monomials = [p for p in np.ndindex(*[3] * n) if sum(p) <= 2]
+    term = st.fixed_dictionaries(
+        {
+            "powers": st.sampled_from(monomials).map(list),
+            "coeff": st.floats(-2.0, 2.0),
+            "index": st.tuples(*[st.integers(0, e - 1) for e in shape]).map(list),
+        }
+    )
+    terms = draw(st.lists(term, max_size=6))
+    x = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    return polynomial_map(n, shape, terms, "table"), x
+
+
+# no shrink phase: a failing table is reported as drawn
+@settings(max_examples=60, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(polynomial_tables())
+def test_jacobian_matches_fd_on_generated_polynomial_tables(case):
+    """On a table of degree <= 2 the central difference is exact up to
+    rounding, so the AD Jacobian must match it to rounding."""
+    m, x = case
+    J = jacobian(m, x)
+    assert J.dtype == float and J.shape == (m.out_dim, m.in_dim)
+    assert np.max(np.abs(J - fd_jacobian(m, x)), initial=0.0) <= 1e-8
 
 
 def test_leibniz_rule_bitwise_on_rationals():

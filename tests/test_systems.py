@@ -21,6 +21,7 @@ from lpmech.dynamics import (
     noether_drift_residual,
 )
 from lpmech.lpbundle import check_axioms
+from lpmech.smoothmap import eval_map
 from lpmech.systems import (
     CATALOG,
     SystemRecord,
@@ -103,8 +104,6 @@ def test_flat_bundle_holonomy_rotates_fiber_per_period():
 
 def test_flat_bundle_closed_mode_stores_coupling():
     rec = flat_bundle_particle(omega_mode="closed")
-    from lpmech.smoothmap import eval_map
-
     Om = np.asarray(eval_map(rec.bundle.omega, np.array([0.2, 0.1])), float)
     assert np.allclose(Om[:, 0, 1], [0.3, -0.2])
     assert rec.expected["noether_drifts"]
@@ -417,9 +416,11 @@ def test_diagnostics_from_the_jets_equal_fresh_passes(name, steps, method, data)
     )
     traj = integrate_lp(sys, s0, 0.0, steps * 0.01, 0.01, method)
     grads = [grad for _, grad, _ in traj.jets]
-    for s, grad in zip(traj.states, grads):
+    for s, jet in zip(traj.states, traj.jets):
+        val, grad, _ = jet
         assert grad.tolist() == dynamics._lagrangian_gradient(sys, s).tolist()
-        assert energy(sys, s, grad=grad) == energy(sys, s)
+        assert val == float(eval_map(sys.L, dynamics._pack(s)).reshape(-1)[0])
+        assert energy(sys, s, jet=jet) == energy(sys, s)
     fresh = [None] * len(traj)  # accelerations and lp_operator take their own pass
     assert _lp_residual_max(sys, traj, traj.jets) == _lp_residual_max(sys, traj, fresh)
     if rec.action is None:
