@@ -484,7 +484,6 @@ def cmd_simulate(cfg, args):
 
     traj = integrate_lp(sys_, s0, 0.0, t_end, dt, method)
     # the integrator's jets of sys_ serve every diagnostic: no further AD pass
-    grads = [grad for _, grad, _ in traj.jets]
     energies = [energy(sys_, s, jet=jet) for s, jet in zip(traj.states, traj.jets)]
     drift = float(max(abs(e - energies[0]) for e in energies))
     resid = _lp_residual_max(sys_, traj, traj.jets)
@@ -495,8 +494,8 @@ def cmd_simulate(cfg, args):
         eye = np.eye(act.dim_g)
         series = [
             [
-                noether_current(sys_, act, s, eye[k], grad=g)
-                for s, g in zip(traj.states, grads)
+                noether_current(sys_, act, s, eye[k], jet=jet)
+                for s, jet in zip(traj.states, traj.jets)
             ]
             for k in range(act.dim_g)
         ]
@@ -641,7 +640,10 @@ def cmd_stages(cfg, args):
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        res = stages_reduce(record.handle, nidx, override_A_N=override, seed=seed)
+        try:
+            res = stages_reduce(record.handle, nidx, override_A_N=override, seed=seed)
+        except NotNormal as exc:
+            raise ConfigError(f"stages.nidx: {exc}")
         staged_sys = two_stage_lagrangian(res, record.unreduced_lagrangian)
     messages = [str(w.message) for w in caught]
 
@@ -717,9 +719,8 @@ def cmd_noether(cfg, args):
 
     traj = integrate_lp(sys_, s0, 0.0, t_end, dt, method)
     N = len(traj)
-    grads = [grad for _, grad, _ in traj.jets]
     currents, residuals = zip(
-        *(noether_drift_residual(sys_, act, traj, eta, grads=grads) for eta in etas)
+        *(noether_drift_residual(sys_, act, traj, eta, jets=traj.jets) for eta in etas)
     )
 
     header = ["t"]
@@ -796,7 +797,7 @@ def main(argv=None):
     except (ConfigError, NotSupported, DimensionMismatch) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (AxiomViolation, InvarianceViolation, NotNormal) as exc:
+    except (AxiomViolation, InvarianceViolation) as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:

@@ -14,7 +14,9 @@ Conventions (fixed across the package):
 
 with mu = dL/dv.  These are the stationarity conditions of the action under
 variations whose fiber part is the covariant expression
-Dw/dt + [v, w] + omega(dq, qd), rewritten in chart coordinates.
+Dw/dt + [v, w] + omega(dq, qd), rewritten in chart coordinates.  lp_operator
+is their residual f - M (qddot, vdot), M the (qdot, v) block Hessian of L,
+and accelerations solves that residual for zero.
 """
 
 from __future__ import annotations
@@ -126,10 +128,6 @@ class LPState2:
         if self.v.shape != self.vdot.shape:
             raise DimensionMismatch("fiber slots must share one length")
 
-    @property
-    def state(self):
-        return LPState(self.q, self.qdot, self.v)
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -196,33 +194,40 @@ def _grad_hess(sys: LPLagrangian, s: LPState):
     return _dual.grad_hess(_scalar_body(sys.L), _pack(s))
 
 
-def lp_operator(sys: LPLagrangian, s2: LPState2, jet=None):
-    """Equation-of-motion residual at full second-order data.
-
-    Returns (base covector of length n, fiber covector of length m); both
-    vanish exactly on solutions.  ``jet`` is (value, gradient, Hessian) of
-    L at s2.state, as in Trajectory.jets; it is computed when None.
-    """
+def _force_terms(sys: LPLagrangian, s, jet):
+    """(f, M) at s: the packed (base, fiber) equation residual at zero
+    second-order data, and the (qdot, v) block Hessian of L.  The residual
+    at z = (qddot, vdot) is f - M z."""
     n, m = sys.n, sys.m
-    s = s2.state
     _, grad, H = _grad_hess(sys, s) if jet is None else jet
     sq, sqd, sv = slice(0, n), slice(n, 2 * n), slice(2 * n, 2 * n + m)
     G, C, Om = sys.bundle.tables(s.q)
     mu = grad[sv]
 
-    xdot = np.concatenate([s2.qdot, s2.qddot, s2.vdot])
-    dt_p = H[sqd] @ xdot
-    dt_mu = H[sv] @ xdot
-
-    hor = (
+    f_q = (
         grad[sq]
+        - H[sqd, sq] @ s.qdot
         - np.einsum("a,iab,b->i", mu, G, s.v)
-        - dt_p
         + np.einsum("a,aij,j->i", mu, Om, s.qdot)
     )
-    cov_dt_mu = dt_mu - np.einsum("b,iba,i->a", mu, G, s.qdot)
-    ver = np.einsum("gba,b,g->a", C, s.v, mu) - cov_dt_mu
-    return hor, ver
+    f_v = (
+        np.einsum("gba,b,g->a", C, s.v, mu)
+        + np.einsum("b,iba,i->a", mu, G, s.qdot)
+        - H[sv, sq] @ s.qdot
+    )
+    return np.concatenate([f_q, f_v]), H[n:, n:]
+
+
+def lp_operator(sys: LPLagrangian, s2: LPState2, jet=None):
+    """Equation-of-motion residual at full second-order data.
+
+    Returns (base covector of length n, fiber covector of length m); both
+    vanish exactly on solutions.  ``jet`` is (value, gradient, Hessian) of
+    L at (q, qdot, v) of s2, as in Trajectory.jets; computed when None.
+    """
+    f, M = _force_terms(sys, s2, jet)
+    r = f - M @ np.concatenate([s2.qddot, s2.vdot])
+    return r[: sys.n], r[sys.n :]
 
 
 def _solve_velocity_block(M, rhs):
@@ -250,33 +255,17 @@ def _solve_velocity_block(M, rhs):
 
 
 def accelerations(sys: LPLagrangian, s: LPState, jet=None):
-    """The unique (qddot, vdot) zeroing the equation residual at s.
+    """The unique (qddot, vdot) zeroing lp_operator's residual at s.
 
-    Solves one linear system in the (qdot, v) block Hessian of L; raises
+    Solves M z = f in the (qdot, v) block Hessian M of L; raises
     SingularHessian when that block is non-finite or ill conditioned
     (threshold 1e12).  ``jet`` is (value, gradient, Hessian) of L at s, as
     in Trajectory.jets; it is computed when None.  Only s.q, s.qdot and
     s.v are read, so integrate_lp passes its stage points as _Slots.
     """
-    n, m = sys.n, sys.m
-    _, grad, H = _grad_hess(sys, s) if jet is None else jet
-    sq, sqd, sv = slice(0, n), slice(n, 2 * n), slice(2 * n, 2 * n + m)
-    G, C, Om = sys.bundle.tables(s.q)
-    mu = grad[sv]
-
-    rhs_q = (
-        grad[sq]
-        - H[sqd, sq] @ s.qdot
-        - np.einsum("a,iab,b->i", mu, G, s.v)
-        + np.einsum("a,aij,j->i", mu, Om, s.qdot)
-    )
-    rhs_v = (
-        np.einsum("gba,b,g->a", C, s.v, mu)
-        + np.einsum("b,iba,i->a", mu, G, s.qdot)
-        - H[sv, sq] @ s.qdot
-    )
-    z = _solve_velocity_block(H[n:, n:], np.concatenate([rhs_q, rhs_v]))
-    return z[:n], z[n:]
+    f, M = _force_terms(sys, s, jet)
+    z = _solve_velocity_block(M, f)
+    return z[: sys.n], z[sys.n :]
 
 
 def energy(sys: LPLagrangian, s: LPState, jet=None):
@@ -443,17 +432,18 @@ def _current(n, grad, etaQ):
 
 
 def noether_current(
-    sys: LPLagrangian, act: GroupAction, s: LPState, eta, grad=None
+    sys: LPLagrangian, act: GroupAction, s: LPState, eta, jet=None
 ):
-    """J = <dL/dqdot, genQ(eta, q)>; linear in eta.  ``grad`` is dL at s,
-    as for energy; it is computed when None."""
-    grad = _lagrangian_gradient(sys, s) if grad is None else grad
+    """J = <dL/dqdot, genQ(eta, q)>; linear in eta.  ``jet`` is (value,
+    gradient, Hessian) of L at s, as for energy, and gives dL; when None,
+    dL takes one gradient pass."""
+    grad = _lagrangian_gradient(sys, s) if jet is None else jet[1]
     etaQ = np.asarray(act.genQ(np.asarray(eta, dtype=float), s.q), dtype=float)
     return _current(sys.n, grad, etaQ)
 
 
 def noether_drift_residual(
-    sys: LPLagrangian, act: GroupAction, traj: Trajectory, eta, grads=None
+    sys: LPLagrangian, act: GroupAction, traj: Trajectory, eta, jets=None
 ):
     """The current series and the residual of its drift identity.
 
@@ -465,9 +455,9 @@ def noether_drift_residual(
     dJ/dt uses the centered 5-point stencil, so the residual has
     len(traj) - 4 entries.  Vanishes (to integrator accuracy) along
     solutions of an invariant Lagrangian.  One gradient per state serves
-    J and mu: ``grads`` (one dL per state, such as the gradients of
-    traj.jets for the Lagrangian that was integrated), or one computed here
-    when None.
+    J and mu: the gradient of ``jets`` (one jet of L per state, such as
+    traj.jets for the Lagrangian that was integrated), or one gradient pass
+    per state when None.
     """
     N = len(traj)
     if N < 5:
@@ -480,8 +470,10 @@ def noether_drift_residual(
 
     eta = np.asarray(eta, dtype=float)
     n = sys.n
-    if grads is None:
+    if jets is None:
         grads = [_lagrangian_gradient(sys, s) for s in traj.states]
+    else:
+        grads = [grad for _, grad, _ in jets]
     etaQs = [np.asarray(act.genQ(eta, s.q), dtype=float) for s in traj.states]
     J = np.array([_current(n, grad, etaQ) for grad, etaQ in zip(grads, etaQs)])
     out = np.empty(N - 4)

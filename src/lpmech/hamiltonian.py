@@ -8,7 +8,8 @@ the section bracket, not chosen freely.
 The bracket and the vector field keep their scalar loops on purpose, not
 for want of an array form (``@`` and object-dtype einsum carry dual numbers
 too): the bracket pairs its skew terms so that {f, f} cancels term by term,
-and the fixed term order keeps HP trajectories bit-for-bit the same.
+and the fixed term order keeps HP trajectories bit-for-bit the same.  Both
+take the connection-corrected base derivative from one loop, _cov_q.
 Jacobi-identity tests push dual numbers through nested bracket evaluations.
 """
 
@@ -115,6 +116,21 @@ def _check_obs_dims(b, *obs):
             )
 
 
+def _cov_q(G, nu, grad):
+    """The connection-corrected base derivative of an observable from its
+    packed gradient: d_q_i f + Gamma^b_{ia} nu_b d_nu_a f, one per base
+    direction i."""
+    n, m = G.shape[:2]
+    out = []
+    for i in range(n):
+        val = grad[i]
+        for bb in range(m):
+            for a in range(m):
+                val = val + G[i, bb, a] * nu[bb] * grad[2 * n + a]
+        out.append(val)
+    return out
+
+
 def poisson_bracket(b: LPBundleChart, f, g, s) -> float:
     """{f, g} at the dual point s; antisymmetric, connection-corrected.
 
@@ -132,17 +148,7 @@ def poisson_bracket(b: LPBundleChart, f, g, s) -> float:
     gg = _grad(gm, x)
     G, C, Om = b.tables(q)
 
-    def cov_q(grad):
-        out = []
-        for i in range(n):
-            val = grad[i]
-            for bb in range(m):
-                for a in range(m):
-                    val = val + G[i, bb, a] * nu[bb] * grad[2 * n + a]
-            out.append(val)
-        return out
-
-    fq, gq = cov_q(gf), cov_q(gg)
+    fq, gq = _cov_q(G, nu, gf), _cov_q(G, nu, gg)
     fp, gp = gf[n : 2 * n], gg[n : 2 * n]
     fnu, gnu = gf[2 * n :], gg[2 * n :]
 
@@ -203,15 +209,12 @@ def hamiltonian_vector_field(b: LPBundleChart, H, s):
 
     grad = _grad(fm, x)
     G, C, Om = b.tables(q)
-    hq, hp, hnu = grad[:n], grad[n : 2 * n], grad[2 * n :]
+    hp, hnu = grad[n : 2 * n], grad[2 * n :]
 
     qdot = list(hp)
     pdot = []
-    for i in range(n):
-        val = -hq[i]
-        for bb in range(m):
-            for a in range(m):
-                val = val - G[i, bb, a] * nu[bb] * hnu[a]
+    for i, cq in enumerate(_cov_q(G, nu, grad)):
+        val = -cq
         for a in range(m):
             for j in range(n):
                 val = val + nu[a] * Om[a, i, j] * qdot[j]
@@ -232,14 +235,9 @@ def hamiltonian_vector_field(b: LPBundleChart, H, s):
 
 def integrate_hp(b: LPBundleChart, H, s0: HPState, t0, t1, h, method="rk4"):
     """Fixed-step integration of the dual-side equations on (q, p, nu)."""
-    n = b.n
 
     def ydot(y):
-        st = HPState(y[:n], y[n : 2 * n], y[2 * n :])
-        qd, pd, nd = hamiltonian_vector_field(b, H, st)
-        return np.concatenate(
-            [np.asarray(qd, float), np.asarray(pd, float), np.asarray(nd, float)]
-        )
+        return np.concatenate(hamiltonian_vector_field(b, H, y)).astype(float)
 
     return _integrate_fixed(
         ydot, HPState, b.base, (s0.q, s0.p, s0.nu), t0, t1, h, method

@@ -175,15 +175,14 @@ def covariant_derivative(b: LPBundleChart, X, w: Section, q):
     Dual-safe: both q and X may carry dual numbers.
     """
     q = np.asarray(q, dtype=object).reshape(b.n)
-    return _covariant_derivative(b.tables(q)[0], X, w, q)
+    return _covariant_derivative(b.tables(q)[0], X, eval_map(w.w, q), jacobian(w.w, q))
 
 
-def _covariant_derivative(G, X, w, q):
-    X = np.asarray(X, dtype=object).reshape(len(q))
-    Jw = jacobian(w.w, q)  # (m, n)
-    wv = eval_map(w.w, q)
+def _covariant_derivative(G, X, wv, Jw):
+    """grad_X w from the value wv and the Jacobian Jw (m, n) of w."""
+    X = np.asarray(X, dtype=object).reshape(len(G))
     out = Jw @ X
-    for i in range(len(q)):
+    for i in range(len(G)):
         out = out + X[i] * (G[i] @ wv)
     return out
 
@@ -235,29 +234,32 @@ def _ext_cov_derivative_omega(G, Om, dOm):
     )
 
 
+def _section_jet(Z: Section, q):
+    """(X, dX, w, dw) of the section Z at q: values and Jacobians."""
+    return eval_map(Z.X, q), jacobian(Z.X, q), eval_map(Z.w, q), jacobian(Z.w, q)
+
+
+def _bracket(G, C, Om, Z1, Z2):
+    """The section bracket at one point, from the tables there and each
+    section's (X, dX, w, dw) there."""
+    X1, J1, w1, Jw1 = Z1
+    X2, J2, w2, Jw2 = Z2
+    base = J2 @ X1 - J1 @ X2
+    fiber = _covariant_derivative(G, X1, w2, Jw2) - _covariant_derivative(G, X2, w1, Jw1)
+    for a in range(len(fiber)):
+        fiber[a] = fiber[a] - np.dot(X1, np.dot(Om[a], X2)) + np.dot(w1, np.dot(C[a], w2))
+    return base, fiber
+
+
 def section_bracket(b: LPBundleChart, Z1: Section, Z2: Section, q):
     """Bracket of two sections at q: (tangent part, fiber part).
 
     Tangent part is the Jacobi-Lie bracket of the X fields; fiber part is
     grad_{X1} w2 - grad_{X2} w1 - omega(X1, X2) + [w1, w2].  Dual-safe.
     """
-    n, m = b.n, b.m
-    q = np.asarray(q, dtype=object).reshape(n)
+    q = np.asarray(q, dtype=object).reshape(b.n)
     G, C, Om = b.tables(q)  # object tables: a float-matrix/dual-vector dot is unsafe
-    X1 = eval_map(Z1.X, q)
-    X2 = eval_map(Z2.X, q)
-    J1 = jacobian(Z1.X, q)
-    J2 = jacobian(Z2.X, q)
-    base = J2 @ X1 - J1 @ X2
-
-    fiber = _covariant_derivative(G, X1, Z2, q) - _covariant_derivative(G, X2, Z1, q)
-    for a in range(m):
-        fiber[a] = fiber[a] - np.dot(X1, np.dot(Om[a], X2))
-    w1 = eval_map(Z1.w, q)
-    w2 = eval_map(Z2.w, q)
-    for g in range(m):
-        fiber[g] = fiber[g] + np.dot(w1, np.dot(C[g], w2))
-    return base, fiber
+    return _bracket(G, C, Om, _section_jet(Z1, q), _section_jet(Z2, q))
 
 
 def bracket_section(b: LPBundleChart, Z1: Section, Z2: Section) -> Section:
@@ -281,39 +283,26 @@ def jacobi_residual(b: LPBundleChart, Z1, Z2, Z3, q):
 
     The inner bracket of each cyclic term goes through one fused map, so
     a single jacobian sweep serves both its tangent and fiber parts; the
-    outer bracket is then assembled term by term as in section_bracket.
+    outer bracket is the section bracket's formula on that value and
+    Jacobian.
     """
     n, m = b.n, b.m
     qf = np.asarray(q, dtype=float).reshape(n)
     G, C, Om = b.tables(qf)
 
-    base_tot = np.zeros(n)
-    fiber_tot = np.zeros(m)
+    total = np.zeros(n + m)
     for A, B_, C_ in ((Z1, Z2, Z3), (Z2, Z3, Z1), (Z3, Z1, Z2)):
 
         def fused(qq, ZB=B_, ZC=C_):
-            bb, ff = section_bracket(b, ZB, ZC, qq)
-            out = np.empty(n + m, dtype=object)
-            out[:n], out[n:] = bb, ff
-            return out
+            return np.concatenate(section_bracket(b, ZB, ZC, qq))
 
         fm = SmoothMap(n, n + m, fused, out_shape=(n + m,))
         val = np.asarray(eval_map(fm, qf), dtype=float)
         Jin = np.asarray(jacobian(fm, qf), dtype=float)
-        Xin, win = val[:n], val[n:]
-        JinX, Jinw = Jin[:n], Jin[n:]
-
-        XA = np.asarray(eval_map(A.X, qf), dtype=float)
-        wA = np.asarray(eval_map(A.w, qf), dtype=float)
-        JAX = np.asarray(jacobian(A.X, qf), dtype=float)
-        JAw = np.asarray(jacobian(A.w, qf), dtype=float)
-
-        base_tot += JinX @ XA - JAX @ Xin
-        fiber_tot += Jinw @ XA + np.einsum("i,iab,b->a", XA, G, win)
-        fiber_tot -= JAw @ Xin + np.einsum("i,iab,b->a", Xin, G, wA)
-        fiber_tot -= np.einsum("aij,i,j->a", Om, XA, Xin)
-        fiber_tot += np.einsum("gab,a,b->g", C, wA, win)
-    return float(np.sqrt(np.sum(base_tot**2) + np.sum(fiber_tot**2)))
+        inner = (val[:n], Jin[:n], val[n:], Jin[n:])
+        outer = _bracket(G, C, Om, _section_jet(A, qf), inner)
+        total += np.concatenate(outer).astype(float)
+    return float(np.linalg.norm(total))
 
 
 @dataclass

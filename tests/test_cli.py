@@ -155,6 +155,12 @@ _SIMULATE = "system: free_particle_planar\n"
         ("stages", _STAGES + "stages: {nidx: [5]}\n", [], "stages.nidx: expected 1 to 2"),
         ("stages", _STAGES + "stages: {nidx: [0, 1, 2]}\n", [], "stages.nidx: expected 1 to 2"),
         (
+            "stages",
+            _STAGES + "stages: {nidx: [0, 1]}\n",
+            [],
+            "stages.nidx: span of basis indices (0, 1) is not an ideal",
+        ),
+        (
             "reduce",
             _TRIVIAL % -2,
             [],
@@ -334,6 +340,7 @@ _SIMULATE = "system: free_particle_planar\n"
         "nidx-empty",
         "nidx-out-of-range",
         "nidx-whole-group",
+        "stages-nidx-not-an-ideal",
         "trivial-negative",
         "trivial-zero",
         "t_end-inf-config",

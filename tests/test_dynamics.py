@@ -165,7 +165,7 @@ def test_flat_fiber_constant_v_is_critical():
     assert np.allclose(ver, 0.0, atol=1e-14)
 
 
-def test_residual_hand_value():
+def hand_value_system():
     # n=2, m=1, constant connection (0.4, -0.6), curvature weight 0.8,
     # L = 0.5|qd|^2 + 0.5 v^2 + q1 v.  Worked out with pen and paper.
     G = np.zeros((2, 1, 1))
@@ -173,16 +173,27 @@ def test_residual_hand_value():
     Om = np.zeros((1, 2, 2))
     Om[0] = [[0.0, 0.8], [-0.8, 0.0]]
     chart = LPBundleChart(box(2), 1, Gamma=G, omega=Om)
-    sys = LPLagrangian.from_callable(
+    return LPLagrangian.from_callable(
         chart,
         lambda q, qd, v: 0.5 * (qd[0] * qd[0] + qd[1] * qd[1])
         + 0.5 * v[0] * v[0]
         + q[0] * v[0],
     )
+
+
+def test_residual_hand_value():
     s2 = LPState2([0.3, -0.2], [0.7, 0.4], [0.5], [0.2, -0.1], [0.3])
-    hor, ver = lp_operator(sys, s2)
-    assert np.allclose(hor, [0.396, -0.108], atol=1e-13)
-    assert np.allclose(ver, [-0.968], atol=1e-13)
+    hor, ver = lp_operator(hand_value_system(), s2)
+    assert np.allclose(hor, [0.396, -0.108], rtol=0, atol=1e-13)
+    assert np.allclose(ver, [-0.968], rtol=0, atol=1e-13)
+
+
+def test_accelerations_hand_value():
+    # the velocity block Hessian is the identity, so the accelerations are
+    # the residual of test_residual_hand_value at zero second-order data
+    qdd, vd = accelerations(hand_value_system(), LPState([0.3, -0.2], [0.7, 0.4], [0.5]))
+    assert np.allclose(qdd, [0.596, -0.208], rtol=0, atol=1e-13)
+    assert np.allclose(vd, [-0.668], rtol=0, atol=1e-13)
 
 
 def test_residual_linear_in_momentum():

@@ -8,6 +8,8 @@ for the Jacobi residual).
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from lpmech.errors import ChartExit, DimensionMismatch
 from lpmech.lpbundle import (
@@ -23,6 +25,7 @@ from lpmech.lpbundle import (
     section_bracket,
 )
 from lpmech.smoothmap import SmoothMap, eval_map, fd_jacobian
+from lpmech.systems import flat_bundle_particle
 
 
 def box(n, lo=-1.0, hi=1.0, periodic=None):
@@ -366,6 +369,12 @@ def random_polynomial_section(b, rng):
     qw = rng.standard_normal((m, n, n)) * 0.5
     x0 = rng.standard_normal(n)
     w0 = rng.standard_normal(m)
+    return polynomial_section(b, x0, cx, qx, w0, cw, qw)
+
+
+def polynomial_section(b, x0, cx, qx, w0, cw, qw):
+    """X = x0 + cx q + q.qx.q and w = w0 + cw q + q.qw.q, dual-safe."""
+    n, m = b.n, b.m
 
     def xb(q):
         return x0 + np.array(
@@ -400,6 +409,83 @@ def test_section_bracket_antisymmetry():
         b21, f21 = section_bracket(b, Z2, Z1, q)
         assert np.allclose(b12.astype(float), -b21.astype(float), atol=1e-12)
         assert np.allclose(f12.astype(float), -f21.astype(float), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_section_bracket_evaluates_each_fiber_map_n_plus_one_times(n):
+    """One value and n Jacobian passes per section: the fiber map's value
+    is read once, for both the covariant derivative and the fiber bracket."""
+    b = LPBundleChart(box(n), 3, c=eps_structure())
+    rng = np.random.default_rng(37)
+    counts = [0, 0]
+
+    def counted(Z, k):
+        def wb(q):
+            counts[k] += 1
+            return Z.w.body(q)
+
+        return Section(Z.X, SmoothMap(n, 3, wb, out_shape=(3,)))
+
+    Z1 = counted(random_polynomial_section(b, rng), 0)
+    Z2 = counted(random_polynomial_section(b, rng), 1)
+    section_bracket(b, Z1, Z2, b.base.sample(rng))
+    assert counts == [n + 1, n + 1]
+
+
+@st.composite
+def bracket_cases(draw):
+    """A chart, three affine or quadratic sections and a point of the chart.
+
+    The chart is the closed flat_bundle_particle chart (n = m = 2) or a
+    constant so(3) fiber over R^1 or R^2 with a constant two-form; a
+    nonzero two-form there breaks the curvature coupling, so the Jacobi
+    sum need not vanish.
+    """
+    if draw(st.booleans()):
+        b = flat_bundle_particle(omega_mode="closed").bundle
+    else:
+        n = draw(st.integers(1, 2))
+        om = np.zeros((3, n, n))
+        if n == 2:
+            om[:, 0, 1] = draw(st.lists(st.floats(-1, 1), min_size=3, max_size=3))
+            om[:, 1, 0] = -om[:, 0, 1]
+        b = LPBundleChart(box(n), 3, c=eps_structure(), omega=om)
+    n, m = b.n, b.m
+
+    def array(*shape):
+        size = int(np.prod(shape))
+        return np.array(
+            draw(st.lists(st.floats(-1, 1), min_size=size, max_size=size))
+        ).reshape(shape)
+
+    sections = []
+    for _ in range(3):
+        quadratic = draw(st.booleans())
+        x0, cx, qx = array(n), array(n, n), array(n, n, n) * quadratic
+        w0, cw, qw = array(m), array(m, n), array(m, n, n) * quadratic
+        sections.append(polynomial_section(b, x0, cx, qx, w0, cw, qw))
+    lo, hi = b.base.bounds[:, 0], b.base.bounds[:, 1]
+    pad = 0.05 * (hi - lo)
+    q = np.array([draw(st.floats(lo[i] + pad[i], hi[i] - pad[i])) for i in range(n)])
+    return b, sections, q
+
+
+@settings(max_examples=25, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(bracket_cases())
+def test_bracket_is_antisymmetric_and_jacobi_residual_is_the_nested_sum(case):
+    """section_bracket is antisymmetric, and jacobi_residual equals the norm
+    of the cyclic sum of plainly nested brackets [A, [B, C]]."""
+    b, (Z1, Z2, Z3), q = case
+    b12, f12 = section_bracket(b, Z1, Z2, q)
+    b21, f21 = section_bracket(b, Z2, Z1, q)
+    skew = np.concatenate([b12 + b21, f12 + f21]).astype(float)
+    assert np.max(np.abs(skew)) <= 1e-12
+
+    total = np.zeros(b.n + b.m)
+    for A, B_, C_ in ((Z1, Z2, Z3), (Z2, Z3, Z1), (Z3, Z1, Z2)):
+        base, fiber = section_bracket(b, A, bracket_section(b, B_, C_), q)
+        total += np.concatenate([base, fiber]).astype(float)
+    assert abs(jacobi_residual(b, Z1, Z2, Z3, q) - np.linalg.norm(total)) <= 1e-12
 
 
 def test_bracket_reduces_to_covariant_derivative():

@@ -415,7 +415,6 @@ def test_diagnostics_from_the_jets_equal_fresh_passes(name, steps, method, data)
         s0.q + kick(sys.n, 0.05), s0.qdot + kick(sys.n, 0.2), s0.v + kick(sys.m, 0.2)
     )
     traj = integrate_lp(sys, s0, 0.0, steps * 0.01, 0.01, method)
-    grads = [grad for _, grad, _ in traj.jets]
     for s, jet in zip(traj.states, traj.jets):
         val, grad, _ = jet
         assert grad.tolist() == dynamics._lagrangian_gradient(sys, s).tolist()
@@ -426,9 +425,9 @@ def test_diagnostics_from_the_jets_equal_fresh_passes(name, steps, method, data)
     if rec.action is None:
         return
     for eta in np.eye(rec.action.dim_g):
-        for s, grad in zip(traj.states, grads):
+        for s, jet in zip(traj.states, traj.jets):
             want = noether_current(sys, rec.action, s, eta)
-            assert noether_current(sys, rec.action, s, eta, grad=grad) == want
-        J, residual = noether_drift_residual(sys, rec.action, traj, eta, grads=grads)
+            assert noether_current(sys, rec.action, s, eta, jet=jet) == want
+        J, residual = noether_drift_residual(sys, rec.action, traj, eta, jets=traj.jets)
         J0, residual0 = noether_drift_residual(sys, rec.action, traj, eta)
         assert J.tolist() == J0.tolist() and residual.tolist() == residual0.tolist()
