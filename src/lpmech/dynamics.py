@@ -476,16 +476,16 @@ def noether_drift_residual(
         grads = [grad for _, grad, _ in jets]
     etaQs = [np.asarray(act.genQ(eta, s.q), dtype=float) for s in traj.states]
     J = np.array([_current(n, grad, etaQ) for grad, etaQ in zip(grads, etaQs)])
+    dJdt = (-J[4:] + 8 * J[3:-1] - 8 * J[1:-3] + J[:-4]) / (12 * h)
     out = np.empty(N - 4)
     for i in range(2, N - 2):
-        dJdt = (-J[i + 2] + 8 * J[i + 1] - 8 * J[i - 1] + J[i - 2]) / (12 * h)
         s, etaQ, mu = traj.states[i], etaQs[i], grads[i][2 * n :]
         G, _, Om = sys.bundle.tables(s.q)
         # rho'(eta)v plus the connection part Gamma(genQ)v
         gen = np.asarray(act.genV(eta, s.q, s.v), dtype=float)
         ver2 = gen + np.einsum("iab,i,b->a", G, etaQ, s.v)
         om_term = np.einsum("aij,i,j->a", Om, s.qdot, etaQ)
-        out[i - 2] = dJdt + float(mu @ (om_term + ver2))
+        out[i - 2] = dJdt[i - 2] + float(mu @ (om_term + ver2))
     return J, out
 
 

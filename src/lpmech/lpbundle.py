@@ -55,22 +55,17 @@ class ChartDomain:
     def wrap(self, q):
         """Send periodic coordinates back into their fundamental interval."""
         q = np.array(q, dtype=float)
-        for i in range(self.n):
-            if self.periodic[i]:
-                lo, hi = self.bounds[i]
-                q[i] = lo + np.mod(q[i] - lo, hi - lo)
+        p = self.periodic
+        lo, hi = self.bounds[p].T
+        q[p] = lo + np.mod(q[p] - lo, hi - lo)
         return q
 
     def contains(self, q):
-        """Whether q lies in the box, up to a slack of 1e-12."""
-        q = self.wrap(q)
-        for i in range(self.n):
-            if self.periodic[i]:
-                continue
-            lo, hi = self.bounds[i]
-            if q[i] < lo - 1e-12 or q[i] > hi + 1e-12:
-                return False
-        return True
+        """Whether q lies in the box, up to a slack of 1e-12.  Periodic
+        coordinates always count as inside, so q is not wrapped first."""
+        q = np.asarray(q, dtype=float)
+        lo, hi = self.bounds.T
+        return not np.any(~self.periodic & ((q < lo - 1e-12) | (q > hi + 1e-12)))
 
     def require_inside(self, q, t=None):
         if not self.contains(q):
@@ -79,14 +74,10 @@ class ChartDomain:
     def sample(self, rng):
         """Uniform interior point; non-periodic coordinates keep a margin of
         5% of their interval at each end."""
-        q = np.empty(self.n)
-        for i in range(self.n):
-            lo, hi = self.bounds[i]
-            if not self.periodic[i]:
-                pad = 0.05 * (hi - lo)
-                lo, hi = lo + pad, hi - pad
-            q[i] = rng.uniform(lo, hi)
-        return q
+        lo, hi = self.bounds.T
+        pad = 0.05 * (hi - lo)
+        p = self.periodic
+        return rng.uniform(np.where(p, lo, lo + pad), np.where(p, hi, hi - pad), self.n)
 
 
 @dataclass(frozen=True)
@@ -410,46 +401,15 @@ def check_axioms(
         raise ValueError("need at least one sample point")
     rng = np.random.default_rng(seed)
     n, m = b.n, b.m
-    tracker = {
-        name: [0.0, np.zeros(n), 0.0]
-        for name in (
-            "c_skew",
-            "c_jacobi",
-            "omega_skew",
-            "d_two_form_closed",
-            "e_bracket_parallel",
-            "f_curvature_coupling",
-        )
-    }
-
-    def note(name, resid, scale, q):
-        rec = tracker[name]
-        if math.isnan(rec[0]) or math.isnan(rec[2]):
-            return  # the first NaN sample stays the reported one
-        if math.isnan(resid) or math.isnan(scale):
-            rec[:] = resid, q.copy(), scale
-            return
-        rec[2] = max(rec[2], scale)
-        if resid >= rec[0]:
-            rec[0], rec[1] = resid, q.copy()
+    rows, points = [], []  # per sample, each condition's (residual, scale)
 
     # a point base (n = 0) has one point, and every sample would repeat it
     for _ in range(n_samples if n else 1):
         q = b.base.sample(rng)
         G, C, Om = b.tables(q)
-
         skew, jac, cyc = _algebra_defects(C)
-        note("c_skew", _max_abs(skew), _max_abs(C), q)
-        note("omega_skew", _max_abs(Om + np.einsum("aij->aji", Om)), _max_abs(Om), q)
-        note("c_jacobi", _max_abs(jac), _max_abs(cyc), q)
 
         dOm = np.asarray(jacobian(b.omega, q), dtype=float).reshape(m, n, n, n)
-        note(
-            "d_two_form_closed",
-            _max_abs(_ext_cov_derivative_omega(G, Om, dOm)),
-            _max_abs(dOm, np.einsum("iab,bjk->aijk", G, Om)),
-            q,
-        )
 
         dC = np.asarray(jacobian(b.c, q), dtype=float).reshape(m, m, m, n)
         # dC[g,a,b,i] = d_i c[g,a,b]
@@ -457,23 +417,36 @@ def check_axioms(
         tcG1 = np.einsum("geb,iea->giab", C, G)
         tcG2 = np.einsum("gae,ieb->giab", C, G)
         eres = np.einsum("gabi->giab", dC) + tGc - tcG1 - tcG2
-        note("e_bracket_parallel", _max_abs(eres), _max_abs(dC, tGc, tcG1, tcG2), q)
 
         dG = np.asarray(jacobian(b.Gamma, q), dtype=float).reshape(n, m, m, n)
         k = _curvature(G, dG)
         rhs = -np.einsum("agb,gij->ijab", C, Om)
-        note("f_curvature_coupling", _max_abs(k - rhs), _max_abs(k, rhs), q)
 
-    conditions = [
-        ConditionResult(
-            name,
-            rec[0],
-            rec[1],
-            rec[2],
-            math.isfinite(rec[0])
-            and math.isfinite(rec[2])
-            and rec[0] <= tol * (1.0 + rec[2]),
+        rows.append(
+            {
+                "c_skew": (_max_abs(skew), _max_abs(C)),
+                "c_jacobi": (_max_abs(jac), _max_abs(cyc)),
+                "omega_skew": (_max_abs(Om + np.einsum("aij->aji", Om)), _max_abs(Om)),
+                "d_two_form_closed": (
+                    _max_abs(_ext_cov_derivative_omega(G, Om, dOm)),
+                    _max_abs(dOm, np.einsum("iab,bjk->aijk", G, Om)),
+                ),
+                "e_bracket_parallel": (_max_abs(eres), _max_abs(dC, tGc, tcG1, tcG2)),
+                "f_curvature_coupling": (_max_abs(k - rhs), _max_abs(k, rhs)),
+            }
         )
-        for name, rec in tracker.items()
-    ]
+        points.append(q)
+
+    conditions = []
+    for name in rows[0]:
+        resid, scale = np.array([row[name] for row in rows]).T
+        nan = np.isnan(resid) | np.isnan(scale)
+        if nan.any():
+            i = int(np.argmax(nan))
+            r, s = float(resid[i]), float(scale[i])
+        else:
+            i = len(resid) - 1 - int(np.argmax(resid[::-1]))
+            r, s = float(resid[i]), float(np.max(scale))
+        passed = math.isfinite(r) and math.isfinite(s) and r <= tol * (1.0 + s)
+        conditions.append(ConditionResult(name, r, points[i], s, passed))
     return AxiomReport(conditions, tol, n_samples, seed)

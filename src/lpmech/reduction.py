@@ -583,10 +583,8 @@ def two_stage_lagrangian(res: StagesResult, L):
         x, kc = xk[:d], xk[d:]
         xdot, kcdot = xkdot[:d], xkdot[d:]
         nu, nudot = n_mat[:r, -1], n_dot[:r, -1]
-        nG = n_of(nu)
-        _, nG_dot = _dual.directional(n_of, np.asarray(nu, dtype=object), nudot)
-        s_mat = section(kc)
-        _, s_dot = _dual.directional(section, np.asarray(kc, dtype=object), kcdot)
+        nG, nG_dot = _dual.directional(n_of, np.asarray(nu, dtype=object), nudot)
+        s_mat, s_dot = _dual.directional(section, np.asarray(kc, dtype=object), kcdot)
         g = nG @ s_mat
         gdot = nG_dot @ s_mat + nG @ s_dot
         return L(x, xdot, g, gdot, w)

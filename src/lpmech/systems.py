@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._dual import contains_dual
 from .dynamics import GroupAction, LPLagrangian, LPState
 from .lpbundle import ChartDomain, LPBundleChart
 from .liegroups import heisenberg3, so3
@@ -87,14 +88,16 @@ def _reduced_record(name, sc, L_inv, v0, expected, params):
 def _inverse_times(g, M, inverse):
     """g^-1 M as an object array, with g^-1 = inverse(g).
 
-    At the float identity, which reduce_lagrangian passes as g inside every
-    grad_hess, M comes back as is: the dense product would only add
-    1.0 * M[i, j] to zero products, and 1.0 * x is x bit for bit.  Any other
-    g, float or dual, goes through the dense object product.
+    At the identity, which reduce_lagrangian passes as a float g and the
+    staged Lagrangian as an object g without duals, inside every grad_hess,
+    M comes back as is: the dense product would only add 1.0 * M[i, j] to
+    zero products, and 1.0 * x is x bit for bit.  Any other g goes through
+    the dense object product.
     """
     M = np.asarray(M, dtype=object)
     g = np.asarray(g)
-    if g.dtype != object and np.array_equal(g, np.eye(len(g))):
+    exact = g.dtype != object or not contains_dual(g)
+    if exact and np.array_equal(g, np.eye(len(g))):
         return M
     return inverse(g) @ M
 

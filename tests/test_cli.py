@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from lpmech import _dual
 from lpmech.cli import _numbers, main
-from lpmech.errors import ConfigError
+from lpmech.errors import AxiomViolation, ConfigError, InvarianceViolation
 
 
 def write_cfg(tmp_path, text, name="cfg.yaml"):
@@ -324,6 +324,55 @@ _SIMULATE = "system: free_particle_planar\n"
             "t_end/dt: the 5-point stencil of the drift residual needs at least 4 steps, "
             "got 3 (t_end 0.003, dt 0.001)",
         ),
+        (
+            "check-axioms",
+            "bundle: {n: 1, m: 1, periodic: true}\n",
+            [],
+            "bundle.periodic: expected 1 booleans",
+        ),
+        (
+            "check-axioms",
+            "bundle: {n: 1, m: 1, periodic: [1]}\n",
+            [],
+            "bundle.periodic[0]: expected a boolean",
+        ),
+        (
+            "reduce",
+            "scenario: {base: {n: 0}, group: so3, representation: adjoint}\n",
+            [],
+            "scenario.representation: expected 'defining' or {trivial: dim}",
+        ),
+        (
+            "reduce",
+            "scenario: {base: {n: 0}, group: sl2}\n",
+            [],
+            "scenario.group.name: unknown group 'sl2'",
+        ),
+        (
+            "simulate",
+            _SIMULATE + "method: leapfrog\n",
+            [],
+            "method: expected 'rk4' or 'euler', got 'leapfrog'",
+        ),
+        (
+            "simulate",
+            _INLINE_BUNDLE
+            + "lagrangian: {polynomial: {terms: [{powers: [0, 2, 0], coeff: 1.0}]}}\n",
+            [],
+            "initial: required (no catalog default available)",
+        ),
+        (
+            "simulate",
+            _INLINE_BUNDLE,
+            [],
+            "simulate needs a 'lagrangian' for the inline bundle",
+        ),
+        (
+            "noether",
+            "system: central_potential_particle\netas: []\n",
+            [],
+            "etas: expected a nonempty list of algebra vectors",
+        ),
     ],
     ids=[
         "samples-axioms",
@@ -375,6 +424,14 @@ _SIMULATE = "system: free_particle_planar\n"
         "grid-too-long-config",
         "grid-not-whole-stages",
         "grid-too-short-noether",
+        "periodic-not-a-list",
+        "periodic-not-a-boolean",
+        "representation-unknown",
+        "group-unknown-name",
+        "method-config",
+        "initial-required",
+        "simulate-without-lagrangian",
+        "etas-empty",
     ],
 )
 def test_out_of_range_settings_are_config_errors(
@@ -512,6 +569,34 @@ def test_simulate_inline_free_motion_is_linear(tmp_path):
     assert header == ["t", "q1", "qd1"]
     assert np.max(np.abs(data[:, 1] - 0.3 * data[:, 0])) <= 1e-12
     assert np.max(np.abs(data[:, 2] - 0.3)) <= 1e-12
+
+
+def test_simulate_inline_periodic_coordinate_stays_wrapped(tmp_path):
+    cfg = write_cfg(
+        tmp_path,
+        """
+        bundle:
+          n: 1
+          m: 0
+          bounds: [[0, 1]]
+          periodic: [true]
+        lagrangian:
+          polynomial:
+            terms:
+              - {powers: [0, 2], coeff: 1.0}
+        initial: {q: [0.5], qdot: [3.0], v: []}
+        t_end: 1.0
+        dt: 0.01
+        """,
+    )
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    _, data = read_csv(os.path.join(str(tmp_path), "trajectory.csv"))
+    t, q = data[:, 0], data[:, 1]
+    assert np.all((q >= 0.0) & (q < 1.0))
+    # free motion around the circle: q = 0.5 + 3 t, up to whole turns
+    turn = q - (0.5 + 3.0 * t)
+    assert np.max(np.abs(turn - np.round(turn))) <= 1e-9
+    assert np.round(turn[-1]) == -3.0
 
 
 def test_simulate_singular_lagrangian_exits_three(tmp_path, capsys):
@@ -872,6 +957,47 @@ def test_reduce_dense_so3_scenario_matches_recorded_digest(tmp_path, name, diges
     assert main(["reduce", "--config", cfg, "--out", str(tmp_path)]) == 0
     data = (tmp_path / name).read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_reduce_inline_heisenberg_with_trivial_fiber(tmp_path):
+    text = _HEISENBERG_SCENARIO.rstrip(" ") + "      representation: {trivial: 2}\n"
+    cfg = write_cfg(tmp_path, text)
+    assert main(["reduce", "--config", cfg, "--out", str(tmp_path)]) == 0
+    report = read_json(tmp_path, "reduce_report.json")
+    assert report["fiber_dim"] == 5
+    assert report["axioms"]["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "command, text, target, error",
+    [
+        (
+            "reduce",
+            _INLINE_SCENARIO,
+            "build_reduced_bundle",
+            AxiomViolation("reduced bundle fails c_jacobi"),
+        ),
+        (
+            "simulate",
+            _SIMULATE,
+            "build_system",
+            InvarianceViolation("Lagrangian is not invariant", residual=0.5),
+        ),
+    ],
+    ids=["axiom-violation", "invariance-violation"],
+)
+def test_violations_exit_two_with_one_line(
+    tmp_path, capsys, monkeypatch, command, text, target, error
+):
+    def raise_error(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(f"lpmech.cli.{target}", raise_error)
+    cfg = write_cfg(tmp_path, text)
+    code = main([command, "--config", cfg, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"violation: {error}\n"
 
 
 def test_reduce_constant_and_polynomial_connection_agree(tmp_path):

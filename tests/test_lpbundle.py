@@ -11,6 +11,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from lpmech import _dual
 from lpmech.errors import ChartExit, DimensionMismatch
 from lpmech.lpbundle import (
     ChartDomain,
@@ -75,6 +76,68 @@ def test_domain_validation():
         ChartDomain(1, [[1.0, 0.0]])
     with pytest.raises(ValueError):
         ChartDomain(1, [[0.0, np.inf]], [True])
+
+
+def _wrap_reference(dom, q):
+    q = np.array(q, dtype=float)
+    for i in range(dom.n):
+        if dom.periodic[i]:
+            lo, hi = dom.bounds[i]
+            q[i] = lo + np.mod(q[i] - lo, hi - lo)
+    return q
+
+
+def _contains_reference(dom, q):
+    q = _wrap_reference(dom, q)
+    for i in range(dom.n):
+        lo, hi = dom.bounds[i]
+        if not dom.periodic[i] and (q[i] < lo - 1e-12 or q[i] > hi + 1e-12):
+            return False
+    return True
+
+
+def _sample_reference(dom, rng):
+    q = np.empty(dom.n)
+    for i in range(dom.n):
+        lo, hi = dom.bounds[i]
+        if not dom.periodic[i]:
+            pad = 0.05 * (hi - lo)
+            lo, hi = lo + pad, hi - pad
+        q[i] = rng.uniform(lo, hi)
+    return q
+
+
+@st.composite
+def boxes_and_points(draw):
+    """A box of dimension 0 to 4 with mixed periodic flags, and a point whose
+    coordinates lie anywhere, on or just beside a face, or are NaN."""
+    n = draw(st.integers(0, 4))
+    bounds = np.empty((n, 2))
+    q = []
+    for i in range(n):
+        lo = draw(st.floats(-10, 10))
+        bounds[i] = lo, lo + draw(st.floats(0.01, 20))
+        face = st.sampled_from(bounds[i]).flatmap(
+            lambda x: st.sampled_from([x - 1e-11, x - 1e-13, x, x + 1e-13, x + 1e-11])
+        )
+        q.append(draw(st.one_of(st.floats(-60, 60), face, st.just(np.nan))))
+    periodic = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return ChartDomain(n, bounds, periodic), q
+
+
+@settings(max_examples=300, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(boxes_and_points(), st.integers(0, 2**32 - 1))
+def test_chart_domain_matches_the_per_coordinate_reference(case, seed):
+    dom, q = case
+    assert dom.wrap(q).tobytes() == _wrap_reference(dom, q).tobytes()
+    assert dom.contains(q) == _contains_reference(dom, q)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        assert dom.sample(rng).tobytes() == _sample_reference(dom, ref).tobytes()
+    # both consumed the same draws, and a point base consumed none
+    assert rng.bit_generator.state == ref.bit_generator.state
+    if not dom.n:
+        assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -678,6 +741,41 @@ def test_check_axioms_fails_on_a_nan_table_entry():
         assert np.array_equal(cond.worst_point, first)
     assert report.condition("omega_skew").passed
     assert report.condition("d_two_form_closed").passed
+
+
+def test_check_axioms_reports_the_first_nan_sample_with_its_scale():
+    # c is finite, with skew defect 1 + q0^2, where q0 <= 0 and NaN where
+    # q0 > 0; a running maximum would report a finite scale
+    def c_body(q):
+        c = np.zeros((2, 2, 2), dtype=object)
+        finite = _dual.real_part(q[0]) <= 0
+        c[0, 0, 1] = (1.0 if finite else np.nan) * (1.0 + q[0] * q[0])
+        return c
+
+    base = box(1)
+    b = LPBundleChart(base, 2, c=SmoothMap(1, 8, c_body, out_shape=(2, 2, 2)))
+    report = check_axioms(b, n_samples=12, seed=3)
+    rng = np.random.default_rng(3)
+    points = [base.sample(rng) for _ in range(12)]
+    nan_at = [i for i, q in enumerate(points) if q[0] > 0]
+    assert 0 < nan_at[0] < nan_at[-1]
+    for name in ("c_skew", "c_jacobi", "e_bracket_parallel", "f_curvature_coupling"):
+        cond = report.condition(name)
+        assert not cond.passed
+        assert np.isnan(cond.max_residual) and np.isnan(cond.scale)
+        assert np.array_equal(cond.worst_point, points[nan_at[0]])
+    assert report.condition("omega_skew").passed
+
+
+def test_check_axioms_worst_point_on_a_constant_chart_is_the_last_sample():
+    # every sample gives the same residuals, and ties go to the later sample
+    b = violator_f()
+    report = check_axioms(b, n_samples=6, seed=4)
+    rng = np.random.default_rng(4)
+    last = [b.base.sample(rng) for _ in range(6)][-1]
+    assert not report.condition("f_curvature_coupling").passed
+    for name in CONDITIONS:
+        assert np.array_equal(report.condition(name).worst_point, last)
 
 
 def test_check_axioms_rejects_empty_sampling():
