@@ -6,13 +6,12 @@ global counter, so nested derivatives never confuse their perturbations: each
 arithmetic rule only combines infinitesimals that share a tag and treats any
 lower-tagged dual as an ordinary coefficient.
 
-``im`` is usually a scalar.  Two internal helpers seed ndarray infinitesimals
-(``gradient`` with shape (d,), ``grad_hess`` with shapes (d,) and (d, 1)); the
-axis-separated shapes make numpy broadcasting assemble the full Hessian in a
-single evaluation.  Seeding array infinitesimals at two nesting depths with a
-shared axis would silently compute elementwise products where outer products
-are meant, which is why ``gradient`` drops to per-direction scalar seeds as
-soon as its input already contains duals.
+``im`` is usually a scalar.  ``gradient`` seeds ndarray infinitesimals of
+shape (d,), ``grad_hess`` of shapes (d,) and (d, 1); the axis-separated shapes
+make numpy broadcasting assemble the full Hessian in a single evaluation.
+Array tangents of two nested passes would broadcast into each other, so a
+first-order pass seeds arrays only when no other pass is evaluating and its
+input holds no dual; otherwise it takes one scalar seed per direction.
 """
 
 from __future__ import annotations
@@ -22,6 +21,8 @@ import itertools
 import numpy as np
 
 _level_counter = itertools.count(1)
+# Number of derivative passes whose function is being evaluated right now.
+_active_passes = 0
 
 
 def fresh_level():
@@ -176,13 +177,14 @@ def contains_dual(x):
     return any(isinstance(e, Dual) for e in np.asarray(x, dtype=object).ravel())
 
 
-def component(y, i):
-    """i-th component of a possibly Dual-valued array expression."""
-    if isinstance(y, Dual):
-        return Dual(component(y.re, i), component(y.im, i), y.level)
-    if isinstance(y, np.ndarray):
-        return y.reshape(-1)[i]
-    return y  # scalar broadcast (typically an exact zero)
+def _evaluate(f, seeded):
+    """``f(seeded)``, counted as an active pass while it runs."""
+    global _active_passes
+    _active_passes += 1
+    try:
+        return f(seeded)
+    finally:
+        _active_passes -= 1
 
 
 def _as_scalar(y):
@@ -206,7 +208,7 @@ def directional(f, x, dx):
     seeded = np.array(
         [Dual(x[i], dx[i], lev) for i in range(x.size)], dtype=object
     )
-    y = f(seeded)
+    y = _evaluate(f, seeded)
     if isinstance(y, np.ndarray):
         vals = np.array([primal_part(e, lev) for e in y.ravel()], dtype=object)
         tans = np.array([tangent_part(e, lev) for e in y.ravel()], dtype=object)
@@ -214,41 +216,39 @@ def directional(f, x, dx):
     return primal_part(y, lev), tangent_part(y, lev)
 
 
+def _tangents(f, x):
+    """Tangents of ``f`` at ``x`` along each unit direction, in order."""
+    d = x.size
+    out = np.empty(d, dtype=object)
+    for j in range(d):
+        dx = np.zeros(d, dtype=object)
+        dx[j] = 1.0
+        _, out[j] = directional(f, x, dx)
+    return out
+
+
 def gradient(f, x):
     """Gradient of a scalar-valued ``f`` at ``x``.
 
-    Vector-mode (one evaluation) on plain float inputs; per-direction scalar
-    seeds whenever ``x`` already carries duals, to keep nested seed shapes
-    from colliding.  The per-direction result is an object array whose entries
-    may themselves be duals.
+    One evaluation with array seeds when no other pass is evaluating and
+    ``x`` holds no dual; otherwise one scalar-seeded pass per direction, and
+    an object array whose entries may themselves be duals.
     """
     x = np.asarray(x, dtype=object)
     d = x.size
     if d == 0:
         return np.zeros(0)
-    if contains_dual(x):
-        out = np.empty(d, dtype=object)
-        for j in range(d):
-            dx = np.zeros(d, dtype=object)
-            dx[j] = 1.0
-            _, out[j] = directional(f, x, dx)
-        return out
+    if _active_passes or contains_dual(x):
+        return _tangents(f, x)
     lev = fresh_level()
     eye = np.eye(d)
     seeded = np.array(
         [Dual(float(x[i]), eye[i], lev) for i in range(d)], dtype=object
     )
-    y = _as_scalar(f(seeded))
-    g = tangent_part(y, lev)
-    if isinstance(g, np.ndarray):
-        if g.dtype == object:
-            return g.reshape(d)
-        return g.astype(float).reshape(d)
-    if isinstance(g, Dual):
-        # the body captured outer duals in a closure; split per component
-        return np.array([component(g, i) for i in range(d)], dtype=object)
-    # f ignored its input, or the tangent collapsed to a scalar zero
-    return np.full(d, float(g))
+    y = _as_scalar(_evaluate(f, seeded))
+    # np.full copies an array tangent, or spreads the scalar zero of an f
+    # that ignored its input
+    return np.full(d, tangent_part(y, lev), dtype=float)
 
 
 def grad_hess(f, x):
@@ -271,21 +271,12 @@ def grad_hess(f, x):
     for i in range(d):
         inner = Dual(x[i], eye[i], inner_lev)
         seeded[i] = Dual(inner, eye[i][:, None], outer_lev)
-    y = _as_scalar(f(seeded))
+    y = _as_scalar(_evaluate(f, seeded))
 
     y1 = primal_part(y, outer_lev)
     val = real_part(y1)
-    g = tangent_part(y1, inner_lev)
-    grad = (
-        g.astype(float).reshape(d)
-        if isinstance(g, np.ndarray)
-        else np.full(d, float(g))
-    )
+    grad = np.full(d, tangent_part(y1, inner_lev), dtype=float)
 
     t2 = tangent_part(y, outer_lev)
     h = tangent_part(t2, inner_lev)
-    if isinstance(h, np.ndarray):
-        hess = np.broadcast_to(h.astype(float), (d, d)).copy()
-    else:
-        hess = np.full((d, d), float(h))
-    return float(val), grad, hess
+    return float(val), grad, np.full((d, d), h, dtype=float)

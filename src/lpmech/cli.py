@@ -285,11 +285,13 @@ def _table_field(node, key, n_vars, shape, label):
     fl = f"{label}.{key}"
     if not isinstance(sub, dict):
         raise ConfigError(f"{fl}: expected a mapping with 'constant' or 'polynomial'")
+    _known_keys(sub, ("constant", "polynomial"), fl)
     if "constant" in sub and "polynomial" in sub:
         raise ConfigError(f"{fl}: give 'constant' or 'polynomial', not both")
     if "constant" in sub:
         return constant_map(n_vars, _numbers(sub["constant"], f"{fl}.constant", shape), key)
     if "polynomial" in sub:
+        _known_keys(sub["polynomial"], ("terms",), f"{fl}.polynomial")
         terms = _need(sub["polynomial"], "terms", f"{fl}.polynomial")
         return polynomial_map(n_vars, shape, terms, f"{fl}.polynomial.terms")
     raise ConfigError(f"{fl}: expected 'constant' or 'polynomial'")
@@ -397,7 +399,9 @@ def resolve_system(cfg, args):
         bundle = bundle_from_config(cfg["bundle"])
         lag = None
         if "lagrangian" in cfg:
+            _known_keys(cfg["lagrangian"], ("polynomial",), "lagrangian")
             poly = _need(cfg["lagrangian"], "polynomial", "lagrangian")
+            _known_keys(poly, ("terms",), "lagrangian.polynomial")
             terms = _need(poly, "terms", "lagrangian.polynomial")
             n_vars = 2 * bundle.n + bundle.m
             L = polynomial_map(n_vars, (), terms, "lagrangian.polynomial.terms")

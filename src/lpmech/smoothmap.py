@@ -85,23 +85,15 @@ def eval_map(m: SmoothMap, x) -> np.ndarray:
 def jacobian(m: SmoothMap, x) -> np.ndarray:
     """Exact Jacobian of ``m`` at ``x``, shape (out_dim, in_dim).
 
-    One dual-number pass per input direction.  Rows follow the C-order
-    flattening of ``out_shape``.  Works when ``x`` itself contains duals
-    (nested differentiation); the entries of the result then carry the outer
-    perturbations.
+    One dual-number pass per input direction, each with a scalar seed, so the
+    result stays right when ``x`` holds duals or the body closes over the
+    duals of an enclosing pass; its entries then carry the outer
+    perturbations.  Rows follow the C-order flattening of ``out_shape``.
     """
     x = _check_input(m, np.asarray(x, dtype=object))
-    cols = []
-    for j in range(m.in_dim):
-        dx = np.zeros(m.in_dim, dtype=object)
-        dx[j] = 1.0
-        _, tan = _dual.directional(lambda z: _shape_output(m, m.body(z)), x, dx)
-        cols.append(np.asarray(tan, dtype=object).reshape(m.out_dim))
-    if not cols:
-        return np.zeros((m.out_dim, 0))
     J = np.empty((m.out_dim, m.in_dim), dtype=object)
-    for j, col in enumerate(cols):
-        J[:, j] = col
+    for j, tan in enumerate(_dual._tangents(lambda z: _shape_output(m, m.body(z)), x)):
+        J[:, j] = tan.reshape(m.out_dim)
     if _dual.contains_dual(J):
         return J
     return J.astype(float)

@@ -130,6 +130,20 @@ _INLINE_SCENARIO = "scenario: {base: {n: 0}, group: so3}\n"
 _STAGES = "system: heisenberg_stages\n"
 _TRIVIAL = "scenario: {base: {n: 0}, group: so3, representation: {trivial: %d}}\n"
 _SIMULATE = "system: free_particle_planar\n"
+_HEISENBERG_SCENARIO = """
+    scenario:
+      base:
+        n: 2
+        bounds: [[-1, 1], [-1, 1]]
+      group: {name: heisenberg3, coupling: 1.1}
+      connection:
+        polynomial:
+          terms:
+            - {index: [0, 0], powers: [0, 1], coeff: 0.3}
+            - {index: [1, 1], powers: [1, 0], coeff: -0.2}
+            - {index: [0, 2], powers: [1, 1], coeff: 0.25}
+            - {index: [1, 2], powers: [2, 0], coeff: 0.15}
+    """
 
 
 @pytest.mark.parametrize(
@@ -373,6 +387,25 @@ _SIMULATE = "system: free_particle_planar\n"
             [],
             "etas: expected a nonempty list of algebra vectors",
         ),
+        (
+            "reduce",
+            _HEISENBERG_SCENARIO.rstrip(" ") + "          representation: {trivial: 2}\n",
+            [],
+            "scenario.connection.polynomial: unknown key 'representation'",
+        ),
+        (
+            "check-axioms",
+            "bundle: {n: 1, m: 1, c: {constant: [[[0.0]]], coeff: 1.0}}\n",
+            [],
+            "bundle.c: unknown key 'coeff'",
+        ),
+        (
+            "simulate",
+            _INLINE_BUNDLE
+            + "lagrangian: {polynomial: {terms: []}, constant: 1.0}\n",
+            [],
+            "lagrangian: unknown key 'constant'",
+        ),
     ],
     ids=[
         "samples-axioms",
@@ -432,6 +465,9 @@ _SIMULATE = "system: free_particle_planar\n"
         "initial-required",
         "simulate-without-lagrangian",
         "etas-empty",
+        "table-polynomial-unknown-key",
+        "table-unknown-key",
+        "lagrangian-unknown-key",
     ],
 )
 def test_out_of_range_settings_are_config_errors(
@@ -873,22 +909,6 @@ def test_reduce_inline_scenario_dumps_structure_only(tmp_path):
     header, data = read_csv(os.path.join(str(tmp_path), "structure_samples.csv"))
     col = header.index("omega_1_1_2")
     assert np.max(np.abs(data[:, col] + 0.4)) <= 1e-12
-
-
-_HEISENBERG_SCENARIO = """
-    scenario:
-      base:
-        n: 2
-        bounds: [[-1, 1], [-1, 1]]
-      group: {name: heisenberg3, coupling: 1.1}
-      connection:
-        polynomial:
-          terms:
-            - {index: [0, 0], powers: [0, 1], coeff: 0.3}
-            - {index: [1, 1], powers: [1, 0], coeff: -0.2}
-            - {index: [0, 2], powers: [1, 1], coeff: 0.25}
-            - {index: [1, 2], powers: [2, 0], coeff: 0.15}
-    """
 
 
 @pytest.mark.parametrize(

@@ -254,3 +254,106 @@ def test_out_shape_tensor_maps():
     J = jacobian(m, np.array([2.0, 5.0]))
     assert J.shape == (8, 2)
     assert J[5, 0] == 5.0 and J[5, 1] == 2.0
+
+
+# f(x, y) = x . (A (y * roll(y)) + B y), with roll(y)_j = y_{j+1 mod dy}.
+# The (2, 2) corner is f = x0 y0 y1 + x1 y1 at y = (2, 3), x = (0.7, -0.4).
+_A = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, -1.0], [1.0, 3.0, 0.0]])
+_B = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [2.0, 0.0, -1.0]])
+_Y = np.array([2.0, 3.0, -1.5])
+_X = np.array([0.7, -0.4, 1.3])
+
+
+@pytest.mark.parametrize("dx, dy", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_outer_derivative_of_an_inner_gradient_closing_over_outer_duals(dx, dy):
+    """h(x) = |grad_y f(x, y)|^2 at a fixed float y: the inner gradient's
+    function closes over the duals of the outer pass.  grad_y f = N x with
+    N = (A D + B)^T and D = d(y * roll(y))/dy, so h has gradient
+    2 N^T N x and Hessian 2 N^T N."""
+    A, B, y, x = _A[:dx, :dy], _B[:dx, :dy], _Y[:dy], _X[:dx]
+    R = np.roll(np.eye(dy), -1, axis=0)  # R @ y == roll(y)
+    N = (A @ (np.diag(R @ y) + np.diag(y) @ R) + B).T
+
+    def h(xx):
+        g = _dual.gradient(lambda z: xx @ (A @ (z * np.roll(z, -1)) + B @ z), y)
+        return np.dot(g, g)
+
+    want_grad, want_hess = 2.0 * N.T @ N @ x, 2.0 * N.T @ N
+    got = {
+        "gradient": _dual.gradient(h, x),
+        "jacobian": jacobian(SmoothMap(dx, 1, h), x)[0],
+    }
+    val, got["grad_hess"], hess = _dual.grad_hess(h, x)
+    for name, grad in got.items():
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12, err_msg=name)
+    np.testing.assert_allclose(hess, want_hess, rtol=1e-12, atol=1e-12)
+    assert val == pytest.approx(np.sum((N @ x) ** 2), rel=1e-12)
+
+
+def _count_directional(monkeypatch):
+    calls = []
+    inner = _dual.directional
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(_dual, "directional", counted)
+    return calls
+
+
+def test_top_level_gradient_is_one_array_pass(monkeypatch):
+    calls = _count_directional(monkeypatch)
+    evals = []
+
+    def f(x):
+        evals.append(1)
+        return x[0] * x[1] + x[2] ** 2
+
+    g = _dual.gradient(f, np.array([2.0, 3.0, 4.0]))
+    assert g.dtype == float and list(g) == [3.0, 2.0, 8.0]
+    assert len(evals) == 1 and not calls
+
+
+def test_gradient_inside_another_pass_seeds_one_direction_at_a_time(monkeypatch):
+    calls = _count_directional(monkeypatch)
+    y = np.array([1.0, 2.0, 3.0])
+
+    def outer(x):
+        inner = _dual.gradient(lambda z: x[0] * (z[0] * z[1] + z[2] ** 2), y)
+        return np.sum(inner)
+
+    # the outer pass takes array seeds, the inner one three scalar-seeded passes
+    assert list(_dual.gradient(outer, np.array([0.5]))) == [2.0 + 1.0 + 6.0]
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda f: _dual.gradient(f, np.array([1.0, 2.0])),
+        lambda f: _dual.directional(f, np.array([1.0]), np.array([1.0])),
+        lambda f: _dual.grad_hess(f, np.array([1.0, 2.0])),
+    ],
+    ids=["gradient", "directional", "grad_hess"],
+)
+def test_a_raising_body_leaves_no_pass_open(run, monkeypatch):
+    def boom(x):
+        raise ZeroDivisionError("body failed")
+
+    with pytest.raises(ZeroDivisionError):
+        run(boom)
+    calls = _count_directional(monkeypatch)
+    evals = []
+
+    def f(x):
+        evals.append(1)
+        return x[0] * x[1]
+
+    assert list(_dual.gradient(f, np.array([2.0, 5.0]))) == [5.0, 2.0]
+    assert len(evals) == 1 and not calls
+
+
+def test_gradient_of_a_constant_is_a_float_zero_vector():
+    g = _dual.gradient(lambda x: 3.0, np.array([1.0, 2.0, 3.0]))
+    assert g.dtype == float and g.shape == (3,) and not g.any()
