@@ -28,6 +28,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -121,7 +122,12 @@ def _known_keys(node, allowed, label):
 
 def _num(val, label):
     if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{label}: expected a number, got {type(val).__name__}")
+        msg = f"{label}: expected a number, got {type(val).__name__}"
+        if isinstance(val, str) and "e" in val.lower():
+            with contextlib.suppress(ValueError):  # PyYAML reads 1e-3 as a string
+                float(val)
+                msg += "; YAML needs a decimal point and a signed exponent, as in 1.0e-3"
+        raise ConfigError(msg)
     try:
         return float(val)
     except OverflowError:
@@ -629,7 +635,7 @@ def cmd_stages(cfg, args):
             f"stages.nidx: expected a list of basis indices, got {type(nidx).__name__}"
         )
     sc = record.scenario
-    nidx = [_int(i, "stages.nidx", least=0) for i in nidx]
+    nidx = [_int(i, f"stages.nidx[{j}]", least=0) for j, i in enumerate(nidx)]
     try:
         nidx = subgroup_indices(nidx, sc.k)
     except ValueError as exc:

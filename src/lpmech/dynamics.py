@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _dual
 from .errors import DimensionMismatch, NonFiniteState, NumericalFailure, SingularHessian
-from .lpbundle import LPBundleChart, _algebra_defects, _max_abs
+from .lpbundle import LPBundleChart
 from .smoothmap import SmoothMap, eval_map, jacobian
 
 HESSIAN_COND_LIMIT = 1e12
@@ -144,7 +144,6 @@ class Trajectory:
 
     times: np.ndarray
     states: tuple
-    meta: dict = field(default_factory=dict)
     jets: tuple = ()
 
     def __post_init__(self):
@@ -361,8 +360,7 @@ def _integrate_fixed(ydot, state_type, dom, s0, t0, t1, h, method, jet=None):
         if jet is not None:
             jets.append(jet(y))
 
-    meta = {"integrator": method, "h": float(h), "seed": None}
-    return Trajectory(times, states, meta, jets)
+    return Trajectory(times, states, jets)
 
 
 def integrate_lp(sys: LPLagrangian, s0: LPState, t0, t1, h, method="rk4"):
@@ -394,36 +392,21 @@ def integrate_lp(sys: LPLagrangian, s0: LPState, t0, t1, h, method="rk4"):
 # symmetry machinery
 
 
-def _check_algebra_constants(c):
-    skew, jac, _ = _algebra_defects(c)
-    if _max_abs(skew) > 1e-10 or _max_abs(jac) > 1e-10:
-        raise ValueError("symmetry algebra constants must be skew and Jacobi")
-
-
 @dataclass(frozen=True)
 class GroupAction:
     """Infinitesimal symmetry data.
 
     ``genQ(eta, q)`` is the base generator (length n, dual-safe in q);
     ``genV(eta, q, v)`` is the fiber-linear generator part rho'(eta)v.
-    ``algebra_c`` holds structure constants of the symmetry algebra in the
-    usual c[g, a, b] layout (zeros for abelian symmetries).
     """
 
     dim_g: int
     genQ: callable
     genV: callable
-    algebra_c: np.ndarray = None
 
     def __post_init__(self):
         if self.dim_g < 1:
             raise ValueError("need at least a one-parameter symmetry")
-        c = self.algebra_c
-        c = np.zeros((self.dim_g,) * 3) if c is None else np.asarray(c, dtype=float)
-        if c.shape != (self.dim_g,) * 3:
-            raise DimensionMismatch("algebra constants have the wrong shape")
-        _check_algebra_constants(c)
-        object.__setattr__(self, "algebra_c", c)
 
 
 def _current(n, grad, etaQ):

@@ -1,7 +1,7 @@
 """Matrix Lie groups with a fixed algebra basis.
 
 A group is described by its matrix size, a basis of the algebra as matrices,
-exp/log maps, and structure constants in the layout c[g, a, b] = coefficient
+an exponential map, and structure constants in the layout c[g, a, b] = coefficient
 of basis[g] in [basis[a], basis[b]].  The exponential maps accept dual-number
 entries so group-valued expressions can be differentiated.
 """
@@ -22,8 +22,7 @@ from .errors import DimensionMismatch, NotSupported
 class MatrixLieGroup:
     """A matrix group with chosen algebra basis.
 
-    ``exp_body``/``log_body`` work on coefficient vectors: exp takes algebra
-    coefficients to a group matrix, log inverts it near the identity.
+    ``exp_body`` takes algebra coefficients to a group matrix.
 
     On dual (object) input, ``hat`` and ``unhat`` sum only over the exact
     nonzero pattern of ``basis`` and of its pseudo-inverse, in the order of
@@ -36,7 +35,6 @@ class MatrixLieGroup:
     mat_dim: int
     basis: np.ndarray  # (dim, mat_dim, mat_dim)
     exp_body: callable
-    log_body: callable
     check_body: callable = None
 
     def __post_init__(self):
@@ -83,10 +81,6 @@ class MatrixLieGroup:
                 f"{self.name}: expected {self.dim} coefficients, got {xi.shape}"
             )
         return self.exp_body(xi)
-
-    def log(self, g):
-        """Algebra coefficients of a group element near the identity."""
-        return self.log_body(np.asarray(g, dtype=float))
 
     def is_element(self, g):
         """Whether g is a group matrix, up to a tolerance of 1e-8."""
@@ -145,24 +139,10 @@ def structure_constants(group: MatrixLieGroup):
     return c
 
 
-def ad(group: MatrixLieGroup, xi, eta):
-    """Bracket of two algebra coefficient vectors."""
-    M = group.hat(xi) @ group.hat(eta) - group.hat(eta) @ group.hat(xi)
-    return group.unhat(M)
-
-
-def Ad(group: MatrixLieGroup, g, xi):
-    """Adjoint action of a group element on algebra coefficients."""
-    g = np.asarray(g, dtype=float)
-    return group.unhat(g @ group.hat(xi) @ np.linalg.inv(g))
-
-
-def coad(c, xi, mu):
-    """Dual pairing transpose of the bracket: out[d] = c[g, b, d] xi[b] mu[g].
-
-    Satisfies <coad(xi, mu), eta> = <mu, [xi, eta]> for all eta.
-    """
-    return np.einsum("gbd,b,g->d", c, xi, mu)
+def Ad(group: MatrixLieGroup, g, ginv):
+    """Matrix of the adjoint action: column q holds the coefficients of
+    g basis[q] g^-1.  The caller passes g^-1, so g may hold dual entries."""
+    return np.array([group.unhat(g @ b @ ginv) for b in group.basis]).T
 
 
 # ---------------------------------------------------------------------------
@@ -193,29 +173,6 @@ def _so3_exp(xi):
     return np.eye(3) + A * K + B * K2
 
 
-def _so3_log(R):
-    tr = np.trace(R)
-    cos_th = min(1.0, max(-1.0, (tr - 1.0) / 2.0))
-    th = np.arccos(cos_th)
-    w = 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    if th < 1e-8:
-        return w  # sin(th)/th ~ 1 to full precision here
-    if np.pi - th < 1e-6:
-        # near the injectivity boundary R + I ~ 2 n n^T, so any column of
-        # R + I with a large diagonal entry is parallel to the axis
-        B = R + np.eye(3)
-        j = int(np.argmax(np.diag(B)))
-        axis = B[:, j]
-        nrm = np.linalg.norm(axis)
-        if nrm < 1e-12:
-            raise ValueError("rotation by pi with ambiguous axis")
-        axis = axis / nrm
-        if np.dot(axis, w) < 0:
-            axis = -axis
-        return th * axis
-    return th / np.sin(th) * w
-
-
 def _so3_check(g, tol):
     return (
         np.max(np.abs(g.T @ g - np.eye(3))) <= tol
@@ -225,7 +182,7 @@ def _so3_check(g, tol):
 
 def so3():
     basis = np.array([_so3_hat(e) for e in np.eye(3)])
-    return MatrixLieGroup("so3", 3, basis, _so3_exp, _so3_log, _so3_check)
+    return MatrixLieGroup("so3", 3, basis, _so3_exp, _so3_check)
 
 
 # ---------------------------------------------------------------------------
@@ -258,19 +215,13 @@ def heisenberg3(coupling=1.0):
         g[0, 3] = x
         return g
 
-    def log_body(g):
+    def check_body(g, tol):
         x = g[0, 3]
         y = g[1, 2]
         z = g[0, 2] - s * x * y / 2.0
-        return np.array([x, y, z])
+        return np.max(np.abs(g - exp_body(np.array([x, y, z])))) <= tol
 
-    def check_body(g, tol):
-        recon = exp_body(log_body(g))
-        return np.max(np.abs(g - recon)) <= tol
-
-    return MatrixLieGroup(
-        f"heisenberg3(c={s:g})", 4, basis, exp_body, log_body, check_body
-    )
+    return MatrixLieGroup(f"heisenberg3(c={s:g})", 4, basis, exp_body, check_body)
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +241,10 @@ def abelian(k):
             g[a, k] = xi[a]
         return g
 
-    def log_body(g):
-        return np.array([g[a, k] for a in range(k)])
-
     def check_body(g, tol):
         expect = np.eye(k + 1)
         mask = np.ones((k + 1, k + 1), dtype=bool)
         mask[:k, k] = False
         return np.max(np.abs((g - expect)[mask])) <= tol
 
-    return MatrixLieGroup(f"abelian({k})", k + 1, basis, exp_body, log_body, check_body)
+    return MatrixLieGroup(f"abelian({k})", k + 1, basis, exp_body, check_body)

@@ -15,7 +15,6 @@ the closure conditions that make the section bracket a Lie bracket live here.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -353,9 +352,6 @@ class AxiomReport:
                 for c in self.conditions
             ],
         }
-
-    def as_json(self):
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
 
 def _max_abs(*tensors):

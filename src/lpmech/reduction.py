@@ -35,13 +35,11 @@ from .errors import (
 from .dynamics import (
     LPLagrangian,
     LPState,
-    LPState2,
     Trajectory,
     _lagrangian_gradient,
-    lp_operator,
 )
 from .lpbundle import ChartDomain, LPBundleChart, _max_abs, check_axioms
-from .liegroups import MatrixLieGroup, abelian, structure_constants
+from .liegroups import Ad, MatrixLieGroup, abelian, structure_constants
 from .smoothmap import SmoothMap, constant_map, eval_map, jacobian
 
 # invariance sampling in reduce_lagrangian
@@ -262,32 +260,13 @@ def alpha_map(sc: PrincipalScenario, x, xdot, g, gdot, w=None):
     return x, xdot, xi, a
 
 
-def alpha_inverse(sc: PrincipalScenario, x, xdot, xi, a, g):
-    """Reconstruct (gdot, w) over the group element g."""
-    x = np.asarray(x, dtype=float)
-    xdot = np.asarray(xdot, dtype=float)
-    if not sc.G.is_element(g):
-        raise ValueError("not a valid group element")
-    A = np.asarray(eval_map(sc.A, x), dtype=float)
-    body = np.asarray(xi, dtype=float) - A.T @ xdot
-    gdot = np.asarray(g, dtype=float) @ np.asarray(sc.G.hat(body), dtype=float)
-    if sc.repW is None:
-        w = np.zeros(0)
-    else:
-        w = np.asarray(sc.repW.rho(np.asarray(g, dtype=float)), dtype=float) @ np.asarray(
-            a, dtype=float
-        )
-    return gdot, w
-
-
 def project_trajectory(sc: PrincipalScenario, times, samples):
     """Pointwise alpha_map over a grid of (x, xdot, g, gdot, w) samples."""
     states = []
     for x, xdot, g, gdot, w in samples:
         x, xdot, xi, a = alpha_map(sc, x, xdot, g, gdot, w)
         states.append(LPState(x, xdot, np.concatenate([xi, a])))
-    meta = {"integrator": "projected", "h": None, "seed": None}
-    return Trajectory(np.asarray(times, dtype=float), states, meta)
+    return Trajectory(np.asarray(times, dtype=float), states)
 
 
 # ---------------------------------------------------------------------------
@@ -354,17 +333,6 @@ def reduce_lagrangian(handle: ReducedBundleHandle, L):
         return L(x, xdot, eye, gdot, va[k:])
 
     return LPLagrangian.from_callable(handle.bundle, f, name="reduced")
-
-
-# ---------------------------------------------------------------------------
-# the diamond pairing
-
-
-def diamond(b, a, rep: RepW):
-    """The algebra covector pairing <diamond(b, a), eta> = <a, rho'(eta) b>."""
-    b = np.asarray(b, dtype=float)
-    a = np.asarray(a, dtype=float)
-    return np.array([a @ (gen @ b) for gen in rep.gen])
 
 
 # ---------------------------------------------------------------------------
@@ -487,10 +455,6 @@ def stages_reduce(direct: ReducedBundleHandle, nidx, override_A_N=None, seed=0):
     section = partial(_subgroup_exp, G, kidx)
     gen = c[np.ix_(N, K, N)].transpose(1, 0, 2)  # gen[j][p, q] = c[N_p, K_j, N_q]
 
-    def ad_n(s, sinv):
-        """Ad_s on n in the N coordinates: column q is s e_{N_q} s^-1."""
-        return np.array([G.unhat(s @ G.basis[i] @ sinv)[N] for i in N]).T
-
     def a_n_body(xk):
         """N-block of s(kc)^-1 (A_G(x) dx + ds), carried to the stage-1
         fiber by Ad_s(kc), in the coordinates (x, kc)."""
@@ -499,7 +463,7 @@ def stages_reduce(direct: ReducedBundleHandle, nidx, override_A_N=None, seed=0):
         jets = [_dual.directional(section, np.asarray(kc, dtype=object), e) for e in np.eye(s_dim)]
         rows = np.concatenate([eval_map(sc.A, x), [G.unhat(sinv @ ds) for _, ds in jets]])[:, N]
         if gen.any():  # K acts on n; on a central n, Ad_s(kc) is the identity
-            rows = rows @ ad_n(jets[0][0], sinv).T
+            rows = rows @ Ad(G, jets[0][0], sinv)[np.ix_(N, N)].T
         # through a list, so the table is a float array when no entry is a dual
         return np.array(rows.tolist())
 
@@ -535,7 +499,9 @@ def stages_reduce(direct: ReducedBundleHandle, nidx, override_A_N=None, seed=0):
     stage1 = build_reduced_bundle(PrincipalScenario(base1, abelian(r), A_N))
 
     A_K = SmoothMap(d, d * s_dim, lambda x: eval_map(sc.A, x)[:, K], out_shape=(d, s_dim))
-    rep = RepW(r, gen, lambda h: ad_n(section(h[:s_dim, -1]), section(-h[:s_dim, -1])))
+    rep = RepW(
+        r, gen, lambda h: Ad(G, section(h[:s_dim, -1]), section(-h[:s_dim, -1]))[np.ix_(N, N)]
+    )
     stage2 = build_reduced_bundle(
         PrincipalScenario(sc.baseB, abelian(s_dim), A_K, rep), two_form=stage1.bundle.omega
     )
@@ -601,16 +567,7 @@ def two_stage_lagrangian(res: StagesResult, L):
 
 
 # ---------------------------------------------------------------------------
-# reduced currents and the vertical split
-
-
-def reduced_vertical_split(sys: LPLagrangian, s2: LPState2, k: int):
-    """Fiber equation residual split into (algebra block, W block): the fiber
-    covector of lp_operator cut after its first k entries."""
-    if not 0 <= k <= sys.m:
-        raise ValueError("unknown block structure")
-    _, ver = lp_operator(sys, s2)
-    return ver[:k], ver[k:]
+# reduced currents
 
 
 def reduced_noether(sys: LPLagrangian, s: LPState, etabar):

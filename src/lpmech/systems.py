@@ -338,12 +338,7 @@ def free_particle_planar():
         dt = object if np.asarray(q).dtype == object else float
         return np.array(entries, dtype=dt)
 
-    c = np.zeros((3, 3, 3))
-    c[1, 2, 0] = 1.0
-    c[1, 0, 2] = -1.0
-    c[0, 2, 1] = -1.0
-    c[0, 1, 2] = 1.0
-    action = GroupAction(3, genQ, lambda eta, q, v: np.zeros(0), c)
+    action = GroupAction(3, genQ, lambda eta, q, v: np.zeros(0))
 
     return SystemRecord(
         name="free_particle_planar",

@@ -48,7 +48,6 @@ from lpmech.reduction import (
     group_chart_lagrangian,
     project_trajectory,
     reduced_noether,
-    reduced_vertical_split,
     stages_reduce,
     two_stage_lagrangian,
 )
@@ -533,7 +532,7 @@ def test_criterion_07_current_rate_equals_vertical_block():
             dJ = (-Js[i + 2] + 8 * Js[i + 1] - 8 * Js[i - 1] + Js[i - 2]) / (12 * h)
             s = full.states[i]
             s2 = LPState2(s.q, s.qdot, s.v, np.zeros(0), np.zeros(9))
-            blk = reduced_vertical_split(rec.lagrangian, s2, 3)[0]
+            blk = lp_operator(rec.lagrangian, s2)[1][:3]
             worst = max(worst, abs(dJ - blk[g_]))
     ok = worst <= 1e-6
     assert _verdict(7, ok, f"rate mismatch {worst:.1e}")

@@ -174,6 +174,14 @@ _HEISENBERG_SCENARIO = """
             [],
             "stages.nidx: span of basis indices (0, 1) is not an ideal",
         ),
+        ("stages", _STAGES + "stages: {nidx: [0.5]}\n", [], "stages.nidx[0]: expected an integer"),
+        ("stages", _STAGES + "stages: {nidx: [-1]}\n", [], "stages.nidx[0]: must be at least 0"),
+        (
+            "simulate",
+            _SIMULATE + "dt: 1e-3\n",
+            [],
+            "dt: expected a number, got str; YAML needs a decimal point and a signed exponent",
+        ),
         (
             "reduce",
             _TRIVIAL % -2,
@@ -423,6 +431,9 @@ _HEISENBERG_SCENARIO = """
         "nidx-out-of-range",
         "nidx-whole-group",
         "stages-nidx-not-an-ideal",
+        "nidx-fraction",
+        "nidx-negative",
+        "dt-exponent-without-decimal-point",
         "trivial-negative",
         "trivial-zero",
         "t_end-inf-config",

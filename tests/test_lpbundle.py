@@ -716,7 +716,7 @@ def test_report_text_and_dict_round_trip():
     assert set(names) == set(CONDITIONS)
     import json
 
-    json.loads(report.as_json())
+    assert json.loads(json.dumps(d)) == d
 
 
 def test_check_axioms_deterministic_across_runs():

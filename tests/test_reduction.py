@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from lpmech import reduction
 from lpmech.dynamics import (
     LPState,
-    LPState2,
     accelerations,
     integrate_lp,
-    lp_operator,
 )
 from lpmech.errors import (
     AxiomViolation,
@@ -32,18 +30,15 @@ from lpmech.lpbundle import ChartDomain, LPBundleChart, check_axioms
 from lpmech.reduction import (
     PrincipalScenario,
     RepW,
-    alpha_inverse,
     alpha_map,
     build_reduced_bundle,
     curvature_form,
     defining_representation,
-    diamond,
     exp_chart_samples,
     group_chart_lagrangian,
     project_trajectory,
     reduce_lagrangian,
     reduced_noether,
-    reduced_vertical_split,
     require_axioms,
     stages_reduce,
     trivial_representation,
@@ -294,7 +289,9 @@ def test_alpha_round_trip():
         xi = rng.normal(size=3)
         a = rng.normal(size=3)
         g = np.asarray(G.exp(rng.normal(size=3) * 0.6), float)
-        gdot, w = alpha_inverse(sc, x, xdot, xi, a, g)
+        # the reconstruction: gdot = g hat(xi - A^T xdot), w = rho(g) a
+        gdot = g @ G.hat(xi - eval_map(sc.A, x).T @ xdot)
+        w = sc.repW.rho(g) @ a
         _, _, xi2, a2 = alpha_map(sc, x, xdot, g, gdot, w)
         assert np.max(np.abs(xi2 - xi)) < 1e-12
         assert np.max(np.abs(a2 - a)) < 1e-12
@@ -420,89 +417,44 @@ def test_chart_form_rejects_nonpoint_base():
 
 
 # ---------------------------------------------------------------------------
-# diamond pairing
+# the W-block of the reduced bracket: c[k + p, r, k + q] = <e_p, rho'(e_r) e_q>
+
+
+def _w_block(G, rep):
+    """c[k:, :k, k:] of the reduced bundle of a point-base scenario."""
+    handle = build_reduced_bundle(PrincipalScenario(ChartDomain(0), G, repW=rep))
+    _, c, _ = handle.bundle.tables(np.zeros(0))
+    return c[G.dim :, : G.dim, G.dim :]
 
 
 def test_diamond_matches_group_action_pairing_on_basis_triples():
-    # <diamond(b, a), e_r> must be the derivative of <a, rho(exp(t e_r)) b>
+    # c[k + p, r, k + q] must be the derivative of <e_p, rho(exp(t e_r)) e_q>
     # at t = 0, computed here by central differences on the group action
-    rep = defining_representation(so3())
     G = so3()
+    W = _w_block(G, defining_representation(G))
     h = 1e-6
-    for p in range(3):
-        for q in range(3):
-            b = np.eye(3)[p]
-            a = np.eye(3)[q]
-            d = diamond(b, a, rep)
-            for r in range(3):
-                eta = h * np.eye(3)[r]
-                plus = np.asarray(G.exp(eta), float) @ b
-                minus = np.asarray(G.exp(-eta), float) @ b
-                fd = a @ (plus - minus) / (2 * h)
-                assert abs(d[r] - fd) < 1e-9
+    for r in range(3):
+        eta = h * np.eye(3)[r]
+        fd = (np.asarray(G.exp(eta), float) - np.asarray(G.exp(-eta), float)) / (2 * h)
+        assert np.max(np.abs(W[:, r, :] - fd)) < 1e-9
 
 
 def test_diamond_is_cross_product_for_rotations():
-    rep = defining_representation(so3())
+    # <a, rho'(e_r) b> = (b x a)[r] for rotations acting on R^3
+    W = _w_block(so3(), defining_representation(so3()))
     rng = np.random.default_rng(7)
     for _ in range(5):
         b = rng.normal(size=3)
         a = rng.normal(size=3)
-        assert np.max(np.abs(diamond(b, a, rep) - np.cross(b, a))) < 1e-14
+        assert np.max(np.abs(np.einsum("p,prq,q->r", a, W, b) - np.cross(b, a))) < 1e-14
 
 
 def test_diamond_vanishes_for_trivial_representation():
-    rep = trivial_representation(so3(), 4)
-    assert np.max(np.abs(diamond(np.ones(4), np.ones(4), rep))) == 0.0
+    assert np.max(np.abs(_w_block(so3(), trivial_representation(so3(), 4)))) == 0.0
 
 
 # ---------------------------------------------------------------------------
-# vertical split and reduced current
-
-
-def coupled_semidirect_system():
-    sc = PrincipalScenario(
-        ChartDomain(0), so3(), repW=defining_representation(so3())
-    )
-    handle = build_reduced_bundle(sc)
-    inertia = np.array([1.2, 1.2, 2.0])
-
-    def L(x, xdot, g, gdot, w):
-        gt = _transpose(np.asarray(g))
-        xi = so3().unhat(_mm(gt, np.asarray(gdot, dtype=object)))
-        # the advected vector in body frame is what pairs invariantly
-        a = [sum(gt[i, r] * w[r] for r in range(3)) for i in range(3)]
-        val = 0.5 * sum(inertia[k] * xi[k] * xi[k] for k in range(3))
-        val = val + 0.5 * sum(a[k] * a[k] for k in range(3))
-        val = val + sum(a[k] * xi[k] for k in range(3))
-        return val
-
-    return reduce_lagrangian(handle, L), handle
-
-
-def test_vertical_split_reassembles_fiber_equation():
-    red, handle = coupled_semidirect_system()
-    rng = np.random.default_rng(4)
-    s2 = LPState2(
-        np.zeros(0), np.zeros(0), rng.normal(size=6), np.zeros(0), rng.normal(size=6)
-    )
-    gpart, wpart = reduced_vertical_split(red, s2, handle.scenario.k)
-    assert gpart.shape == (3,) and wpart.shape == (3,)
-    _, ver = lp_operator(red, s2)
-    assert np.max(np.abs(np.concatenate([gpart, wpart]) - ver)) < 1e-12
-
-
-def test_vertical_split_without_auxiliary_fiber():
-    sc = PrincipalScenario(ChartDomain(0), so3())
-    handle = build_reduced_bundle(sc)
-    red = reduce_lagrangian(handle, rigid_body_lagrangian(np.array([1.0, 2.0, 3.0])))
-    s2 = LPState2(np.zeros(0), np.zeros(0), np.array([0.3, 0.1, -0.2]), np.zeros(0), np.zeros(3))
-    gpart, wpart = reduced_vertical_split(red, s2, 3)
-    assert wpart.size == 0
-    _, ver = lp_operator(red, s2)
-    assert np.max(np.abs(gpart - ver)) < 1e-12
-    with pytest.raises(ValueError, match="block"):
-        reduced_vertical_split(red, s2, 5)
+# reduced current
 
 
 def test_reduced_noether_is_momentum_pairing():
@@ -680,10 +632,7 @@ def so3_cross_r():
         g[3, 4] = xi[3]
         return g
 
-    def log_body(g):
-        return np.concatenate([s.log_body(g[:3, :3]), [g[3, 4]]])
-
-    return MatrixLieGroup("so3xR", 5, basis, exp_body, log_body)
+    return MatrixLieGroup("so3xR", 5, basis, exp_body)
 
 
 def test_stages_rejects_bad_subgroups():

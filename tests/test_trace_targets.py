@@ -1,17 +1,20 @@
-"""The traced benchmark's target list still names lpmech functions.
+"""The benchmark still names lpmech functions that exist.
 
 ``perfbench/tracing.py`` rebinds each ``(module, attribute)`` pair of its
-``TARGETS`` from outside the package, so without this check a rename under
-``src/`` would break ``perfbench/run.py --trace 1`` with no test failing.
+``TARGETS`` from outside the package, and the other benchmark scripts import
+lpmech names and read attributes of lpmech modules.  Without these checks a
+rename under ``src/`` would break ``perfbench/run.py`` with no test failing.
 """
 
+import ast
 import importlib
 import importlib.util
 import pathlib
 
 import pytest
 
-_TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+_PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+_TRACING = _PERFBENCH / "tracing.py"
 
 
 def _targets():
@@ -31,3 +34,90 @@ def test_trace_target_resolves_to_a_callable(module, attr):
     else:
         fn = getattr(owner, attr, None)
     assert callable(fn)
+
+
+def _resolve(dotted):
+    """The object a dotted lpmech path names, or None."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], start=2):
+        if not hasattr(obj, part):
+            try:  # a submodule that nothing has imported yet
+                obj = importlib.import_module(".".join(parts[:i]))
+                continue
+            except ModuleNotFoundError:
+                return None
+        obj = getattr(obj, part)
+    return obj
+
+
+def _dotted(node, modules):
+    """``module.attr...`` as a dotted lpmech path when ``node`` is an
+    attribute chain on a name bound to an lpmech module, else None."""
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name) or node.id not in modules:
+        return None
+    return ".".join([modules[node.id]] + attrs[::-1])
+
+
+def _lpmech_references(tree):
+    """Every lpmech path an imported name or an attribute chain refers to."""
+    modules, refs = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "lpmech":
+                    head = alias.name if alias.asname else "lpmech"
+                    modules[alias.asname or "lpmech"] = head
+                    refs.append(alias.name)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "lpmech":
+            for alias in node.names:
+                refs.append(f"{node.module}.{alias.name}")
+                modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        path = _dotted(node, modules) if isinstance(node, ast.Attribute) else None
+        if path:
+            refs.append(path)
+    return refs
+
+
+def _string_text(node):
+    """A string literal's text; an f-string's replacement fields read as ``_``."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else "_" for v in node.values)
+    return ""
+
+
+def _perfbench_references(path):
+    """References in the script and in the code strings it runs elsewhere,
+    such as the setup snippet that run.py hands to a fresh interpreter."""
+    tree = ast.parse(path.read_text())
+    refs = _lpmech_references(tree)
+    for node in ast.walk(tree):
+        text = _string_text(node)
+        if "lpmech" in text:
+            try:
+                refs += _lpmech_references(ast.parse(text))
+            except SyntaxError:  # prose, or a fragment of an f-string
+                pass
+    return refs
+
+
+_SCRIPTS = sorted(_PERFBENCH.glob("*.py"))
+
+
+@pytest.mark.parametrize("script", _SCRIPTS, ids=[p.name for p in _SCRIPTS])
+def test_perfbench_lpmech_references_resolve(script):
+    missing = [ref for ref in _perfbench_references(script) if _resolve(ref) is None]
+    assert not missing, f"{script.name} refers to missing lpmech names: {missing}"
+
+
+def test_perfbench_reference_scan_sees_the_library_calls():
+    refs = set(_perfbench_references(_PERFBENCH / "brackets.py"))
+    assert {"lpmech.hamiltonian.DualObservable", "lpmech.lpbundle.Section"} <= refs
+    assert "lpmech.systems.build_system" in _perfbench_references(_PERFBENCH / "run.py")
