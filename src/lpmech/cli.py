@@ -18,11 +18,11 @@ Lagrangians of user-defined bundles are written as polynomial tables,
 lists of terms that each carry the tensor entry they feed (``index``), one
 exponent per input variable (``powers``), and a coefficient.
 
-Exit codes: 0 success, 1 configuration error, 2 axiom or invariance
-violation, 3 numerical failure.  Output files are written atomically
-(temp file, then rename) and CSV numbers use 17 significant digits with
-LF line endings, so reruns with identical configuration and seed produce
-byte-identical files.
+Exit codes: 0 success, 1 configuration or usage error, 2 axiom or
+invariance violation, 3 numerical failure.  Output files are written
+atomically (temp file, then rename) and CSV numbers use 17 significant
+digits with LF line endings, so reruns with identical configuration and
+seed produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -174,13 +174,11 @@ def _numbers(val, label, shape=None):
     return np.array(rows).reshape(shape)
 
 
-def _resolve_seed(flag_seed, cfg):
-    """Seed precedence: command-line flag, config key, LPMECH_SEED, then 0.
-
-    Whichever source wins must give a nonnegative integer.
+def _resolve_seed(cfg):
+    """Seed precedence: ``--seed`` (which main folds into the config), the
+    config key, LPMECH_SEED, then 0.  Whichever source wins must give a
+    nonnegative integer.
     """
-    if flag_seed is not None:
-        return _int(flag_seed, "seed", least=0)
     if "seed" in cfg:
         return _int(cfg["seed"], "seed", least=0)
     env = os.environ.get("LPMECH_SEED")
@@ -193,11 +191,11 @@ def _resolve_seed(flag_seed, cfg):
     return _int(seed, "LPMECH_SEED", least=0)
 
 
-def _resolve_run(cfg, args):
-    """Time grid and integrator settings with flag-over-config precedence."""
-    t_end = args.t_end if args.t_end is not None else _num(cfg.get("t_end", 1.0), "t_end")
-    dt = args.dt if args.dt is not None else _num(cfg.get("dt", 1e-3), "dt")
-    method = args.method or cfg.get("method", "rk4")
+def _resolve_run(cfg):
+    """Time grid and integrator settings."""
+    t_end = _num(cfg.get("t_end", 1.0), "t_end")
+    dt = _num(cfg.get("dt", 1e-3), "dt")
+    method = cfg.get("method", "rk4")
     for label, val in (("t_end", t_end), ("dt", dt)):
         if not 0 < val < np.inf:
             raise ConfigError(f"{label}: must be positive and finite, got {val:g}")
@@ -210,8 +208,8 @@ def _resolve_run(cfg, args):
     return t_end, dt, method
 
 
-def _resolve_out(cfg, args):
-    out = args.out or cfg.get("out", ".")
+def _resolve_out(cfg):
+    out = cfg.get("out", ".")
     if not isinstance(out, str):
         raise ConfigError("out: expected a directory path")
     try:
@@ -221,8 +219,8 @@ def _resolve_out(cfg, args):
     return out
 
 
-def _resolve_tol(cfg, args, default):
-    tol = args.tol if args.tol is not None else _num(cfg.get("tol", default), "tol")
+def _resolve_tol(cfg):
+    tol = _num(cfg.get("tol", 1e-8), "tol")
     if not 0 <= tol < np.inf:
         raise ConfigError(f"tol: must be nonnegative and finite, got {tol:g}")
     return tol
@@ -378,13 +376,13 @@ def scenario_from_config(node):
         raise ConfigError(f"{label}: {exc}")
 
 
-def resolve_system(cfg, args):
+def resolve_system(cfg):
     """Build the record the command will operate on.
 
-    A catalog name (flag or config key) wins over an inline bundle; giving
-    both is rejected so a config cannot silently shadow itself.
+    A catalog name and an inline bundle exclude each other, so a config
+    cannot silently shadow itself.
     """
-    name = args.system or cfg.get("system")
+    name = cfg.get("system")
     if name is not None and "bundle" in cfg:
         raise ConfigError("give either 'system' or 'bundle', not both")
     if name is not None:
@@ -442,12 +440,12 @@ def _write_json(path, payload):
 # commands
 
 
-def cmd_check_axioms(cfg, args):
-    record = resolve_system(cfg, args)
-    tol = _resolve_tol(cfg, args, 1e-8)
+def cmd_check_axioms(cfg):
+    record = resolve_system(cfg)
+    tol = _resolve_tol(cfg)
     samples = _int(cfg.get("samples", 100), "samples", least=1)
-    seed = _resolve_seed(args.seed, cfg)
-    out = _resolve_out(cfg, args)
+    seed = _resolve_seed(cfg)
+    out = _resolve_out(cfg)
 
     report = check_axioms(record.bundle, n_samples=samples, seed=seed, tol=tol)
     _write_text(os.path.join(out, "axiom_report.txt"), report.as_text() + "\n")
@@ -482,43 +480,26 @@ def _lp_residual_max(sys, traj, jets):
     return worst
 
 
-def cmd_simulate(cfg, args):
-    record = resolve_system(cfg, args)
+def _drift_max(series):
+    """Largest distance of a series from its first entry."""
+    return float(max(abs(x - series[0]) for x in series))
+
+
+def cmd_simulate(cfg):
+    record = resolve_system(cfg)
     if record.lagrangian is None:
         raise ConfigError("simulate needs a 'lagrangian' for the inline bundle")
     s0 = resolve_initial(cfg, record)
-    t_end, dt, method = _resolve_run(cfg, args)
-    seed = _resolve_seed(args.seed, cfg)
-    out = _resolve_out(cfg, args)
+    t_end, dt, method = _resolve_run(cfg)
+    seed = _resolve_seed(cfg)
+    out = _resolve_out(cfg)
     sys_ = record.lagrangian
 
     traj = integrate_lp(sys_, s0, 0.0, t_end, dt, method)
     # the integrator's jets of sys_ serve every diagnostic: no further AD pass
     energies = [energy(sys_, s, jet=jet) for s, jet in zip(traj.states, traj.jets)]
-    drift = float(max(abs(e - energies[0]) for e in energies))
+    drift = _drift_max(energies)
     resid = _lp_residual_max(sys_, traj, traj.jets)
-
-    noether = None
-    if record.action is not None:
-        act = record.action
-        eye = np.eye(act.dim_g)
-        series = [
-            [
-                noether_current(sys_, act, s, eye[k], jet=jet)
-                for s, jet in zip(traj.states, traj.jets)
-            ]
-            for k in range(act.dim_g)
-        ]
-        noether = {
-            "initial": [col[0] for col in series],
-            "final": [col[-1] for col in series],
-            "drift_max": [
-                float(max(abs(x - col[0]) for x in col)) for col in series
-            ],
-            "series": series,
-        }
-
-    write_trajectory_csv(os.path.join(out, "trajectory.csv"), traj)
     payload = {
         "system": record.name,
         "method": method,
@@ -530,8 +511,19 @@ def cmd_simulate(cfg, args):
         "energy_drift_max": drift,
         "lp_residual_max": resid,
     }
-    if noether is not None:
-        payload["noether"] = noether
+    if record.action is not None:
+        act = record.action
+        series = [
+            [noether_current(sys_, act, s, eta, jet=jet) for s, jet in zip(traj.states, traj.jets)]
+            for eta in np.eye(act.dim_g)
+        ]
+        payload["noether"] = {
+            "initial": [col[0] for col in series],
+            "final": [col[-1] for col in series],
+            "drift_max": [_drift_max(col) for col in series],
+            "series": series,
+        }
+    write_trajectory_csv(os.path.join(out, "trajectory.csv"), traj)
     _write_json(os.path.join(out, "simulate_report.json"), payload)
     print(
         f"{record.name}: {len(traj)} rows, energy drift {drift:.3e}, "
@@ -559,22 +551,22 @@ def _structure_sample_rows(bundle, n_dump, seed):
     return header, rows
 
 
-def cmd_reduce(cfg, args):
-    record = None
+def cmd_reduce(cfg):
+    record = handle = None
     if "scenario" in cfg:
-        if args.system or "system" in cfg:
+        if "system" in cfg:
             raise ConfigError("give either 'system' or 'scenario', not both")
         scenario = scenario_from_config(cfg["scenario"])
     else:
-        record = resolve_system(cfg, args)
-        if record.scenario is None:
+        record = resolve_system(cfg)
+        handle = record.handle
+        if handle is None:
             raise ConfigError(
                 f"system '{record.name}' carries no principal-bundle scenario"
             )
-        scenario = record.scenario
+        scenario = handle.scenario
 
-    seed = _resolve_seed(args.seed, cfg)
-    handle = None if record is None else record.handle
+    seed = _resolve_seed(cfg)
     if handle is not None and "samples" in cfg:
         raise ConfigError(
             f"samples: applies to inline scenarios only; system '{record.name}' "
@@ -582,7 +574,7 @@ def cmd_reduce(cfg, args):
         )
     samples = _int(cfg.get("samples", 100), "samples", least=1)
     n_dump = _int(cfg.get("dump_samples", 20), "dump_samples", least=0)
-    out = _resolve_out(cfg, args)
+    out = _resolve_out(cfg)
 
     if handle is None:
         handle = build_reduced_bundle(scenario, n_samples=samples, seed=seed)
@@ -591,9 +583,9 @@ def cmd_reduce(cfg, args):
     _write_text(os.path.join(out, "structure_samples.csv"), _csv_text(header, rows))
 
     trajectory_rows = 0
-    if record is not None and record.lagrangian is not None:
+    if record is not None:
         s0 = resolve_initial(cfg, record)
-        t_end, dt, method = _resolve_run(cfg, args)
+        t_end, dt, method = _resolve_run(cfg)
         traj = integrate_lp(record.lagrangian, s0, 0.0, t_end, dt, method)
         write_trajectory_csv(os.path.join(out, "reduced_trajectory.csv"), traj)
         trajectory_rows = len(traj)
@@ -605,7 +597,7 @@ def cmd_reduce(cfg, args):
         "algebra_dim": scenario.k,
         "aux_dim": scenario.dim_w,
         "fiber_dim": handle.bundle.m,
-        "axioms": handle.provenance["axioms"],
+        "axioms": handle.axioms,
         "structure_samples": n_dump,
         "trajectory_rows": trajectory_rows,
         "seed": seed,
@@ -619,9 +611,9 @@ def cmd_reduce(cfg, args):
     return 0
 
 
-def cmd_stages(cfg, args):
-    record = resolve_system(cfg, args)
-    if record.scenario is None or record.unreduced_lagrangian is None:
+def cmd_stages(cfg):
+    record = resolve_system(cfg)
+    if record.handle is None or record.unreduced_lagrangian is None:
         raise ConfigError(
             f"system '{record.name}' has no stored invariant Lagrangian to stage"
         )
@@ -634,16 +626,16 @@ def cmd_stages(cfg, args):
         raise ConfigError(
             f"stages.nidx: expected a list of basis indices, got {type(nidx).__name__}"
         )
-    sc = record.scenario
+    sc = record.handle.scenario
     nidx = [_int(i, f"stages.nidx[{j}]", least=0) for j, i in enumerate(nidx)]
     try:
         nidx = subgroup_indices(nidx, sc.k)
     except ValueError as exc:
         raise ConfigError(f"stages.nidx: {exc}")
 
-    seed = _resolve_seed(args.seed, cfg)
-    t_end, dt, method = _resolve_run(cfg, args)
-    out = _resolve_out(cfg, args)
+    seed = _resolve_seed(cfg)
+    t_end, dt, method = _resolve_run(cfg)
+    out = _resolve_out(cfg)
 
     dim = sc.baseB.n + sc.k - len(nidx)
     override = _table_field(node, "override_A_N", dim, (dim, len(nidx)), "stages")
@@ -702,23 +694,23 @@ def cmd_stages(cfg, args):
     return 0
 
 
-def cmd_noether(cfg, args):
-    record = resolve_system(cfg, args)
+def cmd_noether(cfg):
+    record = resolve_system(cfg)
     if record.action is None:
         raise ConfigError(f"system '{record.name}' declares no symmetry action")
     if record.lagrangian is None:
         raise ConfigError("noether needs a system with a Lagrangian")
     act = record.action
     s0 = resolve_initial(cfg, record)
-    t_end, dt, method = _resolve_run(cfg, args)
+    t_end, dt, method = _resolve_run(cfg)
     steps = _step_count(t_end, dt)
     if steps < 4:
         raise ConfigError(
             f"t_end/dt: the 5-point stencil of the drift residual needs at least "
             f"4 steps, got {steps} (t_end {t_end:g}, dt {dt:g})"
         )
-    seed = _resolve_seed(args.seed, cfg)
-    out = _resolve_out(cfg, args)
+    seed = _resolve_seed(cfg)
+    out = _resolve_out(cfg)
     sys_ = record.lagrangian
 
     etas = cfg.get("etas", np.eye(act.dim_g).tolist())
@@ -747,9 +739,7 @@ def cmd_noether(cfg, args):
         "system": record.name,
         "generators": len(etas),
         "rows": len(rows),
-        "current_drift_max": [
-            float(max(abs(x - col[0]) for x in col)) for col in currents
-        ],
+        "current_drift_max": [_drift_max(col) for col in currents],
         "residual_max": [float(np.max(np.abs(col))) for col in residuals],
         "t_end": t_end,
         "dt": dt,
@@ -788,8 +778,13 @@ _COMMANDS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a bad flag value, unknown flag, no subcommand
+        self.exit(1, f"config error: {message}\n")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lpmech",
         description="bundle-chart mechanics: closure checks, simulation, reduction",
     )
@@ -802,17 +797,26 @@ def main(argv=None):
 
     try:
         cfg = load_config(args.config) if args.config else {}
-        return args.handler(cfg, args)
+        # a flag overrides its config key; an empty --out or --system does not
+        cfg.update(
+            (key, val) for key, val in vars(args).items()
+            if key not in ("command", "handler", "config") and val not in (None, "")
+        )
+        # a non-finite value ends as a one-line failure, not as numpy warnings
+        with np.errstate(all="ignore"):
+            return args.handler(cfg)
     except (ConfigError, NotSupported, DimensionMismatch) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except (MemoryError, OverflowError) as exc:  # a time grid, a power of a table entry
+        what = "out of memory" if isinstance(exc, MemoryError) else "float overflow"
+        print(f"config error: {what}: {exc}", file=sys.stderr)
         return 1
     except (AxiomViolation, InvarianceViolation) as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:
-        where = ""
-        if exc.t is not None:
-            where = f"; state: q={_fmt_vec(exc.q)} at t={exc.t!r}"
+        where = "" if exc.t is None else f"; state: q={_fmt_vec(exc.q)} at t={exc.t!r}"
         print(f"numerical failure: {exc}{where}", file=sys.stderr)
         return 3
 

@@ -282,12 +282,13 @@ def energy(sys: LPLagrangian, s: LPState, jet=None):
     return float(grad[n : 2 * n] @ s.qdot + grad[2 * n :] @ s.v - float(val))
 
 
-def _step(ydot, y, h, method, k1):
-    """One step from y, whose first stage ydot(y) is k1."""
+def _step(stage, y, t, h, method, k1):
+    """One step from y at time t, whose first stage is k1; ``stage(x, s)``
+    is the time derivative at the stage point x of time s."""
     if method == "rk4":
-        k2 = ydot(y + 0.5 * h * k1)
-        k3 = ydot(y + 0.5 * h * k2)
-        k4 = ydot(y + h * k3)
+        k2 = stage(y + 0.5 * h * k1, t + 0.5 * h)
+        k3 = stage(y + 0.5 * h * k2, t + 0.5 * h)
+        k4 = stage(y + h * k3, t + h)
         return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return y + h * k1
 
@@ -316,7 +317,8 @@ def _integrate_fixed(ydot, state_type, dom, s0, t0, t1, h, method, jet=None):
 
     After each step the periodic coordinates of q are wrapped and the state
     is checked: a non-finite entry raises NonFiniteState and a non-periodic
-    coordinate outside the chart raises ChartExit.  A NumericalFailure
+    coordinate outside the chart raises ChartExit.  So does an RK4 stage
+    point outside the chart, before ydot reads it.  A NumericalFailure
     raised by ydot that carries no time or q gets those of the last
     accepted step.
     """
@@ -337,13 +339,17 @@ def _integrate_fixed(ydot, state_type, dom, s0, t0, t1, h, method, jet=None):
         jets.append(jet(x))
         return ydot(x, jets[-1])
 
+    def stage(x, s):
+        dom.require_inside(x[:n], t=s)
+        return ydot(x)
+
     # overflow and NaN are reported once, as NonFiniteState, not as warnings
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for k in range(steps + 1):
             t = float(times[k])
             if k:
                 try:
-                    y = _step(ydot, y, h, method, first_stage(y))
+                    y = _step(stage, y, float(times[k - 1]), h, method, first_stage(y))
                 except NumericalFailure as exc:
                     if exc.t is None:
                         exc.t = float(times[k - 1])

@@ -139,10 +139,11 @@ def structure_constants(group: MatrixLieGroup):
     return c
 
 
-def Ad(group: MatrixLieGroup, g, ginv):
-    """Matrix of the adjoint action: column q holds the coefficients of
-    g basis[q] g^-1.  The caller passes g^-1, so g may hold dual entries."""
-    return np.array([group.unhat(g @ b @ ginv) for b in group.basis]).T
+def Ad(group: MatrixLieGroup, g, ginv, cols):
+    """The columns ``cols`` of the adjoint action matrix: column j holds the
+    coefficients of g basis[cols[j]] g^-1.  The caller passes g^-1, so g
+    may hold dual entries."""
+    return np.array([group.unhat(g @ group.basis[q] @ ginv) for q in cols]).T
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,8 @@ class ChartDomain:
 
     def require_inside(self, q, t=None):
         if not self.contains(q):
-            raise ChartExit(f"state left the chart at q={q}", q=q, t=t)
+            # a list prints on one line, however long q is
+            raise ChartExit(f"state left the chart at q={np.asarray(q, float).tolist()}", q=q, t=t)
 
     def sample(self, rng):
         """Uniform interior point; non-periodic coordinates keep a margin of

@@ -19,7 +19,7 @@ on every build as a hard gate.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -143,7 +143,7 @@ def curvature_form(sc: PrincipalScenario, x):
 class ReducedBundleHandle:
     bundle: LPBundleChart
     scenario: PrincipalScenario
-    provenance: dict = field(default_factory=dict)
+    axioms: dict  # the axiom report of the reduced bundle, as a dict
 
 
 def _reduced_structure_maps(sc: PrincipalScenario, two_form=None):
@@ -235,8 +235,7 @@ def build_reduced_bundle(sc: PrincipalScenario, n_samples=100, seed=0, two_form=
     report = require_axioms(
         check_axioms(bundle, n_samples=n_samples, seed=seed), "reduced bundle"
     )
-    provenance = {"construction": "adjoint/representation blocks", "axioms": report.as_dict()}
-    return ReducedBundleHandle(bundle, sc, provenance)
+    return ReducedBundleHandle(bundle, sc, report.as_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +462,7 @@ def stages_reduce(direct: ReducedBundleHandle, nidx, override_A_N=None, seed=0):
         jets = [_dual.directional(section, np.asarray(kc, dtype=object), e) for e in np.eye(s_dim)]
         rows = np.concatenate([eval_map(sc.A, x), [G.unhat(sinv @ ds) for _, ds in jets]])[:, N]
         if gen.any():  # K acts on n; on a central n, Ad_s(kc) is the identity
-            rows = rows @ Ad(G, jets[0][0], sinv)[np.ix_(N, N)].T
+            rows = rows @ Ad(G, jets[0][0], sinv, N)[N].T
         # through a list, so the table is a float array when no entry is a dual
         return np.array(rows.tolist())
 
@@ -500,7 +499,7 @@ def stages_reduce(direct: ReducedBundleHandle, nidx, override_A_N=None, seed=0):
 
     A_K = SmoothMap(d, d * s_dim, lambda x: eval_map(sc.A, x)[:, K], out_shape=(d, s_dim))
     rep = RepW(
-        r, gen, lambda h: Ad(G, section(h[:s_dim, -1]), section(-h[:s_dim, -1]))[np.ix_(N, N)]
+        r, gen, lambda h: Ad(G, section(h[:s_dim, -1]), section(-h[:s_dim, -1]), N)[N]
     )
     stage2 = build_reduced_bundle(
         PrincipalScenario(sc.baseB, abelian(s_dim), A_K, rep), two_form=stage1.bundle.omega

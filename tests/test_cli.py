@@ -6,16 +6,22 @@ codes follow the documented scheme (0 ok, 1 config, 2 violation, 3
 numerical).
 """
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+import yaml
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from lpmech import _dual
@@ -328,6 +334,25 @@ _HEISENBERG_SCENARIO = """
             "t_end/dt: 1e+300 steps exceed the largest numpy array (t_end 1, dt 1e-300)",
         ),
         (
+            "reduce",
+            _HEISENBERG_SCENARIO.replace("[[-1, 1], [-1, 1]]", "[[-1, 1.0e+300], [-1, 1]]"),
+            [],
+            "float overflow: (34, 'Numerical result out of range')",
+        ),
+        (
+            "check-axioms",
+            "bundle: {n: 1, m: 1, bounds: [[-1, 1.0e+300]], gamma: {polynomial: "
+            "{terms: [{index: [0, 0, 0], powers: [2], coeff: 1.0}]}}}\n",
+            [],
+            "float overflow: (34, 'Numerical result out of range')",
+        ),
+        (
+            "simulate",
+            _SIMULATE,
+            ["--t-end", "1", "--dt", "1e-15"],
+            "out of memory: Unable to allocate",
+        ),
+        (
             "noether",
             _SIMULATE + "t_end: 1.0e+300\ndt: 1\n",
             [],
@@ -465,6 +490,9 @@ _HEISENBERG_SCENARIO = """
         "representation-unknown-key",
         "initial-unknown-key",
         "grid-too-fine-flag",
+        "bounds-overflow-scenario",
+        "bounds-overflow-bundle",
+        "grid-beyond-memory-flag",
         "grid-too-long-config",
         "grid-not-whole-stages",
         "grid-too-short-noether",
@@ -487,10 +515,12 @@ def test_out_of_range_settings_are_config_errors(
     cfg = write_cfg(tmp_path, text)
     # a later --out wins, so a flag's own --out (under the temp dir) goes last
     flags = [f.format(tmp=tmp_path) for f in flags]
-    code = main([command, "--config", cfg, "--out", str(tmp_path), *flags])
+    with warnings.catch_warnings(record=True) as caught:  # printed to stderr outside pytest
+        warnings.simplefilter("always")
+        code = main([command, "--config", cfg, "--out", str(tmp_path), *flags])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert err.startswith("config error: ") and err.count("\n") == 1 and not caught
     assert message in err
 
 
@@ -730,7 +760,57 @@ def test_simulate_chart_exit_prints_its_time(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "left the chart" in err
+    # q = 0.9 + t: the RK4 stage at t = 0.1 + dt/2 is the first point outside
+    assert err.rstrip().endswith(" at t=0.10500000000000001")
+    # Euler takes no stage points, so the step end at t = 0.11 is the first
+    code = main(["simulate", "--config", cfg, "--method", "euler", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
     assert err.rstrip().endswith(" at t=0.11")
+
+
+def test_chart_exit_on_a_wide_chart_prints_one_line(tmp_path, capsys):
+    """numpy would wrap the eight coordinates of q over two lines."""
+    n = 8
+    terms = [{"powers": [0] * n + [2 * (j == i) for j in range(n)], "coeff": 0.5} for i in range(n)]
+    cfg = {
+        "bundle": {"n": n, "m": 0, "bounds": [[-1.0, 1.0]] * n},
+        "lagrangian": {"polynomial": {"terms": terms}},
+        "initial": {"q": [0.9] + [0.123456789 * i for i in range(1, n)], "qdot": [1.0] + [0.0] * (n - 1)},
+        "t_end": 0.5,
+        "dt": 0.01,
+    }
+    path = write_cfg(tmp_path, yaml.safe_dump(cfg))
+    code = main(["simulate", "--config", path, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure: state left the chart at q=[") and err.count("\n") == 1
+
+
+def test_simulate_rk4_stage_outside_the_chart_exits_three(tmp_path, capsys):
+    """Both step ends lie inside [-1, 1], the second RK4 stage at q = 1.05
+    does not: the run stops there instead of reading L outside the chart."""
+    cfg = write_cfg(
+        tmp_path,
+        """
+        bundle: {n: 1, m: 0, bounds: [[-1.0, 1.0]]}
+        lagrangian:
+          polynomial:
+            terms:
+              - {powers: [0, 2], coeff: 0.5}
+              - {powers: [1, 0], coeff: -20.0}
+        initial: {q: [0.9], qdot: [1.5]}
+        t_end: 0.2
+        dt: 0.2
+        """,
+    )
+    code = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == (
+        "numerical failure: state left the chart at q=[1.05]; state: q=[1.05] at t=0.1\n"
+    )
+    assert not (tmp_path / "trajectory.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -1254,3 +1334,199 @@ def test_module_runs_as_subprocess(tmp_path):
 def test_missing_subcommand_raises_usage_error():
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["simulate", "--system", "rigid_body", "--dt", "abc"],
+            "argument --dt: invalid float value: 'abc'",
+        ),
+        (["simulate", "--system", "rigid_body", "--dtt", "0.1"], "unrecognized arguments: --dtt 0.1"),
+        (["simulate", "--method", "leapfrog"], "argument --method: invalid choice: 'leapfrog'"),
+        ([], "the following arguments are required: COMMAND"),
+    ],
+    ids=["bad-value", "unknown-flag", "bad-choice", "no-subcommand"],
+)
+def test_usage_errors_are_config_errors(capsys, argv, message):
+    """A command line argparse rejects exits 1 with one config-error line,
+    not 2 (verified violations) with a usage message."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    err = capsys.readouterr().err
+    assert info.value.code == 1
+    assert err.startswith("config error: " + message) and err.count("\n") == 1
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["simulate", "--help"])
+    assert info.value.code == 0
+    assert "--dt H" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# the failure contract over mutated configs
+
+
+def _yaml(text):
+    return yaml.safe_load(textwrap.dedent(text))
+
+
+_GRID = {"t_end": 0.01, "dt": 0.001, "method": "rk4"}  # 10 steps
+_SMALL = {"samples": 5, "dump_samples": 5}
+
+# known-good configs; the flags are config keys (main folds them in), so
+# mutating these keys covers the flags too
+_FUZZ_BASES = [
+    ("simulate", {"system": "rigid_body", "seed": 7, **_GRID}),  # README
+    ("simulate", {**_yaml(_README_BUNDLE.format(table="constant: [[[0.3]]]")), **_GRID}),
+    ("reduce", {**_yaml(_INLINE_SCENARIO), **_SMALL, "seed": 3}),
+    ("reduce", {**_yaml(_HEISENBERG_SCENARIO), **_SMALL}),
+    (
+        "stages",
+        {
+            **_yaml(_STAGES),
+            **_GRID,
+            "stages": {
+                "nidx": [2],
+                "override_A_N": {
+                    "polynomial": {
+                        "terms": [
+                            {"index": [0, 0], "powers": [0, 1], "coeff": 0.51},
+                            {"index": [1, 0], "powers": [1, 0], "coeff": -0.5},
+                        ]
+                    }
+                },
+            },
+        },
+    ),
+    ("noether", {"system": "central_potential_particle", "etas": [[1.0], [0.5]], **_GRID}),
+    (
+        "check-axioms",
+        {
+            "system": "flat_bundle_particle",
+            "params": {"omega_mode": "closed", "metric": [[1.0, 0.2], [0.2, 1.5]]},
+            "samples": 5,
+            "tol": 1.0e-8,
+        },
+    ),
+    ("reduce", {"system": "rigid_body", "params": {"inertia": [1.0, 2.0, 3.0]}, **_GRID}),
+    (
+        "simulate",
+        {"system": "parameter_lagrangian", "params": {"mgl": 2.0, "chi": [0.0, 0.0, 1.0]}, **_GRID},
+    ),
+    ("simulate", {"system": "heisenberg_stages", "params": {"coupling": 1.0}, **_GRID}),
+    (
+        "noether",
+        {
+            "system": "free_particle_planar",
+            "initial": {"q": [1.0, 0.5], "qdot": [0.3, -0.2]},
+            "etas": [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+            **_GRID,
+        },
+    ),
+    ("simulate", {"system": "central_potential_particle", "params": {"stiffness": 0.8}, **_GRID}),
+]
+
+# the leaves a mutation may put in: none of them raises a count or refines a grid
+_FUZZ_LEAVES = [
+    float("nan"), float("inf"), float("-inf"), "1e300", 1.0e300, 5.0e-324,
+    -1, 0, True, "x", [], {}, None,
+]
+# removing one of these keys could (its default is a finer grid or a larger count)
+_COUNT_KEYS = ("t_end", "dt", "samples", "dump_samples", "etas")
+
+
+def _nodes(node, path=()):
+    """Every (path, node) of a config tree, the root first."""
+    yield path, node
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _nodes(child, path + (key,))
+
+
+def _parent(cfg, path):
+    for key in path[:-1]:
+        cfg = cfg[key]
+    return cfg
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A base config with one mutation: a leaf replaced, a stray key added,
+    a key removed, or a mapping nested one level deeper under its own key."""
+    command, base = draw(st.sampled_from(_FUZZ_BASES))
+    cfg = copy.deepcopy({**base, "out": "out"})
+    nodes = list(_nodes(cfg))
+    leaves = [p for p, v in nodes if p and not (isinstance(v, (dict, list)) and v)]
+    mappings = [p for p, v in nodes if isinstance(v, dict)]
+    sites = {
+        "leaf": leaves,
+        "stray": mappings,
+        "remove": [p for p, _ in nodes if p and isinstance(p[-1], str) and p[-1] not in _COUNT_KEYS],
+        "nest": mappings[1:],
+    }
+    kind = draw(st.sampled_from([kind for kind, paths in sites.items() if paths]))
+    path = draw(st.sampled_from(sites[kind]))
+    if kind == "leaf":
+        _parent(cfg, path)[path[-1]] = draw(st.sampled_from(_FUZZ_LEAVES))
+    elif kind == "stray":
+        (_parent(cfg, path)[path[-1]] if path else cfg)["stray"] = 1.0
+    elif kind == "remove":
+        del _parent(cfg, path)[path[-1]]
+    else:
+        parent = _parent(cfg, path)
+        parent[path[-1]] = {str(path[-1]): parent[path[-1]]}
+    return command, cfg
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-finite number {name} in a JSON artifact")
+
+
+def _assert_finite_artifacts(out):
+    for root, _, names in os.walk(out):
+        for name in names:
+            path = os.path.join(root, name)
+            if name.endswith(".json"):
+                with open(path, encoding="utf-8") as fh:
+                    json.load(fh, parse_constant=_reject_constant)
+            elif name.endswith(".csv"):
+                with open(path, encoding="utf-8") as fh:
+                    rows = fh.read().splitlines()[1:]
+                values = np.array([float(x) for row in rows for x in row.split(",")])
+                assert np.all(np.isfinite(values)), path
+
+
+@settings(max_examples=400, phases=(Phase.explicit, Phase.generate))
+@given(_mutated_configs())
+def test_failure_contract_holds_for_mutated_configs(case):
+    """Exit code in {0, 1, 2, 3}, no traceback, one stderr line for exits 1
+    and 3, and only finite numbers in the artifacts of an exit-0 run."""
+    command, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.yaml")
+        with open(path, "w", encoding="utf-8") as fh:
+            yaml.safe_dump(cfg, fh)
+        err, cwd = io.StringIO(), os.getcwd()
+        os.chdir(tmp)  # a mutated 'out' stays inside tmp
+        try:
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    try:
+                        code = main([command, "--config", path])
+                    except SystemExit as exc:
+                        code = exc.code
+        finally:
+            os.chdir(cwd)
+        text = err.getvalue()
+        assert code in (0, 1, 2, 3), (code, text)
+        assert "Traceback" not in text
+        if code in (1, 3):
+            assert text.count("\n") == 1 and not caught, (text, caught)
+        if code == 0:
+            _assert_finite_artifacts(tmp)

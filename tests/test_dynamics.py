@@ -28,6 +28,7 @@ from lpmech.dynamics import (
     write_trajectory_csv,
 )
 from lpmech.errors import ChartExit, DimensionMismatch, SingularHessian
+from lpmech.hamiltonian import Hamiltonian, HPState, integrate_hp
 from lpmech.lpbundle import ChartDomain, LPBundleChart
 
 
@@ -436,6 +437,26 @@ def test_chart_exit_raises():
         integrate_lp(sys, LPState([0.9], [1.0], []), 0.0, 1.0, 0.01)
     assert exc.value.t is not None
     assert exc.value.q[0] > 1.0
+
+
+def test_rk4_stage_point_outside_the_chart_raises_chart_exit():
+    """Both step ends of q'' = -20 from q = 0.9, qdot = 1.5 over one step of
+    0.2 lie inside [-1, 1]; the second RK4 stage, at q = 1.05 and t = 0.1,
+    does not.  The momentum-side integrator shares the check."""
+    chart = LPBundleChart(box(1, -1.0, 1.0), 0)
+    sys = LPLagrangian.from_callable(chart, lambda q, qd, v: 0.5 * qd[0] ** 2 - 20.0 * q[0])
+    H = Hamiltonian.from_callable(chart, lambda q, p, nu: 0.5 * p[0] ** 2 + 20.0 * q[0])
+    runs = (
+        lambda: integrate_lp(sys, LPState([0.9], [1.5], []), 0.0, 0.2, 0.2),
+        lambda: integrate_hp(chart, H, HPState([0.9], [1.5], []), 0.0, 0.2, 0.2),
+    )
+    for run in runs:
+        with pytest.raises(ChartExit) as exc:
+            run()
+        assert exc.value.t == 0.1 and exc.value.q.tolist() == [1.05]
+    with pytest.raises(ChartExit) as exc:  # Euler takes no stage point
+        integrate_lp(sys, LPState([0.9], [1.5], []), 0.0, 0.2, 0.2, method="euler")
+    assert exc.value.t == 0.2
 
 
 def test_integrate_argument_validation():

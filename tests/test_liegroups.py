@@ -307,14 +307,14 @@ def test_Ad_is_an_automorphism_and_a_homomorphism(case):
     c = structure_constants(G)
 
     def Ad_exp(x):
-        return Ad(G, G.exp(x), G.exp(-x))
+        return Ad(G, G.exp(x), G.exp(-x), range(G.dim))
 
     Ag, Ah = Ad_exp(xi), Ad_exp(eta)
     # Ad_g [e_a, e_b] = [Ad_g e_a, Ad_g e_b]
     lhs = np.einsum("pg,gab->pab", Ag, c)
     assert np.allclose(lhs, np.einsum("pqr,qa,rb->pab", c, Ag, Ag), rtol=0.0, atol=1e-10)
     gh = G.exp(xi) @ G.exp(eta)
-    assert np.allclose(Ag @ Ah, Ad(G, gh, G.exp(-eta) @ G.exp(-xi)), rtol=0.0, atol=1e-10)
+    assert np.allclose(Ag @ Ah, Ad(G, gh, G.exp(-eta) @ G.exp(-xi), range(G.dim)), rtol=0.0, atol=1e-10)
 
     _, tan = _dual.directional(Ad_exp, xi, eta)
     h = 1e-6
@@ -328,7 +328,7 @@ def test_Ad_is_an_automorphism_and_a_homomorphism(case):
 @given(st.lists(_coeff, min_size=3, max_size=3).map(np.array))
 def test_Ad_is_rotation_action_for_so3(xi):
     R = so3().exp(xi)
-    assert np.allclose(Ad(so3(), R, R.T), R, rtol=0.0, atol=1e-12)
+    assert np.allclose(Ad(so3(), R, R.T, range(3)), R, rtol=0.0, atol=1e-12)
 
 
 def _omitted_sums(x, coeffs, product):

@@ -192,7 +192,7 @@ def test_point_base_rotation_group_reduces_to_algebra_chart():
     assert (b.n, b.m) == (0, 3)
     C = np.asarray(eval_map(b.c, np.zeros(0)), float)
     assert np.max(np.abs(C - structure_constants(so3()))) == 0.0
-    assert handle.provenance["axioms"]["passed"]
+    assert handle.axioms["passed"]
 
 
 def test_abelian_connection_gives_curl_two_form():
@@ -251,7 +251,7 @@ def test_semidirect_blocks_and_axioms():
     expect_w = -np.einsum("g,gpq->pq", Aval[0], gen)
     assert np.max(np.abs(G[0, 3:, 3:] - expect_w)) < 1e-12
     assert np.max(np.abs(G[0, :3, 3:])) == 0.0
-    assert handle.provenance["axioms"]["passed"]
+    assert handle.axioms["passed"]
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,20 @@
 
 ``perfbench/tracing.py`` rebinds each ``(module, attribute)`` pair of its
 ``TARGETS`` from outside the package, and the other benchmark scripts import
-lpmech names and read attributes of lpmech modules.  Without these checks a
-rename under ``src/`` would break ``perfbench/run.py`` with no test failing.
+lpmech names, read attributes of lpmech modules and read fields of catalog
+records.  Without these checks a rename under ``src/`` would break
+``perfbench/run.py`` with no test failing.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import pathlib
 
 import pytest
+
+from lpmech.systems import SystemRecord
 
 _PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 _TRACING = _PERFBENCH / "tracing.py"
@@ -121,3 +125,38 @@ def test_perfbench_reference_scan_sees_the_library_calls():
     refs = set(_perfbench_references(_PERFBENCH / "brackets.py"))
     assert {"lpmech.hamiltonian.DualObservable", "lpmech.lpbundle.Section"} <= refs
     assert "lpmech.systems.build_system" in _perfbench_references(_PERFBENCH / "run.py")
+
+
+def _record_reads(path):
+    """Attributes read off a catalog record in a script: off a name bound to
+    ``systems.build_system(...)`` or off a parameter named ``rec``."""
+    tree = ast.parse(path.read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arguments):
+            names |= {a.arg for a in node.args + node.kwonlyargs if a.arg == "rec"}
+        elif (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Attribute)
+            and node.value.func.attr == "build_system"
+        ):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in names
+    }
+
+
+@pytest.mark.parametrize("script", _SCRIPTS, ids=[p.name for p in _SCRIPTS])
+def test_perfbench_record_reads_are_record_fields(script):
+    fields = {f.name for f in dataclasses.fields(SystemRecord)}
+    missing = sorted(_record_reads(script) - fields)
+    assert not missing, f"{script.name} reads SystemRecord fields that do not exist: {missing}"
+
+
+def test_perfbench_record_scan_sees_the_reads():
+    assert {"params", "bundle", "lagrangian"} <= _record_reads(_PERFBENCH / "brackets.py")
