@@ -75,6 +75,13 @@ from .reduction import (
 from .smoothmap import SmoothMap, constant_map
 from .systems import SystemRecord, build_system
 
+# fixed ceilings: on each dimension a config names (base n, fiber m, group
+# dim, trivial W), on axiom sample points, and on the numbers a structure
+# dump holds; every documented, tested and benchmarked config stays below
+MAX_DIM = 12
+MAX_SAMPLES = 1000
+MAX_DUMP_VALUES = 10**6
+
 
 # ---------------------------------------------------------------------------
 # config loading and schema helpers
@@ -143,11 +150,13 @@ def _finite(val, label):
     return val
 
 
-def _int(val, label, least):
+def _int(val, label, least, most=np.inf):
     if isinstance(val, bool) or not isinstance(val, int):
         raise ConfigError(f"{label}: expected an integer, got {type(val).__name__}")
     if val < least:
         raise ConfigError(f"{label}: must be at least {least}, got {val}")
+    if val > most:
+        raise ConfigError(f"{label}: must be at most {most}, got {val}")
     return val
 
 
@@ -307,7 +316,7 @@ def _table_field(node, key, n_vars, shape, label):
 
 def domain_from_config(node, label, extra=()):
     _known_keys(node, ("n", "bounds", "periodic", *extra), label)
-    n = _int(_need(node, "n", label), f"{label}.n", least=0)
+    n = _int(_need(node, "n", label), f"{label}.n", least=0, most=MAX_DIM)
     bounds = node.get("bounds")
     if bounds is not None:
         bounds = _numbers(bounds, f"{label}.bounds", (n, 2))
@@ -327,7 +336,7 @@ def domain_from_config(node, label, extra=()):
 def bundle_from_config(node):
     label = "bundle"
     base = domain_from_config(node, label, ("m", "gamma", "c", "omega"))
-    m = _int(_need(node, "m", label), f"{label}.m", least=0)
+    m = _int(_need(node, "m", label), f"{label}.m", least=0, most=MAX_DIM)
     n = base.n
     Gamma = _table_field(node, "gamma", n, (n, m, m), label)
     c = _table_field(node, "c", n, (m, m, m), label)
@@ -347,7 +356,7 @@ def group_from_config(node, label):
         return heisenberg3(_finite(node.get("coupling", 1.0), f"{label}.coupling"))
     if name == "abelian":
         _known_keys(node, ("name", "dim"), label)
-        return abelian(_int(_need(node, "dim", label), f"{label}.dim", least=1))
+        return abelian(_int(_need(node, "dim", label), f"{label}.dim", least=1, most=MAX_DIM))
     raise ConfigError(f"{label}.name: unknown group {name!r}")
 
 
@@ -364,7 +373,7 @@ def scenario_from_config(node):
         repW = defining_representation(G)
     elif isinstance(rep, dict) and "trivial" in rep:
         _known_keys(rep, ("trivial",), f"{label}.representation")
-        dim_w = _int(rep["trivial"], f"{label}.representation.trivial", least=1)
+        dim_w = _int(rep["trivial"], f"{label}.representation.trivial", least=1, most=MAX_DIM)
         repW = trivial_representation(G, dim_w)
     elif rep is not None:
         raise ConfigError(
@@ -436,6 +445,18 @@ def _write_json(path, payload):
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _require_finite(report):
+    """Raise ConfigError at the first condition of an axiom report whose
+    residual or scale is not finite: the tables of finite config values
+    left the float range there, which verifies no violation."""
+    for c in report.conditions:
+        if not np.isfinite([c.max_residual, c.scale]).all():
+            raise ConfigError(
+                f"{c.name}: residual {c.max_residual:.3e}, scale {c.scale:.3e} at the "
+                f"sample point {_fmt_vec(c.worst_point)}: the tables leave the float range"
+            )
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -443,11 +464,12 @@ def _write_json(path, payload):
 def cmd_check_axioms(cfg):
     record = resolve_system(cfg)
     tol = _resolve_tol(cfg)
-    samples = _int(cfg.get("samples", 100), "samples", least=1)
+    samples = _int(cfg.get("samples", 100), "samples", least=1, most=MAX_SAMPLES)
     seed = _resolve_seed(cfg)
     out = _resolve_out(cfg)
 
     report = check_axioms(record.bundle, n_samples=samples, seed=seed, tol=tol)
+    _require_finite(report)
     _write_text(os.path.join(out, "axiom_report.txt"), report.as_text() + "\n")
     _write_json(os.path.join(out, "axiom_report.json"), report.as_dict())
 
@@ -536,11 +558,16 @@ def _fmt_vec(v):
     return "[" + ", ".join(f"{x:.17g}" for x in np.atleast_1d(v)) + "]"
 
 
+def _table_shapes(n, m):
+    """Name and shape of each structure table over n base and m fiber dimensions."""
+    return (("Gamma", (n, m, m)), ("c", (m, m, m)), ("omega", (m, n, n)))
+
+
 def _structure_sample_rows(bundle, n_dump, seed):
     """Seeded base points with the structure functions evaluated at each."""
     n, m = bundle.n, bundle.m
     header = [f"x{i + 1}" for i in range(n)]
-    for name, shape in (("Gamma", (n, m, m)), ("c", (m, m, m)), ("omega", (m, n, n))):
+    for name, shape in _table_shapes(n, m):
         header += [name + "".join(f"_{i + 1}" for i in idx) for idx in np.ndindex(*shape)]
     rng = np.random.default_rng(seed)
     rows = []
@@ -572,8 +599,15 @@ def cmd_reduce(cfg):
             f"samples: applies to inline scenarios only; system '{record.name}' "
             f"comes with its reduced bundle"
         )
-    samples = _int(cfg.get("samples", 100), "samples", least=1)
+    samples = _int(cfg.get("samples", 100), "samples", least=1, most=MAX_SAMPLES)
     n_dump = _int(cfg.get("dump_samples", 20), "dump_samples", least=0)
+    d, m = scenario.baseB.n, scenario.k + scenario.dim_w
+    width = d + sum(int(np.prod(shape)) for _, shape in _table_shapes(d, m))  # one dump row
+    if n_dump * width > MAX_DUMP_VALUES:
+        raise ConfigError(
+            f"dump_samples: {n_dump} rows of {width} values exceed the "
+            f"{MAX_DUMP_VALUES} values a structure dump may hold"
+        )
     out = _resolve_out(cfg)
 
     if handle is None:
@@ -804,7 +838,12 @@ def main(argv=None):
         )
         # a non-finite value ends as a one-line failure, not as numpy warnings
         with np.errstate(all="ignore"):
-            return args.handler(cfg)
+            try:
+                return args.handler(cfg)
+            except AxiomViolation as exc:  # reduce and stages check axioms too
+                if exc.report is not None:
+                    _require_finite(exc.report)
+                raise
     except (ConfigError, NotSupported, DimensionMismatch) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

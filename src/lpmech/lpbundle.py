@@ -389,8 +389,8 @@ def check_axioms(
     Residuals are compared against tol * (1 + scale) with scale the largest
     magnitude among the terms entering each identity.  The worst point is
     the last sample attaining the largest residual.  A non-finite residual
-    or scale fails its condition; a NaN one is reported with the first
-    sample giving it, and that sample's residual and scale.  Deterministic
+    or scale fails its condition and is reported with the first sample
+    giving one, and that sample's residual and scale.  Deterministic
     for a fixed seed.  On a point base the one point is evaluated once and
     stands for all n_samples.
     """
@@ -437,9 +437,9 @@ def check_axioms(
     conditions = []
     for name in rows[0]:
         resid, scale = np.array([row[name] for row in rows]).T
-        nan = np.isnan(resid) | np.isnan(scale)
-        if nan.any():
-            i = int(np.argmax(nan))
+        bad = ~(np.isfinite(resid) & np.isfinite(scale))
+        if bad.any():
+            i = int(np.argmax(bad))
             r, s = float(resid[i]), float(scale[i])
         else:
             i = len(resid) - 1 - int(np.argmax(resid[::-1]))

@@ -1,12 +1,13 @@
 """Reduction of trivialized principal-bundle systems to bundle charts.
 
-A scenario is a trivialized bundle Q = B x G with a local connection form
-and, optionally, a linear G-action on an auxiliary vector fiber W.  From
+A scenario is a trivialized bundle Q = B x G with a local connection form,
+a linear G-action on a vector fiber W and the W-valued two-form of W as a
+bundle over B x G; W is empty and the forms are zero unless given.  From
 this the module builds the reduced bundle chart over B with fiber
 (algebra + W), reduces invariant Lagrangians, projects trajectories, and
 performs two-stage reduction through an abelian normal subgroup N with
 abelian quotient K.  One construction serves both stages: stage 2 reduces
-the stage-1 bundle, whose two-form it takes as input, with g = n s(k).
+the stage-1 bundle, its fiber and two-form, with g = n s(k).
 
 Conventions: the group acts on the left, h.(x, g) = (x, h g); reduced
 fiber coordinates are the body values xi = coords(g^-1 gdot) + A(x) xdot
@@ -80,17 +81,22 @@ def trivial_representation(G: MatrixLieGroup, dim_w: int) -> RepW:
 
 @dataclass(frozen=True)
 class PrincipalScenario:
-    """Trivialized principal-bundle data: base chart, group, connection, rep.
+    """Trivialized bundle data: base chart, group, connection, fiber W and
+    its two-form.
 
     ``A`` maps a base point to the (d, k) table of algebra coordinates of
     the local connection form; row i is the value on the i-th coordinate
-    direction.  None means the zero form.
+    direction.  ``repW`` is the G-action on W; ``two_form`` maps (x, group
+    coordinates) to the W-valued two-form, shape (w, d + k, d + k), of W as
+    an LP bundle over B x G with zero bracket and connection.  None means
+    the zero form, and for ``repW`` the 0-dimensional fiber.
     """
 
     baseB: ChartDomain
     G: MatrixLieGroup
     A: SmoothMap = None
     repW: RepW = None
+    two_form: SmoothMap = None
 
     def __post_init__(self):
         d, k = self.baseB.n, self.G.dim
@@ -100,19 +106,25 @@ class PrincipalScenario:
             raise DimensionMismatch(
                 f"connection table must map R^{d} to shape {(d, k)}"
             )
+        if self.repW is None:
+            object.__setattr__(self, "repW", trivial_representation(self.G, 0))
+        shape = (self.dim_w, d + k, d + k)
+        if self.two_form is None:
+            object.__setattr__(self, "two_form", constant_map(d + k, np.zeros(shape), "two_form"))
+        if self.two_form.in_dim != d + k or self.two_form.out_shape != shape:
+            raise DimensionMismatch(f"two-form table must map R^{d + k} to shape {shape}")
         c = structure_constants(self.G)
         object.__setattr__(self, "_c", c)
-        if self.repW is not None:
-            gen = self.repW.gen
-            if gen.shape[0] != k:
-                raise DimensionMismatch("one generator per algebra basis vector")
-            prod = np.einsum("apq,bqr->abpr", gen, gen)
-            comm = prod - prod.transpose(1, 0, 2, 3)
-            worst = _max_abs(comm - np.einsum("gab,gpq->abpq", c, gen))
-            if not worst <= 1e-10:
-                raise ValueError(
-                    f"representation generators do not close (residual {worst:.2e})"
-                )
+        gen = self.repW.gen
+        if gen.shape[0] != k:
+            raise DimensionMismatch("one generator per algebra basis vector")
+        prod = np.einsum("apq,bqr->abpr", gen, gen)
+        comm = prod - prod.transpose(1, 0, 2, 3)
+        worst = _max_abs(comm - np.einsum("gab,gpq->abpq", c, gen))
+        if not worst <= 1e-10:
+            raise ValueError(
+                f"representation generators do not close (residual {worst:.2e})"
+            )
 
     @property
     def k(self):
@@ -120,7 +132,7 @@ class PrincipalScenario:
 
     @property
     def dim_w(self):
-        return 0 if self.repW is None else self.repW.dim_w
+        return self.repW.dim_w
 
 
 def _exterior_derivative(M: SmoothMap, x):
@@ -146,66 +158,60 @@ class ReducedBundleHandle:
     axioms: dict  # the axiom report of the reduced bundle, as a dict
 
 
-def _reduced_structure_maps(sc: PrincipalScenario, two_form=None):
+def _reduced_structure_maps(sc: PrincipalScenario):
     d, k, w = sc.baseB.n, sc.k, sc.dim_w
     m = k + w
-    c = sc._c
+    c, gen = sc._c, sc.repW.gen
     c_red = np.zeros((m, m, m))
     c_red[:k, :k, :k] = c
+    c_red[k:, :k, k:] = gen.transpose(1, 0, 2)
+    c_red[k:, k:, :k] = -gen.transpose(1, 2, 0)
     # Gamma_i = -A[i, g] T[g], with T[g] = ad(e_g) on the algebra rows and the
-    # g-th generator on W; the blocks between them are plain 0.0, never
-    # zero-valued duals, so derivatives of Gamma match the entrywise formula
-    blocks = [(slice(None, k), -c.transpose(1, 0, 2))]
-    if w:
-        gen = sc.repW.gen
-        blocks.append((slice(k, None), -gen))
-        c_red[k:, :k, k:] = gen.transpose(1, 0, 2)
-        c_red[k:, k:, :k] = -gen.transpose(1, 2, 0)
+    # g-th generator on W; the blocks between them start as plain 0.0, and
+    # only the W-alg block takes the two-form term
+    blocks = [(slice(None, k), -c.transpose(1, 0, 2)), (slice(k, None), -gen)]
     bracket = c.transpose(1, 2, 0)  # bracket[g, h, a] = c[a, g, h]
+    zero_k = np.zeros(k).astype(object)
 
-    def lifted(x):
-        """two_form at (x, 0) and the horizontal lift P = [I; -A^T] of the
-        base into base x group coordinates, shapes (w, d + k, d + k), (d + k, d)."""
-        pt = np.concatenate([np.asarray(x, dtype=object), np.zeros(k).astype(object)])
-        P = np.concatenate([np.eye(d), -eval_map(sc.A, x).T])
-        return eval_map(two_form, pt), P
+    def two_form_at(x):  # at group coordinate 0, shape (w, d + k, d + k)
+        return eval_map(sc.two_form, np.concatenate([np.asarray(x, dtype=object), zero_k]))
 
+    def lift(A):  # P = [I; -A^T], base into base x group coordinates
+        return np.concatenate([np.eye(d), -A.T])
+
+    # a zero two-form subtracts exact +0.0, so float tables keep their bits
     def c_body(x):
-        O, _ = lifted(x)
-        out = c_red.astype(object)
+        O = two_form_at(x)
+        out = c_red.astype(O.dtype)
         out[k:, :k, :k] -= O[:, d:, d:]
         return out
 
     def gamma_body(x):
-        A = eval_map(sc.A, x)
-        out = np.zeros((d, m, m)).astype(A.dtype)
+        A, O = eval_map(sc.A, x), two_form_at(x)
+        out = np.zeros((d, m, m)).astype(np.result_type(A, O))
         for blk, negT in blocks:
             out[:, blk, blk] = np.einsum("gab,ig->iab", negT, A)
-        if two_form is not None:
-            O, P = lifted(x)
-            out = out.astype(object)  # O may be an object table at a float x
-            out[:, k:, :k] -= np.einsum("vi,pvb->ipb", P, O[:, :, d:])
+        out[:, k:, :k] -= np.einsum("vi,pvb->ipb", lift(A), O[:, :, d:])
         return out
 
     def omega_body(x):
-        At = eval_map(sc.A, x).T
+        A, O = eval_map(sc.A, x), two_form_at(x)
         # terms[g, h, a, i, j] = c[a, g, h] A[i, g] A[j, h], taken off dA one
         # (g, h) pair at a time; one contraction would reorder the sum and move
         # the last bits of omega for dense connections
+        At = A.T
         terms = bracket[..., None, None] * At[:, None, None, :, None] * At[None, :, None, None, :]
         alg = np.subtract.reduce(
             np.concatenate([_exterior_derivative(sc.A, x)[None], terms.reshape(k * k, k, d, d)])
         )
-        if two_form is None:
-            return np.concatenate([alg, np.zeros((w, d, d))])
-        O, P = lifted(x)
+        P = lift(A)
         return np.concatenate([alg, np.einsum("vi,pvu,uj->pij", P, O, P)])
 
-    Gamma = SmoothMap(d, d * m * m, gamma_body, out_shape=(d, m, m), name="Gamma_red")
-    Omega = SmoothMap(d, m * d * d, omega_body, out_shape=(m, d, d), name="omega_red")
-    if two_form is None:
-        return Gamma, c_red, Omega
-    return Gamma, SmoothMap(d, m**3, c_body, out_shape=(m, m, m), name="c_red"), Omega
+    return (
+        SmoothMap(d, d * m * m, gamma_body, out_shape=(d, m, m), name="Gamma_red"),
+        SmoothMap(d, m**3, c_body, out_shape=(m, m, m), name="c_red"),
+        SmoothMap(d, m * d * d, omega_body, out_shape=(m, d, d), name="omega_red"),
+    )
 
 
 def require_axioms(report, what):
@@ -218,19 +224,17 @@ def require_axioms(report, what):
     return report
 
 
-def build_reduced_bundle(sc: PrincipalScenario, n_samples=100, seed=0, two_form=None):
+def build_reduced_bundle(sc: PrincipalScenario, n_samples=100, seed=0):
     """Reduced bundle chart over the scenario base; must pass the axioms.
 
     The fiber is algebra + W with the adjoint/representation connection
-    blocks and the reduced two-form dA - [A, A] on the algebra rows.
-    ``two_form`` makes W the fiber of an LP bundle over B x G with zero
-    bracket and connection: it maps (x, group coordinates) to that bundle's
-    W-valued two-form Omega, shape (w, d + k, d + k).  Read at group
-    coordinate 0 and pulled back along the lift P = [I; -A^T], it gives
-    c[W, alg, alg] -= Omega, Gamma[:, W, alg] -= P^T Omega and the W rows
-    P^T Omega P of the two-form.
+    blocks and the reduced two-form dA - [A, A] on the algebra rows.  The
+    scenario's two-form Omega, read at group coordinate 0 and pulled back
+    along the lift P = [I; -A^T], gives c[W, alg, alg] -= Omega,
+    Gamma[:, W, alg] -= P^T Omega and the W rows P^T Omega P of the
+    two-form.
     """
-    Gamma, c_red, Omega = _reduced_structure_maps(sc, two_form)
+    Gamma, c_red, Omega = _reduced_structure_maps(sc)
     bundle = LPBundleChart(sc.baseB, sc.k + sc.dim_w, Gamma=Gamma, c=c_red, omega=Omega)
     report = require_axioms(
         check_axioms(bundle, n_samples=n_samples, seed=seed), "reduced bundle"
@@ -242,7 +246,7 @@ def build_reduced_bundle(sc: PrincipalScenario, n_samples=100, seed=0, two_form=
 # the fiberwise isomorphism and trajectory projection
 
 
-def alpha_map(sc: PrincipalScenario, x, xdot, g, gdot, w=None):
+def alpha_map(sc: PrincipalScenario, x, xdot, g, gdot, w=()):
     """Unreduced velocity data to reduced coordinates (x, xdot, xi, a)."""
     x = np.asarray(x, dtype=float)
     xdot = np.asarray(xdot, dtype=float)
@@ -252,10 +256,7 @@ def alpha_map(sc: PrincipalScenario, x, xdot, g, gdot, w=None):
     xi = sc.G.unhat(ginv @ np.asarray(gdot, dtype=float))
     A = np.asarray(eval_map(sc.A, x), dtype=float)
     xi = xi + A.T @ xdot
-    if sc.repW is None:
-        a = np.zeros(0)
-    else:
-        a = np.asarray(sc.repW.rho(ginv), dtype=float) @ np.asarray(w, dtype=float)
+    a = np.asarray(sc.repW.rho(ginv), dtype=float) @ np.asarray(w, dtype=float)
     return x, xdot, xi, a
 
 
@@ -286,11 +287,7 @@ def _sample_invariance(sc, L):
         h = np.asarray(sc.G.exp(eta), dtype=float)
         ximat = np.asarray(sc.G.hat(xi), dtype=float)
         base = L(x, xdot, eye, ximat, a)
-        if sc.repW is None:
-            wa = a
-        else:
-            wa = np.asarray(sc.repW.rho(h), dtype=float) @ a
-        moved = L(x, xdot, h, h @ ximat, wa)
+        moved = L(x, xdot, h, h @ ximat, np.asarray(sc.repW.rho(h), dtype=float) @ a)
         resid = abs(moved - base) / (1.0 + abs(base))
         # the first non-finite residual is the worst one and stays reported
         if np.isfinite(worst) and not resid <= worst:
@@ -345,7 +342,7 @@ def group_chart_lagrangian(sc: PrincipalScenario, L, radius=1.0):
     in algebra coordinates.  Differentiable through the exponential, so the
     generic integrator runs the unreduced dynamics without any reduction.
     """
-    if sc.baseB.n != 0 or sc.repW is not None:
+    if sc.baseB.n or sc.dim_w:
         raise NotSupported("chart form needs a point base and no auxiliary fiber")
     k = sc.k
     chart = ChartDomain(k, np.tile([-radius, radius], (k, 1)))
@@ -423,12 +420,14 @@ def stages_reduce(direct: ReducedBundleHandle, nidx, override_A_N=None, seed=0):
     over B x K, with g = n(nu) s(kc) and the section s(kc) = exp(kc).
     Stage 2 reduces the stage-1 bundle by K, which translates kc and acts on
     the fiber n by Ad_s(kc); that bundle's bracket and connection are zero,
-    so it hands on only its two-form.  Returns both stage handles and the
-    fiber reshuffle beta identifying the direct reduction with the
-    composition.  The canonical intermediate connection is the N-projection
-    of the scenario form dressed by the section of K; overriding it skips the
-    exactness guarantee and reports the deviation instead.  Both deviations
-    are sampled at STAGES_SAMPLES seeded points; a NaN one fails the gate.
+    so the stage-2 scenario carries its fiber n and its two-form.  Returns
+    both stage handles, each rebuilt by build_reduced_bundle from its
+    scenario, and the fiber reshuffle beta identifying the direct reduction
+    with the composition.  The canonical intermediate connection is the
+    N-projection of the scenario form dressed by the section of K;
+    overriding it skips the exactness guarantee and reports the deviation
+    instead.  Both deviations are sampled at STAGES_SAMPLES seeded points;
+    a NaN one fails the gate.
     """
     sc = direct.scenario
     d, k = sc.baseB.n, sc.k
@@ -437,7 +436,7 @@ def stages_reduce(direct: ReducedBundleHandle, nidx, override_A_N=None, seed=0):
     kidx = tuple(i for i in range(k) if i not in nidx)
     r, s_dim = len(nidx), len(kidx)
 
-    if sc.repW is not None:
+    if sc.dim_w:
         raise NotSupported("two-stage reduction with an auxiliary fiber")
     K, N = list(kidx), list(nidx)
     worst = _max_abs(c[np.ix_(K, range(k), N)])
@@ -502,7 +501,7 @@ def stages_reduce(direct: ReducedBundleHandle, nidx, override_A_N=None, seed=0):
         r, gen, lambda h: Ad(G, section(h[:s_dim, -1]), section(-h[:s_dim, -1]), N)[N]
     )
     stage2 = build_reduced_bundle(
-        PrincipalScenario(sc.baseB, abelian(s_dim), A_K, rep), two_form=stage1.bundle.omega
+        PrincipalScenario(sc.baseB, abelian(s_dim), A_K, rep, stage1.bundle.omega)
     )
 
     beta = np.eye(k)[K + N]

@@ -133,6 +133,8 @@ def test_polynomial_index_bounds_are_validated(tmp_path, capsys):
 
 _INLINE_BUNDLE = "bundle: {n: 1, m: 1}\n"
 _INLINE_SCENARIO = "scenario: {base: {n: 0}, group: so3}\n"
+# two of these on one table entry: products of the entries leave the float range
+_OVERFLOW_TERM = "{index: [%s], powers: [1], coeff: 1.0e+308}"
 _STAGES = "system: heisenberg_stages\n"
 _TRIVIAL = "scenario: {base: {n: 0}, group: so3, representation: {trivial: %d}}\n"
 _SIMULATE = "system: free_particle_planar\n"
@@ -439,6 +441,45 @@ _HEISENBERG_SCENARIO = """
             [],
             "lagrangian: unknown key 'constant'",
         ),
+        (
+            "check-axioms",
+            "bundle: {n: 1, m: 1, gamma: {polynomial: {terms: [%s, %s]}}}\n"
+            % ((_OVERFLOW_TERM % "0, 0, 0",) * 2),
+            [],
+            "f_curvature_coupling: residual nan, scale nan at the sample point [",
+        ),
+        (
+            "reduce",
+            "scenario: {base: {n: 1}, group: so3, connection: {polynomial: {terms: [%s, %s]}}}\n"
+            % ((_OVERFLOW_TERM % "0, 0",) * 2),
+            [],
+            "omega_skew: residual nan, scale nan at the sample point [",
+        ),
+        (
+            "reduce",
+            "scenario: {base: {n: 0}, group: {name: abelian, dim: %d}}\n" % 10**20,
+            [],
+            "scenario.group.dim: must be at most 12, got 100000000000000000000",
+        ),
+        (
+            "reduce",
+            _TRIVIAL % 10**20,
+            [],
+            "scenario.representation.trivial: must be at most 12",
+        ),
+        ("check-axioms", "bundle: {n: 1, m: %d}\n" % 10**20, [], "bundle.m: must be at most 12"),
+        (
+            "reduce",
+            _INLINE_SCENARIO + "samples: %d\n" % 10**20,
+            [],
+            "samples: must be at most 1000",
+        ),
+        (
+            "reduce",
+            _INLINE_SCENARIO + "dump_samples: %d\n" % 10**20,
+            [],
+            "dump_samples: 100000000000000000000 rows of 27 values exceed the 1000000 values",
+        ),
     ],
     ids=[
         "samples-axioms",
@@ -507,6 +548,13 @@ _HEISENBERG_SCENARIO = """
         "table-polynomial-unknown-key",
         "table-unknown-key",
         "lagrangian-unknown-key",
+        "axioms-overflow-bundle",
+        "axioms-overflow-scenario",
+        "group-dim-huge",
+        "trivial-huge",
+        "bundle-m-huge",
+        "samples-huge",
+        "dump-samples-huge",
     ],
 )
 def test_out_of_range_settings_are_config_errors(
@@ -522,6 +570,7 @@ def test_out_of_range_settings_are_config_errors(
     assert code == 1
     assert err.startswith("config error: ") and err.count("\n") == 1 and not caught
     assert message in err
+    assert not [p for p in tmp_path.rglob("*") if p.suffix in (".json", ".csv", ".txt")]
 
 
 _leaf = st.one_of(
@@ -1430,10 +1479,12 @@ _FUZZ_BASES = [
     ("simulate", {"system": "central_potential_particle", "params": {"stiffness": 0.8}, **_GRID}),
 ]
 
-# the leaves a mutation may put in: none of them raises a count or refines a grid
+# the leaves a mutation may put in; 10**20 in a dimension or a count meets
+# its fixed ceiling (cli.MAX_DIM, MAX_SAMPLES, MAX_DUMP_VALUES), and as t_end
+# or dt the time-grid rule, so no mutation makes a run that does not end
 _FUZZ_LEAVES = [
     float("nan"), float("inf"), float("-inf"), "1e300", 1.0e300, 5.0e-324,
-    -1, 0, True, "x", [], {}, None,
+    -1, 0, 10**20, True, "x", [], {}, None,
 ]
 # removing one of these keys could (its default is a finer grid or a larger count)
 _COUNT_KEYS = ("t_end", "dt", "samples", "dump_samples", "etas")
@@ -1505,7 +1556,8 @@ def _assert_finite_artifacts(out):
 @given(_mutated_configs())
 def test_failure_contract_holds_for_mutated_configs(case):
     """Exit code in {0, 1, 2, 3}, no traceback, one stderr line for exits 1
-    and 3, and only finite numbers in the artifacts of an exit-0 run."""
+    and 3, and only finite numbers in the artifacts of an exit-0 or exit-2
+    run (check-axioms writes its report before exit 2)."""
     command, cfg = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.yaml")
@@ -1528,5 +1580,5 @@ def test_failure_contract_holds_for_mutated_configs(case):
         assert "Traceback" not in text
         if code in (1, 3):
             assert text.count("\n") == 1 and not caught, (text, caught)
-        if code == 0:
+        if code in (0, 2):
             _assert_finite_artifacts(tmp)

@@ -743,13 +743,14 @@ def test_check_axioms_fails_on_a_nan_table_entry():
     assert report.condition("d_two_form_closed").passed
 
 
-def test_check_axioms_reports_the_first_nan_sample_with_its_scale():
-    # c is finite, with skew defect 1 + q0^2, where q0 <= 0 and NaN where
-    # q0 > 0; a running maximum would report a finite scale
+def _report_with_bad_samples(bad):
+    """check_axioms at 12 samples of a c that is finite, with skew defect
+    1 + q0^2, where q0 <= 0 and ``bad`` times that where q0 > 0; the report,
+    the samples and the indices of the bad ones."""
     def c_body(q):
         c = np.zeros((2, 2, 2), dtype=object)
         finite = _dual.real_part(q[0]) <= 0
-        c[0, 0, 1] = (1.0 if finite else np.nan) * (1.0 + q[0] * q[0])
+        c[0, 0, 1] = (1.0 if finite else bad) * (1.0 + q[0] * q[0])
         return c
 
     base = box(1)
@@ -757,14 +758,30 @@ def test_check_axioms_reports_the_first_nan_sample_with_its_scale():
     report = check_axioms(b, n_samples=12, seed=3)
     rng = np.random.default_rng(3)
     points = [base.sample(rng) for _ in range(12)]
-    nan_at = [i for i, q in enumerate(points) if q[0] > 0]
-    assert 0 < nan_at[0] < nan_at[-1]
+    bad_at = [i for i, q in enumerate(points) if q[0] > 0]
+    assert 0 < bad_at[0] < bad_at[-1]
+    return report, points, bad_at
+
+
+def test_check_axioms_reports_the_first_nan_sample_with_its_scale():
+    # a running maximum would report a finite scale
+    report, points, nan_at = _report_with_bad_samples(np.nan)
     for name in ("c_skew", "c_jacobi", "e_bracket_parallel", "f_curvature_coupling"):
         cond = report.condition(name)
         assert not cond.passed
         assert np.isnan(cond.max_residual) and np.isnan(cond.scale)
         assert np.array_equal(cond.worst_point, points[nan_at[0]])
     assert report.condition("omega_skew").passed
+
+
+def test_check_axioms_reports_the_first_infinite_sample_with_its_scale():
+    # the skew residual and its scale are +inf at the bad samples, never NaN;
+    # the largest residual alone would pick the last of them
+    report, points, inf_at = _report_with_bad_samples(np.inf)
+    cond = report.condition("c_skew")
+    assert not cond.passed
+    assert np.isinf(cond.max_residual) and np.isinf(cond.scale)
+    assert np.array_equal(cond.worst_point, points[inf_at[0]])
 
 
 def test_check_axioms_worst_point_on_a_constant_chart_is_the_last_sample():

@@ -44,7 +44,8 @@ from lpmech.reduction import (
     trivial_representation,
     two_stage_lagrangian,
 )
-from lpmech.smoothmap import SmoothMap, eval_map
+from lpmech.smoothmap import SmoothMap, constant_map, eval_map
+from lpmech.systems import build_system
 
 
 def linear_table(d, k, seed):
@@ -133,6 +134,14 @@ def test_connection_table_shape_is_checked():
     wrong = SmoothMap(1, 2, lambda x: np.array([x[0], -x[0]]), out_shape=(1, 2))
     with pytest.raises(DimensionMismatch):
         PrincipalScenario(ChartDomain(1), so3(), wrong)
+    # the two-form of a 2-dimensional W over a line times so3 maps R^4 to (2, 4, 4)
+    rep = trivial_representation(so3(), 2)
+    for in_dim, shape in ((4, (1, 4, 4)), (3, (2, 3, 3)), (4, (2, 4, 3))):
+        with pytest.raises(DimensionMismatch, match="two-form"):
+            PrincipalScenario(
+                ChartDomain(1), so3(), repW=rep, two_form=constant_map(in_dim, np.zeros(shape))
+            )
+    PrincipalScenario(ChartDomain(1), so3(), repW=rep, two_form=constant_map(4, np.zeros((2, 4, 4))))
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +522,43 @@ def test_stages_abelian_plane_is_exact_reshuffle():
 
 def heisenberg_scenario():
     return PrincipalScenario(ChartDomain(0), heisenberg3())
+
+
+def _stage_handles(nidx):
+    """Both stage handles of a Heisenberg scenario over a line."""
+    sc = PrincipalScenario(
+        ChartDomain(1, [[-1.0, 1.0]]), heisenberg3(1.3), linear_table(1, 3, 7)[0]
+    )
+    res = stages_reduce(build_reduced_bundle(sc), nidx)
+    return [res.stage1, res.stage2]
+
+
+def _line_scenario(rep):
+    return PrincipalScenario(ChartDomain(1, [[-1.0, 1.0]]), so3(), linear_table(1, 3, 11)[0], rep)
+
+
+_REBUILD_CASES = {
+    **{name: lambda name=name: [build_system(name).handle]
+       for name in ("rigid_body", "parameter_lagrangian", "heisenberg_stages")},
+    "line": lambda: [build_reduced_bundle(_line_scenario(None))],
+    "line-trivial-W": lambda: [build_reduced_bundle(_line_scenario(trivial_representation(so3(), 2)))],
+    **{f"stages-{list(nidx)}": lambda nidx=nidx: _stage_handles(nidx)
+       for nidx in ((2,), (0, 2), (1, 2))},
+}
+
+
+@pytest.mark.parametrize("case", list(_REBUILD_CASES))
+def test_rebuilding_from_the_scenario_gives_the_same_tables(case):
+    """build_reduced_bundle(h.scenario) rebuilds the bundle of a handle h bit
+    for bit, stage 2 of stages_reduce included: its scenario carries the
+    stage-1 fiber and two-form."""
+    for h in _REBUILD_CASES[case]():
+        rebuilt = build_reduced_bundle(h.scenario, n_samples=2).bundle
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            x = h.bundle.base.sample(rng)
+            for got, want in zip(rebuilt.tables(x), h.bundle.tables(x)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_stages_reduce_checks_only_the_two_stages(monkeypatch):
