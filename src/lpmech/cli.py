@@ -40,7 +40,6 @@ import yaml
 from .dynamics import (
     LPLagrangian,
     LPState,
-    LPState2,
     accelerations,
     energy,
     integrate_lp,
@@ -62,7 +61,7 @@ from .errors import (
     NumericalFailure,
 )
 from .liegroups import abelian, heisenberg3, so3
-from .lpbundle import ChartDomain, LPBundleChart, check_axioms
+from .lpbundle import ChartDomain, LPBundleChart, check_axioms, table_shapes
 from .reduction import (
     PrincipalScenario,
     build_reduced_bundle,
@@ -338,10 +337,11 @@ def bundle_from_config(node):
     base = domain_from_config(node, label, ("m", "gamma", "c", "omega"))
     m = _int(_need(node, "m", label), f"{label}.m", least=0, most=MAX_DIM)
     n = base.n
-    Gamma = _table_field(node, "gamma", n, (n, m, m), label)
-    c = _table_field(node, "c", n, (m, m, m), label)
-    omega = _table_field(node, "omega", n, (m, n, n), label)
-    return LPBundleChart(base, m, Gamma, c, omega)
+    tables = {
+        name: _table_field(node, name.lower(), n, shape, label)
+        for name, shape in table_shapes(n, m)
+    }
+    return LPBundleChart(base, m, **tables)
 
 
 def group_from_config(node, label):
@@ -432,6 +432,11 @@ def resolve_initial(cfg, record):
     _known_keys(node, ("q", "qdot", "v"), "initial")
     n, m = record.bundle.n, record.bundle.m
     q = _numbers(_need(node, "q", "initial"), "initial.q", (n,))
+    if not record.bundle.base.contains(q):
+        raise ConfigError(
+            f"initial.q: {q.tolist()} lies outside the chart box "
+            f"{record.bundle.base.bounds.tolist()}"
+        )
     qdot = _numbers(_need(node, "qdot", "initial"), "initial.qdot", (n,))
     v = _numbers(node.get("v", [0.0] * m), "initial.v", (m,))
     return LPState(q, qdot, v)
@@ -495,7 +500,7 @@ def _lp_residual_max(sys, traj, jets):
     for i in idx:
         s, jet = traj.states[i], jets[i]
         qdd, vd = accelerations(sys, s, jet=jet)
-        hor, ver = lp_operator(sys, LPState2(s.q, s.qdot, s.v, qdd, vd), jet=jet)
+        hor, ver = lp_operator(sys, s, qdd, vd, jet=jet)
         for part in (hor, ver):
             if part.size:
                 worst = max(worst, float(np.max(np.abs(part))))
@@ -558,23 +563,17 @@ def _fmt_vec(v):
     return "[" + ", ".join(f"{x:.17g}" for x in np.atleast_1d(v)) + "]"
 
 
-def _table_shapes(n, m):
-    """Name and shape of each structure table over n base and m fiber dimensions."""
-    return (("Gamma", (n, m, m)), ("c", (m, m, m)), ("omega", (m, n, n)))
-
-
 def _structure_sample_rows(bundle, n_dump, seed):
     """Seeded base points with the structure functions evaluated at each."""
     n, m = bundle.n, bundle.m
     header = [f"x{i + 1}" for i in range(n)]
-    for name, shape in _table_shapes(n, m):
+    for name, shape in table_shapes(n, m):
         header += [name + "".join(f"_{i + 1}" for i in idx) for idx in np.ndindex(*shape)]
     rng = np.random.default_rng(seed)
     rows = []
     for _ in range(n_dump):
         x = bundle.base.sample(rng)
-        G, C, Om = bundle.tables(x)
-        rows.append(np.concatenate([x, G.ravel(), C.ravel(), Om.ravel()]))
+        rows.append(np.concatenate([x, *(t.ravel() for t in bundle.tables(x))]))
     return header, rows
 
 
@@ -602,7 +601,7 @@ def cmd_reduce(cfg):
     samples = _int(cfg.get("samples", 100), "samples", least=1, most=MAX_SAMPLES)
     n_dump = _int(cfg.get("dump_samples", 20), "dump_samples", least=0)
     d, m = scenario.baseB.n, scenario.k + scenario.dim_w
-    width = d + sum(int(np.prod(shape)) for _, shape in _table_shapes(d, m))  # one dump row
+    width = d + sum(int(np.prod(shape)) for _, shape in table_shapes(d, m))  # one dump row
     if n_dump * width > MAX_DUMP_VALUES:
         raise ConfigError(
             f"dump_samples: {n_dump} rows of {width} values exceed the "

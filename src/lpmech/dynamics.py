@@ -111,25 +111,6 @@ class _Slots(NamedTuple):
 
 
 @dataclass(frozen=True)
-class LPState2:
-    q: np.ndarray
-    qdot: np.ndarray
-    v: np.ndarray
-    qddot: np.ndarray
-    vdot: np.ndarray
-
-    def __post_init__(self):
-        for name in ("q", "qdot", "v", "qddot", "vdot"):
-            object.__setattr__(
-                self, name, np.array(getattr(self, name), dtype=float).reshape(-1)
-            )
-        if not (self.q.shape == self.qdot.shape == self.qddot.shape):
-            raise DimensionMismatch("base slots must share one length")
-        if self.v.shape != self.vdot.shape:
-            raise DimensionMismatch("fiber slots must share one length")
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Sampled states on a time grid; the states are LPState or HPState.
 
@@ -217,15 +198,20 @@ def _force_terms(sys: LPLagrangian, s, jet):
     return np.concatenate([f_q, f_v]), H[n:, n:]
 
 
-def lp_operator(sys: LPLagrangian, s2: LPState2, jet=None):
-    """Equation-of-motion residual at full second-order data.
-
-    Returns (base covector of length n, fiber covector of length m); both
-    vanish exactly on solutions.  ``jet`` is (value, gradient, Hessian) of
-    L at (q, qdot, v) of s2, as in Trajectory.jets; computed when None.
+def lp_operator(sys: LPLagrangian, s: LPState, qddot, vdot, jet=None):
+    """Equation-of-motion residual at second-order data (qddot, vdot) of
+    lengths n and m (else DimensionMismatch); s and ``jet`` as in
+    accelerations.  Returns (base covector, fiber covector); both vanish
+    exactly on solutions.
     """
-    f, M = _force_terms(sys, s2, jet)
-    r = f - M @ np.concatenate([s2.qddot, s2.vdot])
+    z = [np.array(a, dtype=float).reshape(-1) for a in (qddot, vdot)]
+    if [len(a) for a in z] != [sys.n, sys.m]:
+        raise DimensionMismatch(
+            f"second-order data must have lengths ({sys.n}, {sys.m}), "
+            f"got ({len(z[0])}, {len(z[1])})"
+        )
+    f, M = _force_terms(sys, s, jet)
+    r = f - M @ np.concatenate(z)
     return r[: sys.n], r[sys.n :]
 
 

@@ -80,6 +80,16 @@ class ChartDomain:
         return rng.uniform(np.where(p, lo, lo + pad), np.where(p, hi, hi - pad), self.n)
 
 
+def table_shapes(n, m):
+    """(name, shape) of each structure table over n base and m fiber dimensions."""
+    return (("Gamma", (n, m, m)), ("c", (m, m, m)), ("omega", (m, n, n)))
+
+
+def _table_jacobian(M: SmoothMap, q):
+    """Float Jacobian of a table map at q, the derivative direction last."""
+    return np.asarray(jacobian(M, q), dtype=float).reshape(M.out_shape + (M.in_dim,))
+
+
 @dataclass(frozen=True)
 class LPBundleChart:
     """Bundle structure data over a chart.
@@ -95,12 +105,8 @@ class LPBundleChart:
     omega: SmoothMap = None
 
     def __post_init__(self):
-        n, m = self.base.n, self.m
-        for attr, shape in (
-            ("Gamma", (n, m, m)),
-            ("c", (m, m, m)),
-            ("omega", (m, n, n)),
-        ):
+        n = self.base.n
+        for attr, shape in table_shapes(n, self.m):
             val = getattr(self, attr)
             if val is None:
                 val = constant_map(n, np.zeros(shape), attr)
@@ -184,11 +190,8 @@ def curvature(b: LPBundleChart, q):
     k = dGamma skew part plus the commutator of the connection matrices;
     antisymmetric in (i, j).
     """
-    n, m = b.n, b.m
     q = np.asarray(q, dtype=float)
-    G = b.tables(q)[0]
-    dG = np.asarray(jacobian(b.Gamma, q), dtype=float).reshape(n, m, m, n)
-    return _curvature(G, dG)
+    return _curvature(b.tables(q)[0], _table_jacobian(b.Gamma, q))
 
 
 def _curvature(G, dG):
@@ -208,11 +211,9 @@ def ext_cov_derivative_omega(b: LPBundleChart, q):
     d_i omega[a, j, k] + Gamma[i, a, b] omega[b, j, k]; coordinate fields
     commute, so no bracket terms appear.
     """
-    n, m = b.n, b.m
     q = np.asarray(q, dtype=float)
     G, _, Om = b.tables(q)
-    dOm = np.asarray(jacobian(b.omega, q), dtype=float).reshape(m, n, n, n)
-    return _ext_cov_derivative_omega(G, Om, dOm)
+    return _ext_cov_derivative_omega(G, Om, _table_jacobian(b.omega, q))
 
 
 def _ext_cov_derivative_omega(G, Om, dOm):
@@ -397,25 +398,23 @@ def check_axioms(
     if n_samples < 1:
         raise ValueError("need at least one sample point")
     rng = np.random.default_rng(seed)
-    n, m = b.n, b.m
     rows, points = [], []  # per sample, each condition's (residual, scale)
 
     # a point base (n = 0) has one point, and every sample would repeat it
-    for _ in range(n_samples if n else 1):
+    for _ in range(n_samples if b.n else 1):
         q = b.base.sample(rng)
         G, C, Om = b.tables(q)
         skew, jac, cyc = _algebra_defects(C)
 
-        dOm = np.asarray(jacobian(b.omega, q), dtype=float).reshape(m, n, n, n)
-
-        dC = np.asarray(jacobian(b.c, q), dtype=float).reshape(m, m, m, n)
+        dOm = _table_jacobian(b.omega, q)
+        dC = _table_jacobian(b.c, q)
         # dC[g,a,b,i] = d_i c[g,a,b]
         tGc = np.einsum("ige,eab->giab", G, C)
         tcG1 = np.einsum("geb,iea->giab", C, G)
         tcG2 = np.einsum("gae,ieb->giab", C, G)
         eres = np.einsum("gabi->giab", dC) + tGc - tcG1 - tcG2
 
-        dG = np.asarray(jacobian(b.Gamma, q), dtype=float).reshape(n, m, m, n)
+        dG = _table_jacobian(b.Gamma, q)
         k = _curvature(G, dG)
         rhs = -np.einsum("agb,gij->ijab", C, Om)
 

@@ -39,7 +39,7 @@ from .dynamics import (
     Trajectory,
     _lagrangian_gradient,
 )
-from .lpbundle import ChartDomain, LPBundleChart, _max_abs, check_axioms
+from .lpbundle import ChartDomain, LPBundleChart, _max_abs, check_axioms, table_shapes
 from .liegroups import Ad, MatrixLieGroup, abelian, structure_constants
 from .smoothmap import SmoothMap, constant_map, eval_map, jacobian
 
@@ -159,10 +159,11 @@ class ReducedBundleHandle:
 
 
 def _reduced_structure_maps(sc: PrincipalScenario):
-    d, k, w = sc.baseB.n, sc.k, sc.dim_w
-    m = k + w
+    """The reduced tables over the scenario base, as maps keyed by table name."""
+    d, k = sc.baseB.n, sc.k
+    shapes = dict(table_shapes(d, k + sc.dim_w))
     c, gen = sc._c, sc.repW.gen
-    c_red = np.zeros((m, m, m))
+    c_red = np.zeros(shapes["c"])
     c_red[:k, :k, :k] = c
     c_red[k:, :k, k:] = gen.transpose(1, 0, 2)
     c_red[k:, k:, :k] = -gen.transpose(1, 2, 0)
@@ -188,7 +189,7 @@ def _reduced_structure_maps(sc: PrincipalScenario):
 
     def gamma_body(x):
         A, O = eval_map(sc.A, x), two_form_at(x)
-        out = np.zeros((d, m, m)).astype(np.result_type(A, O))
+        out = np.zeros(shapes["Gamma"]).astype(np.result_type(A, O))
         for blk, negT in blocks:
             out[:, blk, blk] = np.einsum("gab,ig->iab", negT, A)
         out[:, k:, :k] -= np.einsum("vi,pvb->ipb", lift(A), O[:, :, d:])
@@ -207,11 +208,11 @@ def _reduced_structure_maps(sc: PrincipalScenario):
         P = lift(A)
         return np.concatenate([alg, np.einsum("vi,pvu,uj->pij", P, O, P)])
 
-    return (
-        SmoothMap(d, d * m * m, gamma_body, out_shape=(d, m, m), name="Gamma_red"),
-        SmoothMap(d, m**3, c_body, out_shape=(m, m, m), name="c_red"),
-        SmoothMap(d, m * d * d, omega_body, out_shape=(m, d, d), name="omega_red"),
-    )
+    bodies = {"Gamma": gamma_body, "c": c_body, "omega": omega_body}
+    return {
+        name: SmoothMap(d, int(np.prod(shape)), bodies[name], out_shape=shape, name=f"{name}_red")
+        for name, shape in shapes.items()
+    }
 
 
 def require_axioms(report, what):
@@ -234,8 +235,7 @@ def build_reduced_bundle(sc: PrincipalScenario, n_samples=100, seed=0):
     Gamma[:, W, alg] -= P^T Omega and the W rows P^T Omega P of the
     two-form.
     """
-    Gamma, c_red, Omega = _reduced_structure_maps(sc)
-    bundle = LPBundleChart(sc.baseB, sc.k + sc.dim_w, Gamma=Gamma, c=c_red, omega=Omega)
+    bundle = LPBundleChart(sc.baseB, sc.k + sc.dim_w, **_reduced_structure_maps(sc))
     report = require_axioms(
         check_axioms(bundle, n_samples=n_samples, seed=seed), "reduced bundle"
     )

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._dual import contains_dual
 from .dynamics import GroupAction, LPLagrangian, LPState
 from .lpbundle import ChartDomain, LPBundleChart
 from .liegroups import heisenberg3, so3
@@ -88,12 +87,12 @@ def _inverse_times(g, M, inverse):
     staged Lagrangian as an object g without duals, inside every grad_hess,
     M comes back as is: the dense product would only add 1.0 * M[i, j] to
     zero products, and 1.0 * x is x bit for bit.  Any other g goes through
-    the dense object product.
+    the dense object product; a g with a dual entry never equals the
+    identity, since Dual defines no __eq__.
     """
     M = np.asarray(M, dtype=object)
     g = np.asarray(g)
-    exact = g.dtype != object or not contains_dual(g)
-    if exact and np.array_equal(g, np.eye(len(g))):
+    if np.array_equal(g, np.eye(len(g))):
         return M
     return inverse(g) @ M
 
@@ -316,9 +315,7 @@ def free_particle_planar():
 
     def genQ(eta, q):
         e = np.asarray(eta, dtype=float)
-        entries = [e[0] - e[2] * q[1], e[1] + e[2] * q[0]]
-        dt = object if np.asarray(q).dtype == object else float
-        return np.array(entries, dtype=dt)
+        return np.array([e[0] - e[2] * q[1], e[1] + e[2] * q[0]])
 
     action = GroupAction(3, genQ, lambda eta, q, v: np.zeros(0))
 
@@ -353,9 +350,7 @@ def central_potential_particle(stiffness=0.8):
 
     def genQ(eta, q):
         e = np.asarray(eta, dtype=float)
-        entries = [-e[0] * q[1], e[0] * q[0]]
-        dt = object if np.asarray(q).dtype == object else float
-        return np.array(entries, dtype=dt)
+        return np.array([-e[0] * q[1], e[0] * q[0]])
 
     action = GroupAction(1, genQ, lambda eta, q, v: np.zeros(0))
 

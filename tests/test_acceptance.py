@@ -16,7 +16,6 @@ import numpy as np
 from lpmech import _dual
 from lpmech.dynamics import (
     LPState,
-    LPState2,
     integrate_lp,
     lp_operator,
     noether_current,
@@ -327,7 +326,7 @@ def test_criterion_03_force_balance_matches_discrete_action_gradient():
             )
             xs.append(np.concatenate([q, qd, v]))
             ds.append(np.concatenate([dq, dqd, dv]))
-            hor, ver = lp_operator(sys_, LPState2(q, qd, v, qdd, vd))
+            hor, ver = lp_operator(sys_, LPState(q, qd, v), qdd, vd)
             pairing += wt * (float(hor @ dq) + float(ver @ w))
         D = 2 * n + m
 
@@ -531,8 +530,7 @@ def test_criterion_07_current_rate_equals_vertical_block():
         for i in range(2, n_half - 2, 5):
             dJ = (-Js[i + 2] + 8 * Js[i + 1] - 8 * Js[i - 1] + Js[i - 2]) / (12 * h)
             s = full.states[i]
-            s2 = LPState2(s.q, s.qdot, s.v, np.zeros(0), np.zeros(9))
-            blk = lp_operator(rec.lagrangian, s2)[1][:3]
+            blk = lp_operator(rec.lagrangian, s, np.zeros(0), np.zeros(9))[1][:3]
             worst = max(worst, abs(dJ - blk[g_]))
     ok = worst <= 1e-6
     assert _verdict(7, ok, f"rate mismatch {worst:.1e}")

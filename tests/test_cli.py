@@ -138,6 +138,11 @@ _OVERFLOW_TERM = "{index: [%s], powers: [1], coeff: 1.0e+308}"
 _STAGES = "system: heisenberg_stages\n"
 _TRIVIAL = "scenario: {base: {n: 0}, group: so3, representation: {trivial: %d}}\n"
 _SIMULATE = "system: free_particle_planar\n"
+# far outside the chart box [-3, 3]^2 of the catalog system
+_INITIAL_OUTSIDE = (
+    "system: central_potential_particle\n"
+    "initial: {q: [%d, 0.0], qdot: [0.0, 0.0]}\n" % 10**20
+)
 _HEISENBERG_SCENARIO = """
     scenario:
       base:
@@ -480,6 +485,18 @@ _HEISENBERG_SCENARIO = """
             [],
             "dump_samples: 100000000000000000000 rows of 27 values exceed the 1000000 values",
         ),
+        (
+            "simulate",
+            _INITIAL_OUTSIDE,
+            [],
+            "initial.q: [1e+20, 0.0] lies outside the chart box [[-3.0, 3.0], [-3.0, 3.0]]",
+        ),
+        (
+            "noether",
+            _INITIAL_OUTSIDE,
+            [],
+            "initial.q: [1e+20, 0.0] lies outside the chart box [[-3.0, 3.0], [-3.0, 3.0]]",
+        ),
     ],
     ids=[
         "samples-axioms",
@@ -555,6 +572,8 @@ _HEISENBERG_SCENARIO = """
         "bundle-m-huge",
         "samples-huge",
         "dump-samples-huge",
+        "initial-outside-chart-simulate",
+        "initial-outside-chart-noether",
     ],
 )
 def test_out_of_range_settings_are_config_errors(

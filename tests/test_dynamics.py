@@ -16,7 +16,6 @@ from lpmech.dynamics import (
     GroupAction,
     LPLagrangian,
     LPState,
-    LPState2,
     Trajectory,
     accelerations,
     energy,
@@ -108,8 +107,10 @@ def test_lagrangian_value():
 def test_state_shape_mismatch():
     with pytest.raises(DimensionMismatch):
         LPState([0.0, 1.0], [0.0], [])
-    with pytest.raises(DimensionMismatch):
-        LPState2([0.0], [1.0], [0.2], [0.0, 0.0], [0.1])
+    sys = hand_value_system()
+    s = LPState([0.3, -0.2], [0.7, 0.4], [0.5])
+    with pytest.raises(DimensionMismatch, match="second-order data"):
+        lp_operator(sys, s, [0.2], [0.3])
 
 
 def test_trajectory_validation():
@@ -148,11 +149,11 @@ def test_integration_keeps_the_jet_of_every_state(method):
 
 def test_free_particle_is_critical():
     sys = free_particle(1)
-    s2 = LPState2([0.2], [0.7], [], [0.0], [])
-    hor, ver = lp_operator(sys, s2)
+    s = LPState([0.2], [0.7], [])
+    hor, ver = lp_operator(sys, s, [0.0], [])
     assert np.allclose(hor, 0.0, atol=1e-14)
     assert ver.size == 0
-    hor2, _ = lp_operator(sys, LPState2([0.2], [0.7], [], [0.3], []))
+    hor2, _ = lp_operator(sys, s, [0.3], [])
     assert np.isclose(hor2[0], -0.3)
 
 
@@ -161,8 +162,8 @@ def test_flat_fiber_constant_v_is_critical():
     sys = LPLagrangian.from_callable(
         chart, lambda q, qd, v: 0.5 * (v[0] * v[0] + v[1] * v[1])
     )
-    s2 = LPState2([0.1], [0.4], [0.3, -0.8], [0.9], [0.0, 0.0])
-    _, ver = lp_operator(sys, s2)
+    s = LPState([0.1], [0.4], [0.3, -0.8])
+    _, ver = lp_operator(sys, s, [0.9], [0.0, 0.0])
     assert np.allclose(ver, 0.0, atol=1e-14)
 
 
@@ -183,8 +184,8 @@ def hand_value_system():
 
 
 def test_residual_hand_value():
-    s2 = LPState2([0.3, -0.2], [0.7, 0.4], [0.5], [0.2, -0.1], [0.3])
-    hor, ver = lp_operator(hand_value_system(), s2)
+    s = LPState([0.3, -0.2], [0.7, 0.4], [0.5])
+    hor, ver = lp_operator(hand_value_system(), s, [0.2, -0.1], [0.3])
     assert np.allclose(hor, [0.396, -0.108], rtol=0, atol=1e-13)
     assert np.allclose(ver, [-0.968], rtol=0, atol=1e-13)
 
@@ -202,7 +203,8 @@ def test_residual_linear_in_momentum():
     G = np.zeros((1, 2, 2))
     G[0] = [[0.1, -0.3], [0.2, 0.05]]
     chart = LPBundleChart(box(1), 2, Gamma=G)
-    s2 = LPState2([0.2], [0.6], [0.3, -0.4], [0.1], [0.25, 0.15])
+    s = LPState([0.2], [0.6], [0.3, -0.4])
+    z = ([0.1], [0.25, 0.15])
 
     def make(scale):
         return LPLagrangian.from_callable(
@@ -211,8 +213,8 @@ def test_residual_linear_in_momentum():
             + scale * (v[0] * v[0] + 0.5 * v[1] * v[1]),
         )
 
-    _, v1 = lp_operator(make(1.0), s2)
-    _, v3 = lp_operator(make(3.0), s2)
+    _, v1 = lp_operator(make(1.0), s, *z)
+    _, v3 = lp_operator(make(3.0), s, *z)
     assert np.allclose(v3, 3.0 * v1, atol=1e-12)
 
 
@@ -281,7 +283,7 @@ def test_discrete_variational_oracle():
             )
             xs.append(np.concatenate([q, qd, v]))
             ds.append(np.concatenate([dq, dqd, dv]))
-            hor, ver = lp_operator(sys, LPState2(q, qd, v, qdd, vd))
+            hor, ver = lp_operator(sys, LPState(q, qd, v), qdd, vd)
             pairing += wt * (hor @ dq + ver @ w)
 
         def action(lam_vec):
@@ -347,7 +349,7 @@ def test_accelerations_close_the_residual():
 
     s = LPState(rng.normal(size=n), rng.normal(size=n), rng.normal(size=m))
     qdd, vd = accelerations(sys, s)
-    hor, ver = lp_operator(sys, LPState2(s.q, s.qdot, s.v, qdd, vd))
+    hor, ver = lp_operator(sys, s, qdd, vd)
     assert np.linalg.norm(np.concatenate([hor, ver])) <= 1e-10
 
 
