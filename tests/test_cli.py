@@ -897,6 +897,14 @@ def test_simulate_rk4_stage_outside_the_chart_exits_three(tmp_path, capsys):
             "heisenberg_stages",
             "e99955e15034b3eee187e2f98a7e6be4b0e419c4c550209f77c5f6bb74c22e61",
         ),
+        (
+            "central_potential_particle",
+            "e9de0149bb1b3626006feb3f62f7891dd6f7deaa02a6087825b168d6f8b30a5c",
+        ),
+        (
+            "free_particle_planar",
+            "a39845fb64eec910449b0dee778b2512756af879fba58bb95964563932496ad0",
+        ),
     ],
 )
 def test_simulate_trajectory_matches_recorded_digest(tmp_path, system, digest):
@@ -906,6 +914,43 @@ def test_simulate_trajectory_matches_recorded_digest(tmp_path, system, digest):
     argv = ["simulate", "--system", system, "--t-end", "0.2", "--dt", "0.01"]
     assert main(argv + ["--out", str(tmp_path)]) == 0
     data = (tmp_path / "trajectory.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "command, name, digest",
+    [
+        (
+            "simulate",
+            "trajectory.csv",
+            "21cb16c48945c5e252bb956f42be2cb6ae647a419af37bcbc25ec17ffddf1ea8",
+        ),
+        (
+            "noether",
+            "noether.csv",
+            "9e7554586e411ad55989d199533303595b74b9df6f19054167c53feb9ce5ec6c",
+        ),
+        (
+            "noether",
+            "noether_report.json",
+            "59d33174bedd39b6b553846c50bf583b9119ef3c156b9a43bddaa43282672e1d",
+        ),
+    ],
+)
+def test_closed_flat_particle_matches_recorded_digest(tmp_path, command, name, digest):
+    """The closed two-form variant of flat_bundle_particle on the 20-step grid
+    of the simulate digests, pinned for simulate and for the noether report."""
+    cfg = write_cfg(
+        tmp_path,
+        """
+        system: flat_bundle_particle
+        params: {omega_mode: closed}
+        t_end: 0.2
+        dt: 0.01
+        """,
+    )
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+    data = (tmp_path / name).read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
 
 
