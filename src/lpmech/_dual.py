@@ -1,4 +1,4 @@
-"""Level-tagged dual numbers for forward-mode differentiation.
+"""Dual numbers for forward-mode differentiation.
 
 A ``Dual`` carries a value ``re``, an infinitesimal part ``im`` and an integer
 ``level`` tag.  Independent differentiation passes draw fresh levels from a
@@ -6,12 +6,15 @@ global counter, so nested derivatives never confuse their perturbations: each
 arithmetic rule only combines infinitesimals that share a tag and treats any
 lower-tagged dual as an ordinary coefficient.
 
-``im`` is usually a scalar.  ``gradient`` seeds ndarray infinitesimals of
-shape (d,), ``grad_hess`` of shapes (d,) and (d, 1); the axis-separated shapes
-make numpy broadcasting assemble the full Hessian in a single evaluation.
-Array tangents of two nested passes would broadcast into each other, so a
-first-order pass seeds arrays only when no other pass is evaluating and its
-input holds no dual; otherwise it takes one scalar seed per direction.
+``im`` is usually a scalar; ``gradient`` seeds ndarray infinitesimals of shape
+(d,) so that one evaluation gives every direction.  Array tangents of two
+nested passes would broadcast into each other, so a first-order pass seeds
+arrays only when no other pass is evaluating and its input holds no dual;
+otherwise it takes one scalar seed per direction.
+
+``grad_hess`` evaluates on ``_Jet`` values instead: value, gradient and
+Hessian of one quantity, the second-order truncation of two nested duals.
+Any ``Dual`` met inside treats the jet as a coefficient.
 """
 
 from __future__ import annotations
@@ -91,21 +94,101 @@ class Dual:
         return _reciprocal(self) * other
 
     def __pow__(self, n):
-        if isinstance(n, Dual):
+        if isinstance(n, (Dual, _Jet)):
             raise TypeError("dual exponents are not supported")
         if n == 0:
             return Dual(self.re * 0 + 1.0, self.im * 0.0, self.level)
         return Dual(self.re**n, (n * self.re ** (n - 1)) * self.im, self.level)
 
 
+class _Jet:
+    """Value ``re``, gradient ``g`` (d,) and Hessian ``h`` (d, d) of one
+    quantity in a ``grad_hess`` pass.
+
+    Each rule does the floating-point operations of two nested duals (a
+    gradient level inside a Hessian level) in their order, so results match
+    them bit for bit.  ``h`` is None until an operation forms a Hessian term:
+    the nested form adds no term there, and adding 0.0 could turn a -0.0
+    into +0.0.  The rare rules (reciprocal, ``**``, sin, cos, exp, sqrt) run
+    through the nested form itself.
+    """
+
+    __slots__ = ("re", "g", "h")
+
+    __array_ufunc__ = None
+
+    def __init__(self, re, g, h=None):
+        self.re = re
+        self.g = g
+        self.h = h
+
+    def __repr__(self):
+        return f"_Jet({self.re!r}, {self.g!r}, {self.h!r})"
+
+    def __add__(self, other):
+        if isinstance(other, _Jet):
+            h = other.h if self.h is None else self.h if other.h is None else self.h + other.h
+            return _Jet(self.re + other.re, self.g + other.g, h)
+        if isinstance(other, Dual):
+            return NotImplemented  # a dual of an inner pass takes us as a coefficient
+        if isinstance(other, np.ndarray):
+            return _distribute(lambda v: self + v, other)
+        return _Jet(self.re + other, self.g, self.h)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Jet(-self.re, -self.g, None if self.h is None else -self.h)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, _Jet):
+            # h = (a h_b + g_b (x) g_a) + (g_a (x) g_b + h_a b), the nested order
+            a, ga, b, gb = self.re, self.g, other.re, other.g
+            t = gb[:, None] * ga  # its transpose is g_a (x) g_b
+            left = t if other.h is None else a * other.h + t
+            right = t.T if self.h is None else t.T + self.h * b
+            return _Jet(a * b, a * gb + ga * b, left + right)
+        if isinstance(other, Dual):
+            return NotImplemented
+        if isinstance(other, np.ndarray):
+            return _distribute(lambda v: self * v, other)
+        return _Jet(
+            self.re * other, self.g * other, None if self.h is None else self.h * other
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self * _reciprocal(other)
+
+    def __rtruediv__(self, other):
+        return _reciprocal(self) * other
+
+    def __pow__(self, n):
+        return self._nested(lambda y: y**n)
+
+    def _nested(self, op):
+        """``op`` applied to the two nested duals that this jet truncates.
+        They meet no other dual, so any two levels serve."""
+        inner = Dual(self.re, self.g, 1)
+        col = self.g[:, None]
+        y = op(Dual(inner, col if self.h is None else Dual(col, self.h, 1), 2))
+        return _Jet(y.re.re, y.re.im, y.im.im if isinstance(y.im, Dual) else None)
+
+
 def _distribute(op, arr):
-    """Apply a scalar-dual operation across an object-dtype ndarray operand.
+    """Apply a scalar-dual operation across an ndarray operand.
 
     Scalar times object array must produce an array of duals, never a dual
     wrapping the array: object arrays can hold same-level duals, and burying
-    those inside ``re`` breaks the level bookkeeping.  Float arrays are left
-    to the plain branch; wrapping them keeps the broadcasting trick that lets
-    ``grad_hess`` assemble a Hessian from axis-separated array seeds.
+    those inside ``re`` breaks the level bookkeeping.  A ``Dual`` leaves float
+    arrays to its plain branch, where they act as array tangents.
     """
     out = np.empty(arr.shape, dtype=object)
     for idx in np.ndindex(arr.shape):
@@ -117,12 +200,14 @@ def _reciprocal(x):
     if isinstance(x, Dual):
         inv = _reciprocal(x.re)
         return Dual(inv, -(x.im * inv) * inv, x.level)
+    if isinstance(x, _Jet):
+        return x._nested(_reciprocal)
     return 1.0 / x
 
 
 def real_part(x):
     """Strip every infinitesimal layer and return the underlying value."""
-    while isinstance(x, Dual):
+    while isinstance(x, (Dual, _Jet)):
         x = x.re
     return x
 
@@ -147,12 +232,16 @@ def primal_part(y, level):
 def sin(x):
     if isinstance(x, Dual):
         return Dual(sin(x.re), x.im * cos(x.re), x.level)
+    if isinstance(x, _Jet):
+        return x._nested(sin)
     return np.sin(x)
 
 
 def cos(x):
     if isinstance(x, Dual):
         return Dual(cos(x.re), -(x.im * sin(x.re)), x.level)
+    if isinstance(x, _Jet):
+        return x._nested(cos)
     return np.cos(x)
 
 
@@ -160,6 +249,8 @@ def exp(x):
     if isinstance(x, Dual):
         e = exp(x.re)
         return Dual(e, x.im * e, x.level)
+    if isinstance(x, _Jet):
+        return x._nested(exp)
     return np.exp(x)
 
 
@@ -167,6 +258,8 @@ def sqrt(x):
     if isinstance(x, Dual):
         r = sqrt(x.re)
         return Dual(r, x.im * (0.5 * _reciprocal(r)), x.level)
+    if isinstance(x, _Jet):
+        return x._nested(sqrt)
     return np.sqrt(x)
 
 
@@ -174,7 +267,7 @@ def sqrt(x):
 
 
 def contains_dual(x):
-    return any(isinstance(e, Dual) for e in np.asarray(x, dtype=object).ravel())
+    return any(isinstance(e, (Dual, _Jet)) for e in np.asarray(x, dtype=object).ravel())
 
 
 def _evaluate(f, seeded):
@@ -252,31 +345,26 @@ def gradient(f, x):
 
 
 def grad_hess(f, x):
-    """Value, gradient and Hessian of scalar ``f`` in one nested evaluation.
+    """Value, gradient and Hessian of scalar ``f`` at float ``x``.
 
-    Two fresh levels with seed shapes (d,) and (d, 1); the broadcast of the
-    two seed axes in mixed products yields the (d, d) Hessian directly.
-    Inputs must be plain floats (this helper is never nested under other
-    array-mode seeds).
+    One evaluation of ``f`` on ``_Jet`` seeds (value x_i, gradient e_i, no
+    Hessian); the result equals, bit for bit, the derivatives of two nested
+    dual passes, and a Hessian that no operation formed is +0.0.  ``f`` may
+    run inner derivative passes on the jets.  A result that still holds a
+    dual of another pass, such as one that ``f`` closes over, is a TypeError.
     """
     x = np.asarray(x, dtype=float)
     d = x.size
     if d == 0:
         y = _as_scalar(f(np.zeros(0, dtype=object)))
         return float(real_part(y)), np.zeros(0), np.zeros((0, 0))
-    inner_lev = fresh_level()
-    outer_lev = fresh_level()
-    eye = np.eye(d)
     seeded = np.empty(d, dtype=object)
-    for i in range(d):
-        inner = Dual(x[i], eye[i], inner_lev)
-        seeded[i] = Dual(inner, eye[i][:, None], outer_lev)
+    for i, row in enumerate(np.eye(d)):
+        seeded[i] = _Jet(x[i], row)
     y = _as_scalar(_evaluate(f, seeded))
-
-    y1 = primal_part(y, outer_lev)
-    val = real_part(y1)
-    grad = np.full(d, tangent_part(y1, inner_lev), dtype=float)
-
-    t2 = tangent_part(y, outer_lev)
-    h = tangent_part(t2, inner_lev)
-    return float(val), grad, np.full((d, d), h, dtype=float)
+    if isinstance(y, Dual):
+        raise TypeError("grad_hess: f returned a dual number of another pass")
+    if not isinstance(y, _Jet):  # f ignored its input
+        y = _Jet(y, np.zeros(d))
+    h = np.zeros((d, d)) if y.h is None else y.h
+    return float(y.re), np.array(y.g, dtype=float), np.array(h, dtype=float)

@@ -21,6 +21,7 @@ and accelerations solves that residual for zero.
 
 from __future__ import annotations
 
+import functools
 import os
 import tempfile
 from dataclasses import dataclass, fields
@@ -215,22 +216,28 @@ def lp_operator(sys: LPLagrangian, s: LPState, qddot, vdot, jet=None):
     return r[: sys.n], r[sys.n :]
 
 
+@functools.lru_cache(maxsize=1)
+def _block_condition(shape, data):
+    """2-norm condition of the float block with these C-order bytes, as
+    np.linalg.cond gives it.  One block is kept: a run meets the same block
+    at every stage whenever L is quadratic in the velocities."""
+    try:
+        s = np.linalg.svd(np.frombuffer(data).reshape(shape), compute_uv=False)
+    except np.linalg.LinAlgError:  # the SVD does not converge on a NaN entry
+        raise SingularHessian("velocity-block Hessian has a non-finite entry") from None
+    # inf where s[0] / s[-1] is 0/0 or inf/inf (a zero block, or an infinite entry)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cond = s[0] / s[-1]
+    return np.inf if np.isnan(cond) else cond
+
+
 def _solve_velocity_block(M, rhs):
     """Solve M z = rhs in the (qdot, v) block Hessian M of a Lagrangian;
     raises SingularHessian when M has a non-finite entry or is ill
     conditioned (threshold 1e12)."""
     if not M.size:
         return np.zeros(0)
-    try:
-        s = np.linalg.svd(M, compute_uv=False)
-    except np.linalg.LinAlgError:  # the SVD does not converge on a NaN entry
-        raise SingularHessian("velocity-block Hessian has a non-finite entry") from None
-    # the 2-norm condition np.linalg.cond gives, inf where s[0] / s[-1] is
-    # 0/0 or inf/inf (a zero block, or an infinite entry)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        cond = s[0] / s[-1]
-    if np.isnan(cond):
-        cond = np.inf
+    cond = _block_condition(M.shape, np.asarray(M, dtype=float).tobytes())
     if not cond <= HESSIAN_COND_LIMIT:
         raise SingularHessian(
             f"velocity-block Hessian condition {cond:.3e} exceeds "

@@ -378,6 +378,18 @@ def test_singular_block_reports_an_infinite_condition():
                 accelerations(sys, LPState([0.0], [0.0], [0.0]))
 
 
+def test_a_run_with_one_velocity_block_takes_one_svd(monkeypatch):
+    """The velocity block of a Lagrangian quadratic in the velocities is the
+    same at every stage, so its condition is computed once per run."""
+    svds, solves = [], []
+    svd, solve = np.linalg.svd, np.linalg.solve
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+    dynamics._block_condition.cache_clear()
+    integrate_lp(free_particle(2), LPState([0.1, -0.3], [0.4, 0.25], []), 0.0, 1.0, 0.05)
+    assert (len(svds), len(solves)) == (1, 4 * 20)
+
+
 # ---------------------------------------------------------------------------
 # integration
 
