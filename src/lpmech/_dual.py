@@ -10,7 +10,15 @@ lower-tagged dual as an ordinary coefficient.
 (d,) so that one evaluation gives every direction.  Array tangents of two
 nested passes would broadcast into each other, so a first-order pass seeds
 arrays only when no other pass is evaluating and its input holds no dual;
-otherwise it takes one scalar seed per direction.
+otherwise it takes one scalar seed per direction.  A pass seeds only the
+inputs whose direction is a dual or nonzero; the others go into ``f`` as they
+are, so a unit pass carries one tangent, not d.  The derivatives are those
+of seeding every input, with a zero tangent where ``dx`` is zero, except in
+the last bits: an exact zero may change its sign (``c * x_j`` with
+``c < 0``, along ``k != j``, gives +0.0 where a zero seed on ``x_j`` gave
+-0.0), and a quotient of two unseeded values is the float ``a / b`` where
+zero-tangent duals took ``a * (1 / b)``, so a derivative it scales may move
+by an ulp.
 
 ``grad_hess`` evaluates on ``_Jet`` values instead: value, gradient and
 Hessian of one quantity, the second-order truncation of two nested duals.
@@ -293,14 +301,19 @@ def directional(f, x, dx):
 
     Returns (value, derivative); both may contain lower-level duals when the
     inputs do.  ``f`` takes one object-array argument and returns a scalar or
-    an array.
+    an array.  Only the entries whose ``dx`` is a dual or nonzero are seeded;
+    an entry with an exact-zero direction goes in unchanged.  The result may
+    differ from seeding it with a zero tangent in the sign of an exact zero
+    and, through quotients of unseeded values, in the last bit (see the
+    module docstring).
     """
     x = np.asarray(x, dtype=object)
     dx = np.asarray(dx, dtype=object)
     lev = fresh_level()
-    seeded = np.array(
-        [Dual(x[i], dx[i], lev) for i in range(x.size)], dtype=object
-    )
+    seeded = x.copy()
+    for i, t in enumerate(dx):
+        if isinstance(t, (Dual, _Jet)) or t != 0:
+            seeded[i] = Dual(x[i], t, lev)
     y = _evaluate(f, seeded)
     if isinstance(y, np.ndarray):
         vals = np.array([primal_part(e, lev) for e in y.ravel()], dtype=object)
@@ -327,11 +340,11 @@ def gradient(f, x):
     ``x`` holds no dual; otherwise one scalar-seeded pass per direction, and
     an object array whose entries may themselves be duals.
     """
-    x = np.asarray(x, dtype=object)
+    x = np.asarray(x)
     d = x.size
     if d == 0:
         return np.zeros(0)
-    if _active_passes or contains_dual(x):
+    if _active_passes or (x.dtype == object and contains_dual(x)):
         return _tangents(f, x)
     lev = fresh_level()
     eye = np.eye(d)

@@ -153,6 +153,16 @@ class Trajectory:
         return np.array([s.v for s in self.states])
 
 
+def _check_slots(b: LPBundleChart, slots):
+    """DimensionMismatch unless the three slots of a state have lengths
+    (n, n, m) on the bundle b."""
+    got = tuple(len(a) for a in slots)
+    if got != (b.n, b.n, b.m):
+        raise DimensionMismatch(
+            f"state slots must have lengths ({b.n}, {b.n}, {b.m}), got {got}"
+        )
+
+
 def _pack(s: LPState):
     return np.concatenate([s.q, s.qdot, s.v])
 
@@ -298,8 +308,10 @@ def _step_count(span, h):
     return steps
 
 
-def _integrate_fixed(ydot, state_type, dom, s0, t0, t1, h, method, jet=None):
-    """Fixed-step RK4 or Euler on the packed vector of s0's three slots.
+def _integrate_fixed(ydot, state_type, b, s0, t0, t1, h, method, jet=None):
+    """Fixed-step RK4 or Euler on the packed vector of s0's three slots,
+    which must have lengths (n, n, m) on the bundle b (else
+    DimensionMismatch).
 
     ``ydot`` maps the packed vector to its time derivative, and
     ``state_type`` builds a state from the three slots, q first.  With
@@ -320,8 +332,9 @@ def _integrate_fixed(ydot, state_type, dom, s0, t0, t1, h, method, jet=None):
     if h <= 0:
         raise ValueError("step size must be positive")
     steps = _step_count(float(t1) - float(t0), h)
+    _check_slots(b, s0)
 
-    n = dom.n
+    dom, n = b.base, b.n
     y = np.concatenate([np.asarray(part, dtype=float) for part in s0])
     times = float(t0) + h * np.arange(steps + 1)
     states, jets = [], []
@@ -365,7 +378,8 @@ def _integrate_fixed(ydot, state_type, dom, s0, t0, t1, h, method, jet=None):
 def integrate_lp(sys: LPLagrangian, s0: LPState, t0, t1, h, method="rk4"):
     """Fixed-step integration of (q, qdot, v); wraps periodic coordinates.
 
-    Raises ChartExit if a non-periodic coordinate leaves the chart,
+    Raises DimensionMismatch unless s0 has slot lengths (n, n, m),
+    ChartExit if a non-periodic coordinate leaves the chart,
     NonFiniteState if a step produces a non-finite state, and propagates
     SingularHessian from the acceleration solve.  Each stage takes one jet
     (value, gradient, Hessian) of L; the trajectory keeps the jet of every
@@ -383,7 +397,7 @@ def integrate_lp(sys: LPLagrangian, s0: LPState, t0, t1, h, method="rk4"):
         return np.concatenate([s.qdot, qdd, vd])
 
     return _integrate_fixed(
-        ydot, LPState, sys.bundle.base, (s0.q, s0.qdot, s0.v), t0, t1, h, method, jet
+        ydot, LPState, sys.bundle, (s0.q, s0.qdot, s0.v), t0, t1, h, method, jet
     )
 
 

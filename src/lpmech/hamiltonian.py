@@ -27,6 +27,7 @@ from .dynamics import (
     LPLagrangian,
     LPState,
     Trajectory,
+    _check_slots,
     _integrate_fixed,
     _lagrangian_gradient,
     _pack,
@@ -95,8 +96,13 @@ def _obs_map(obj):
     raise TypeError(f"not an observable: {obj!r}")
 
 
-def _pack_hp(s: HPState):
-    return np.concatenate([s.q, s.p, s.nu])
+def _packed(b: LPBundleChart, s):
+    """s as one (q, p, nu) vector; an HPState must have slot lengths
+    (n, n, m) on b, a packed vector is passed through."""
+    if isinstance(s, HPState):
+        _check_slots(b, (s.q, s.p, s.nu))
+        return np.concatenate([s.q, s.p, s.nu])
+    return np.asarray(s).reshape(-1)
 
 
 def _grad(fm: SmoothMap, x):
@@ -134,13 +140,14 @@ def _cov_q(G, nu, grad):
 def poisson_bracket(b: LPBundleChart, f, g, s) -> float:
     """{f, g} at the dual point s; antisymmetric, connection-corrected.
 
-    Accepts HPState or a packed (q, p, nu) vector, which may carry duals;
-    the result is then a dual, enabling nested brackets.
+    Accepts HPState, with slot lengths (n, n, m) (else DimensionMismatch),
+    or a packed (q, p, nu) vector, which may carry duals; the result is then
+    a dual, enabling nested brackets.
     """
     fm, gm = _obs_map(f), _obs_map(g)
     _check_obs_dims(b, fm, gm)
     n, m = b.n, b.m
-    x = _pack_hp(s) if isinstance(s, HPState) else np.asarray(s).reshape(-1)
+    x = _packed(b, s)
     q, nu = x[:n], x[2 * n :]
     b.base.require_inside(_real_vec(q))
 
@@ -203,7 +210,7 @@ def hamiltonian_vector_field(b: LPBundleChart, H, s):
     fm = _obs_map(H)
     _check_obs_dims(b, fm)
     n, m = b.n, b.m
-    x = _pack_hp(s) if isinstance(s, HPState) else np.asarray(s).reshape(-1)
+    x = _packed(b, s)
     q, nu = x[:n], x[2 * n :]
     b.base.require_inside(_real_vec(q))
 
@@ -234,13 +241,14 @@ def hamiltonian_vector_field(b: LPBundleChart, H, s):
 
 
 def integrate_hp(b: LPBundleChart, H, s0: HPState, t0, t1, h, method="rk4"):
-    """Fixed-step integration of the dual-side equations on (q, p, nu)."""
+    """Fixed-step integration of the dual-side equations on (q, p, nu);
+    s0 must have slot lengths (n, n, m), else DimensionMismatch."""
 
     def ydot(y):
         return np.concatenate(hamiltonian_vector_field(b, H, y)).astype(float)
 
     return _integrate_fixed(
-        ydot, HPState, b.base, (s0.q, s0.p, s0.nu), t0, t1, h, method
+        ydot, HPState, b, (s0.q, s0.p, s0.nu), t0, t1, h, method
     )
 
 

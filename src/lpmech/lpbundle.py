@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ChartExit
+from .errors import ChartExit, DimensionMismatch
 from .smoothmap import SmoothMap, constant_map, eval_map, jacobian
 
 DEFAULT_TOL = 1e-8
@@ -61,10 +61,17 @@ class ChartDomain:
 
     def contains(self, q):
         """Whether q lies in the box, up to a slack of 1e-12.  Periodic
-        coordinates always count as inside, so q is not wrapped first."""
+        coordinates always count as inside, so q is not wrapped first.  A q
+        whose length is not n raises DimensionMismatch."""
         q = np.asarray(q, dtype=float)
+        if q.shape != (self.n,):
+            raise DimensionMismatch(
+                f"chart point must have length {self.n}, got shape {q.shape}"
+            )
+        if not self.n:
+            return True
         lo, hi = self.bounds.T
-        return not np.any(~self.periodic & ((q < lo - 1e-12) | (q > hi + 1e-12)))
+        return not (~self.periodic & ((q < lo - 1e-12) | (q > hi + 1e-12))).any()
 
     def require_inside(self, q, t=None):
         if not self.contains(q):

@@ -88,7 +88,11 @@ def jacobian(m: SmoothMap, x) -> np.ndarray:
     One dual-number pass per input direction, each with a scalar seed, so the
     result stays right when ``x`` holds duals or the body closes over the
     duals of an enclosing pass; its entries then carry the outer
-    perturbations.  Rows follow the C-order flattening of ``out_shape``.
+    perturbations.  Each pass seeds only its own input (see
+    ``_dual.directional``): an exact-zero entry may be +0.0 where seeding
+    every input, with zero tangents, gave -0.0, and an entry scaled by a
+    quotient of the other inputs may differ from it in the last bit.  Rows
+    follow the C-order flattening of ``out_shape``.
     """
     x = _check_input(m, np.asarray(x, dtype=object))
     J = np.empty((m.out_dim, m.in_dim), dtype=object)

@@ -8,7 +8,7 @@ gradient and Hessian bit for bit, signs of zero included.
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from lpmech import _dual
@@ -78,14 +78,14 @@ _CONSTANTS = [0.0, -0.0, 1.0, -1.5, 0.3, 2.0]
 
 
 @st.composite
-def programs(draw):
+def programs(draw, names=tuple(sorted(_STEPS))):
     d = draw(st.integers(1, 3))
     entry = st.sampled_from([0.0, -0.0, 0.7, -1.3, 2.0]) | st.floats(-2.0, 2.0)
     x = draw(st.lists(entry, min_size=d, max_size=d))
     steps = []
     for n in range(d, d + draw(st.integers(1, 8))):
         reg = st.integers(0, n - 1)
-        name = draw(st.sampled_from(sorted(_STEPS)))
+        name = draw(st.sampled_from(names))
         steps.append((name, draw(reg), draw(reg), draw(reg), draw(st.sampled_from(_CONSTANTS))))
     return np.array(x), steps
 
@@ -141,3 +141,87 @@ def test_a_dual_of_an_enclosing_pass_is_a_type_error():
         nested_grad_hess(f, np.array([1.0, 3.0]))
     with pytest.raises(TypeError):
         _dual.grad_hess(f, np.array([1.0, 3.0]))
+
+
+# ---------------------------------------------------------------------------
+# first-order passes seed only the inputs whose direction is nonzero
+
+
+def dense_directional(f, x, dx):
+    """directional with every input seeded, a zero direction too."""
+    x = np.asarray(x, dtype=object)
+    dx = np.asarray(dx, dtype=object)
+    lev = _dual.fresh_level()
+    seeded = np.array([Dual(x[i], dx[i], lev) for i in range(x.size)], dtype=object)
+    y = _dual._evaluate(f, seeded)
+    return _dual.primal_part(y, lev), _dual.tangent_part(y, lev)
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+def assert_same_tangent(got, want):
+    """Equal under ==, and bit for bit unless the oracle's tangent is a
+    zero, whose sign may differ."""
+    assert got == want, (got, want)
+    if want != 0:
+        assert _bits(got) == _bits(want), (got, want)
+
+
+# A quotient of two unseeded values is a float quotient a / b, where the
+# dense pass took a * (1 / b); see the test below.  Without quotients the
+# two passes do the same floating-point operations on every value.
+_NO_QUOTIENT = tuple(sorted(set(_STEPS) - {"div", "div_float", "float_div"}))
+
+
+# no shrink phase: a failing program is reported as drawn
+@settings(max_examples=300, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(programs(_NO_QUOTIENT))
+def test_unit_passes_match_dense_seeding(case):
+    x, steps = case
+    f = run(steps)
+    for e in np.eye(x.size):
+        got, want = _dual.directional(f, x, e), dense_directional(f, x, e)
+        # a zero seed times an infinite coefficient is NaN, not zero
+        assume(np.isfinite(float(want[0])))
+        assert _bits(got[0]) == _bits(want[0])
+        assert_same_tangent(got[1], want[1])
+
+
+def test_a_quotient_of_unseeded_values_is_a_float_quotient():
+    """Along x1, 0.3 / (x0 * x0 + 0.25) meets no seed: it is the IEEE
+    quotient, where the dense pass took 0.3 * (1 / den) on zero-tangent
+    duals.  Here the two differ in the last bit, and so does the tangent."""
+    def f(x):
+        return x[1] * (0.3 / (x[0] * x[0] + 0.25))
+
+    x = np.array([-0.99999, -1.3])
+    den = x[0] * x[0] + 0.25
+    _, got = _dual.directional(f, x, [0.0, 1.0])
+    _, want = dense_directional(f, x, [0.0, 1.0])
+    assert got == 0.3 / den and want == (1.0 / den) * 0.3
+    assert abs(got - want) == np.spacing(want)
+
+
+@settings(max_examples=100, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(programs())
+def test_nested_gradient_matches_dense_seeding(case):
+    """The Poisson-Jacobi shape: an outer array-seeded gradient around an
+    inner per-direction gradient.  Every inner input carries an outer dual,
+    so quotients too run through the dual rules."""
+    x, steps = case
+    inner = run(steps)
+    coef = [-1.5, 0.3, 2.0][: x.size]
+
+    def outer(z):
+        g = _dual.gradient(inner, z)
+        return sum(c * (g[i] * z[i - 1]) for i, c in enumerate(coef))
+
+    got = _dual.gradient(outer, x)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_dual, "directional", dense_directional)
+        want = _dual.gradient(outer, x)
+    assume(np.isfinite(want).all())
+    for g, w in zip(got, want):
+        assert_same_tangent(g, w)

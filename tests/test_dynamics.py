@@ -29,6 +29,7 @@ from lpmech.dynamics import (
 from lpmech.errors import ChartExit, DimensionMismatch, SingularHessian
 from lpmech.hamiltonian import Hamiltonian, HPState, integrate_hp
 from lpmech.lpbundle import ChartDomain, LPBundleChart
+from lpmech.systems import flat_bundle_particle
 
 
 def box(n, lo=-4.0, hi=4.0, periodic=None):
@@ -111,6 +112,15 @@ def test_state_shape_mismatch():
     s = LPState([0.3, -0.2], [0.7, 0.4], [0.5])
     with pytest.raises(DimensionMismatch, match="second-order data"):
         lp_operator(sys, s, [0.2], [0.3])
+
+
+def test_integrate_lp_rejects_a_state_of_the_wrong_length():
+    """A closed flat particle has n = m = 2; an initial state with slot
+    lengths (3, 3, 0) must not be read as q = [.1, .2], qdot = [.3, .1]."""
+    flat = flat_bundle_particle(omega_mode="closed")
+    s0 = LPState([0.1, 0.2, 0.3], [0.1, 0.2, 0.3], [])
+    with pytest.raises(DimensionMismatch, match=r"\(2, 2, 2\), got \(3, 3, 0\)"):
+        integrate_lp(flat.lagrangian, s0, 0.0, 0.01, 0.001)
 
 
 def test_trajectory_validation():

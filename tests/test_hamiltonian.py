@@ -183,6 +183,25 @@ def test_bracket_chart_and_dimension_errors():
         poisson_bracket(b, wrong, f, HPState([0.0, 0.0], [0.0, 0.0], [0.0]))
 
 
+def test_hp_state_of_the_wrong_length_is_rejected():
+    """The rigid body has n = 0, m = 3; HPState([.1], [.2], [.3]) must not
+    be read as nu = [.1, .2, .3].  A packed vector keeps eval_map's check."""
+    rb = rigid_body()
+    H = Hamiltonian.from_callable(rb.bundle, lambda q, p, nu: 0.5 * (nu @ nu))
+    bad = HPState([0.1], [0.2], [0.3])
+    match = r"\(0, 0, 3\), got \(1, 1, 1\)"
+    with pytest.raises(DimensionMismatch, match=match):
+        integrate_hp(rb.bundle, H, bad, 0.0, 0.01, 0.001)
+    with pytest.raises(DimensionMismatch, match=match):
+        hamiltonian_vector_field(rb.bundle, H, bad)
+    with pytest.raises(DimensionMismatch, match=match):
+        poisson_bracket(rb.bundle, H, H, bad)
+    with pytest.raises(DimensionMismatch, match="expects input of length 3"):
+        hamiltonian_vector_field(rb.bundle, H, np.array([0.1, 0.2, 0.3, 0.4]))
+    _, _, nudot = hamiltonian_vector_field(rb.bundle, H, HPState([], [], [0.1, 0.2, 0.3]))
+    assert nudot.shape == (3,)
+
+
 def test_pure_fiber_sections_sign_check():
     b = so3_fiber_chart()
     zero = SmoothMap(2, 2, lambda q: [0.0 * q[0], 0.0 * q[1]])

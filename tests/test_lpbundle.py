@@ -52,6 +52,19 @@ def test_contains_ignores_periodic_but_not_box_directions():
     assert not dom.contains([0.5, 2.5])
 
 
+def test_contains_rejects_a_point_of_the_wrong_length():
+    """No broadcasting: a length-2 point of a 1-dimensional chart used to
+    count as inside, and a length-3 point of a 2-dimensional one raised
+    numpy's broadcast ValueError."""
+    with pytest.raises(DimensionMismatch, match="length 1"):
+        ChartDomain(1).contains([0.5, 0.5])
+    with pytest.raises(DimensionMismatch, match="length 2"):
+        ChartDomain(2).contains([0.5, 0.5, 0.5])
+    with pytest.raises(DimensionMismatch, match="length 0"):
+        ChartDomain(0).require_inside([0.5])
+    assert ChartDomain(0).contains([])
+
+
 def test_require_inside_raises_chart_exit_with_state():
     dom = box(1)
     with pytest.raises(ChartExit) as err:

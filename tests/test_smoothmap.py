@@ -302,6 +302,23 @@ def _count_directional(monkeypatch):
     return calls
 
 
+def test_each_jacobian_pass_seeds_only_its_own_input(monkeypatch):
+    """The identity on 3 inputs: one pass per direction, and each pass
+    constructs one dual, its seed; the other inputs go in as floats."""
+    calls = _count_directional(monkeypatch)
+    built = []
+    init = Dual.__init__
+
+    def counted_init(self, re, im, level):
+        built.append(1)
+        init(self, re, im, level)
+
+    monkeypatch.setattr(Dual, "__init__", counted_init)
+    J = jacobian(SmoothMap(3, 3, lambda x: x), np.array([0.5, -1.0, 2.0]))
+    assert J.dtype == float and J.tobytes() == np.eye(3).tobytes()
+    assert len(calls) == 3 and len(built) == 3
+
+
 def test_top_level_gradient_is_one_array_pass(monkeypatch):
     calls = _count_directional(monkeypatch)
     evals = []
