@@ -12,7 +12,9 @@ nested passes would broadcast into each other, so a first-order pass seeds
 arrays only when no other pass is evaluating and its input holds no dual;
 otherwise it takes one scalar seed per direction.  A pass seeds only the
 inputs whose direction is a dual or nonzero; the others go into ``f`` as they
-are, so a unit pass carries one tangent, not d.  The derivatives are those
+are, so a unit pass carries one tangent, not d.  An array that ``f`` builds
+from unseeded floats is a float array, and a scalar-tangent ``Dual`` spreads
+over it as over an object array of duals.  The derivatives are those
 of seeding every input, with a zero tangent where ``dx`` is zero, except in
 the last bits: an exact zero may change its sign (``c * x_j`` with
 ``c < 0``, along ``k != j``, gives +0.0 where a zero seed on ``x_j`` gave
@@ -64,7 +66,9 @@ class Dual:
                 return Dual(self.re + other.re, self.im + other.im, self.level)
             if other.level > self.level:
                 return Dual(self + other.re, other.im, other.level)
-        elif isinstance(other, np.ndarray) and other.dtype == object:
+        elif isinstance(other, np.ndarray) and (
+            other.dtype == object or not isinstance(self.im, np.ndarray)
+        ):
             return _distribute(lambda v: self + v, other)
         return Dual(self.re + other, self.im, self.level)
 
@@ -89,7 +93,9 @@ class Dual:
                 )
             if other.level > self.level:
                 return Dual(self * other.re, self * other.im, other.level)
-        elif isinstance(other, np.ndarray) and other.dtype == object:
+        elif isinstance(other, np.ndarray) and (
+            other.dtype == object or not isinstance(self.im, np.ndarray)
+        ):
             return _distribute(lambda v: self * v, other)
         return Dual(self.re * other, self.im * other, self.level)
 
@@ -195,8 +201,11 @@ def _distribute(op, arr):
 
     Scalar times object array must produce an array of duals, never a dual
     wrapping the array: object arrays can hold same-level duals, and burying
-    those inside ``re`` breaks the level bookkeeping.  A ``Dual`` leaves float
-    arrays to its plain branch, where they act as array tangents.
+    those inside ``re`` breaks the level bookkeeping.  A float array is
+    spread too, unless the ``Dual`` carries an array tangent: there the plain
+    branch takes it as a tangent coefficient (``_Jet._nested`` builds its
+    outer products so), and a float constant array in ``gradient``'s array
+    pass still meets that branch.
     """
     out = np.empty(arr.shape, dtype=object)
     for idx in np.ndindex(arr.shape):
@@ -311,9 +320,9 @@ def directional(f, x, dx):
     dx = np.asarray(dx, dtype=object)
     lev = fresh_level()
     seeded = x.copy()
-    for i, t in enumerate(dx):
-        if isinstance(t, (Dual, _Jet)) or t != 0:
-            seeded[i] = Dual(x[i], t, lev)
+    for i in range(x.size):
+        if isinstance(dx[i], (Dual, _Jet)) or dx[i] != 0:
+            seeded[i] = Dual(x[i], dx[i], lev)
     y = _evaluate(f, seeded)
     if isinstance(y, np.ndarray):
         vals = np.array([primal_part(e, lev) for e in y.ravel()], dtype=object)

@@ -68,8 +68,6 @@ class ChartDomain:
             raise DimensionMismatch(
                 f"chart point must have length {self.n}, got shape {q.shape}"
             )
-        if not self.n:
-            return True
         lo, hi = self.bounds.T
         return not (~self.periodic & ((q < lo - 1e-12) | (q > hi + 1e-12))).any()
 

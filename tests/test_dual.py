@@ -3,7 +3,9 @@
 The oracle seeds each input as Dual(Dual(x_i, e_i), e_i[:, None]): a
 gradient level inside a Hessian level, whose axis-separated array tangents
 broadcast into the (d, d) Hessian.  grad_hess must return the same value,
-gradient and Hessian bit for bit, signs of zero included.
+gradient and Hessian bit for bit, signs of zero included.  The first-order
+passes, which seed only the inputs whose direction is nonzero, are checked
+the same way against a ``directional`` that seeds every input.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from lpmech import _dual
 from lpmech._dual import Dual
+from lpmech.smoothmap import SmoothMap, jacobian
 
 
 def nested_grad_hess(f, x):
@@ -78,23 +81,23 @@ _CONSTANTS = [0.0, -0.0, 1.0, -1.5, 0.3, 2.0]
 
 
 @st.composite
-def programs(draw, names=tuple(sorted(_STEPS))):
+def programs(draw):
     d = draw(st.integers(1, 3))
     entry = st.sampled_from([0.0, -0.0, 0.7, -1.3, 2.0]) | st.floats(-2.0, 2.0)
     x = draw(st.lists(entry, min_size=d, max_size=d))
     steps = []
     for n in range(d, d + draw(st.integers(1, 8))):
         reg = st.integers(0, n - 1)
-        name = draw(st.sampled_from(names))
+        name = draw(st.sampled_from(sorted(_STEPS)))
         steps.append((name, draw(reg), draw(reg), draw(reg), draw(st.sampled_from(_CONSTANTS))))
     return np.array(x), steps
 
 
-def run(steps):
+def run(steps, table=_STEPS):
     def f(x):
         regs = list(x)
         for name, i, j, k, c in steps:
-            regs.append(_STEPS[name](regs[i], regs[j], regs[k], c))
+            regs.append(table[name](regs[i], regs[j], regs[k], c))
         return regs[-1]
 
     return f
@@ -169,24 +172,41 @@ def assert_same_tangent(got, want):
         assert _bits(got) == _bits(want), (got, want)
 
 
-# A quotient of two unseeded values is a float quotient a / b, where the
-# dense pass took a * (1 / b); see the test below.  Without quotients the
-# two passes do the same floating-point operations on every value.
-_NO_QUOTIENT = tuple(sorted(set(_STEPS) - {"div", "div_float", "float_div"}))
+# Every quotient written as a product with a reciprocal.  The dual rules
+# divide that way, so on duals this table computes _STEPS bit for bit; on
+# floats it differs from the IEEE quotient a / b in the last bits.
+_RECIPROCAL_FORM = dict(
+    _STEPS,
+    div=lambda a, b, c, k: a * (1.0 / (b * b + 0.5)),
+    div_float=lambda a, b, c, k: a * (1.0 / (k + 3.0)),
+    float_div=lambda a, b, c, k: k * (1.0 / (a * a + 0.25)),
+)
 
 
 # no shrink phase: a failing program is reported as drawn
 @settings(max_examples=300, phases=(Phase.explicit, Phase.reuse, Phase.generate))
-@given(programs(_NO_QUOTIENT))
+@given(programs())
 def test_unit_passes_match_dense_seeding(case):
+    """Every step, quotients included.  The dense pass divides every value
+    through the dual rules, as the reciprocal form does; a unit pass of the
+    reciprocal form then matches it bit for bit, signs of zero aside.  A
+    unit pass of the program itself differs only where a quotient meets no
+    seed and is the IEEE a / b (see the test below), which stays within
+    1e-12 of the dense result here."""
     x, steps = case
-    f = run(steps)
+    f, f_rec = run(steps), run(steps, _RECIPROCAL_FORM)
     for e in np.eye(x.size):
-        got, want = _dual.directional(f, x, e), dense_directional(f, x, e)
+        want = dense_directional(f, x, e)
         # a zero seed times an infinite coefficient is NaN, not zero
         assume(np.isfinite(float(want[0])))
+        want_rec = dense_directional(f_rec, x, e)
+        assert [_bits(v) for v in want_rec] == [_bits(v) for v in want]
+        got = _dual.directional(f_rec, x, e)
         assert _bits(got[0]) == _bits(want[0])
         assert_same_tangent(got[1], want[1])
+        got = _dual.directional(f, x, e)
+        assert float(got[0]) == pytest.approx(float(want[0]), rel=1e-12, abs=1e-12)
+        assert float(got[1]) == pytest.approx(float(want[1]), rel=1e-12, abs=1e-12)
 
 
 def test_a_quotient_of_unseeded_values_is_a_float_quotient():
@@ -225,3 +245,34 @@ def test_nested_gradient_matches_dense_seeding(case):
     assume(np.isfinite(want).all())
     for g, w in zip(got, want):
         assert_same_tangent(g, w)
+
+
+def _spread_product(x):
+    return x[0] * np.array([x[1], x[2]])
+
+
+def test_a_float_array_built_from_unseeded_inputs_is_spread():
+    """Along x0, np.array([x1, x2]) holds two unseeded floats: the seeded
+    x0 times that float array is an array of duals, as it is when every
+    input carries a seed, and the Jacobian is the one dense seeding gave."""
+    x = np.array([1.0, 2.0, 3.0])
+    J = jacobian(SmoothMap(3, 2, _spread_product), x)
+    assert J.tobytes() == np.array([[2.0, 1.0, 0.0], [3.0, 0.0, 1.0]]).tobytes()
+    val, tan = _dual.directional(_spread_product, x, [1.0, 0.0, 0.0])
+    assert val.tolist() == [2.0, 3.0] and tan.tolist() == [2.0, 3.0]
+
+
+def test_a_nested_gradient_spreads_a_float_array_of_unseeded_inputs():
+    """The same body under a gradient nested in a Jacobian, whose passes
+    seed one input each, and under a gradient nested in an array-seeded
+    gradient: both give the Hessian of x0 * (x1 + x2)."""
+    def inner(y):
+        return np.sum(_spread_product(y))
+
+    x = np.array([1.0, 2.0, 3.0])
+    hess = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    H = jacobian(SmoothMap(3, 3, lambda y: _dual.gradient(inner, y)), x)
+    assert (H == hess).all()
+    for k in range(3):
+        row = _dual.gradient(lambda y: _dual.gradient(inner, y)[k], x)
+        assert (row == hess[k]).all()
