@@ -55,19 +55,33 @@ def gamma_omega_chart():
     return LPBundleChart(box(2), 1, Gamma=G, omega=Om)
 
 
-def so3_fiber_chart():
+def eps3():
     eps = np.zeros((3, 3, 3))
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         eps[i, j, k], eps[i, k, j] = 1.0, -1.0
-    return LPBundleChart(box(2), 3, c=eps)
+    return eps
+
+
+def so3_fiber_chart():
+    return LPBundleChart(box(2), 3, c=eps3())
+
+
+def so3_gamma_chart():
+    """so(3) fiber over a plane with constant nonzero Gamma and omega, so
+    every term of the bracket and of the vector field is live."""
+    G = np.zeros((2, 3, 3))
+    G[0] = [[0.0, 0.5, -0.2], [-0.5, 0.0, 0.3], [0.2, -0.3, 0.0]]
+    G[1] = [[0.1, -0.4, 0.0], [0.4, 0.0, 0.6], [0.0, -0.6, -0.1]]
+    Om = np.zeros((3, 2, 2))
+    for a, w in enumerate((0.8, -0.3, 0.45)):
+        Om[a] = [[0.0, w], [-w, 0.0]]
+    return LPBundleChart(box(2), 3, Gamma=G, c=eps3(), omega=Om)
 
 
 def semidirect_chart():
     """so(3) acting on vectors: fiber dimension six, constant bracket."""
     c = np.zeros((6, 6, 6))
-    eps = np.zeros((3, 3, 3))
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        eps[i, j, k], eps[i, k, j] = 1.0, -1.0
+    eps = eps3()
     c[:3, :3, :3] = eps
     for a in range(3):
         for j in range(3):
@@ -641,3 +655,52 @@ def test_hp_trajectory_csv_matches_recorded_digest(tmp_path):
         hashlib.sha256(path.read_bytes()).hexdigest()
         == "3b6bac0726ad9e579709eca47e27a2721e042b06b100b4431430a199b951a606"
     )
+
+
+def _rigid_body_flow(steps):
+    rb = rigid_body()
+    inertia = np.asarray(rb.params["inertia"], dtype=float)
+    H = Hamiltonian.from_callable(
+        rb.bundle,
+        lambda q, p, nu: 0.5 * sum(nu[a] * nu[a] / inertia[a] for a in range(3)),
+    )
+    s0 = HPState([], [], inertia * np.array([0.4, 0.7, -0.3]))
+    return integrate_hp(rb.bundle, H, s0, 0.0, 0.01 * steps, 0.01)
+
+
+def test_rigid_body_hp_flow_matches_recorded_digest(tmp_path):
+    """SHA-256 of a 20-step flow on the rigid body's so(3) chart, where the
+    fiber bracket c is nonzero, so the c loop of the vector field is pinned."""
+    traj = _rigid_body_flow(20)
+    path = tmp_path / "hp.csv"
+    write_hp_trajectory_csv(path, traj)
+    assert len(traj) == 21
+    assert (
+        hashlib.sha256(path.read_bytes()).hexdigest()
+        == "efe0b1c8bde2150ca68b5f51465fedb2240d181e559c113c5cc46f0d4e0d1443"
+    )
+
+
+def _pinned_bracket_inputs():
+    rng = np.random.default_rng(11)
+    fs = [quad_observable(2, 3, rng) for _ in range(3)]
+    points = [
+        HPState(rng.uniform(-1, 1, 2), rng.normal(size=2), rng.normal(size=3))
+        for _ in range(3)
+    ]
+    return so3_gamma_chart(), fs, points
+
+
+def test_poisson_bracket_bits_are_pinned_where_every_table_is_live():
+    """{f0, f1} at three points, and {f0, {f1, f2}} with the inner bracket
+    on dual input, on an so(3) chart with nonzero Gamma, c and omega."""
+    b, fs, points = _pinned_bracket_inputs()
+    got = [poisson_bracket(b, fs[0], fs[1], s).hex() for s in points]
+    inner = SmoothMap(7, 1, lambda y: poisson_bracket(b, fs[1], fs[2], y))
+    got.append(poisson_bracket(b, fs[0], inner, points[0]).hex())
+    assert got == [
+        "0x1.ba485d89be819p+0",
+        "0x1.dacec97465cefp+1",
+        "0x1.954a363eb0064p+1",
+        "0x1.b5f9bab793c8ap+0",
+    ]
