@@ -22,6 +22,10 @@ the last bits: an exact zero may change its sign (``c * x_j`` with
 zero-tangent duals took ``a * (1 / b)``, so a derivative it scales may move
 by an ulp.
 
+The arithmetic rules of ``Dual`` build their results with ``object.__new__``
+and three slot stores, not through ``__init__``, which costs more than the
+arithmetic of a scalar product.
+
 ``grad_hess`` evaluates on ``_Jet`` values instead: value, gradient and
 Hessian of one quantity, the second-order truncation of two nested duals.
 Any ``Dual`` met inside treats the jet as a coefficient.
@@ -34,6 +38,7 @@ import itertools
 import numpy as np
 
 _level_counter = itertools.count(1)
+_new = object.__new__
 # Number of derivative passes whose function is being evaluated right now.
 _active_passes = 0
 
@@ -61,43 +66,55 @@ class Dual:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
+        out = _new(Dual)
         if isinstance(other, Dual):
             if other.level == self.level:
-                return Dual(self.re + other.re, self.im + other.im, self.level)
+                out.re, out.im, out.level = self.re + other.re, self.im + other.im, self.level
+                return out
             if other.level > self.level:
-                return Dual(self + other.re, other.im, other.level)
+                out.re, out.im, out.level = self + other.re, other.im, other.level
+                return out
         elif isinstance(other, np.ndarray) and (
             other.dtype == object or not isinstance(self.im, np.ndarray)
         ):
             return _distribute(lambda v: self + v, other)
-        return Dual(self.re + other, self.im, self.level)
+        out.re, out.im, out.level = self.re + other, self.im, self.level
+        return out
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Dual(-self.re, -self.im, self.level)
+        out = _new(Dual)
+        out.re, out.im, out.level = -self.re, -self.im, self.level
+        return out
 
     def __sub__(self, other):
+        # a - b is a + (-b) in IEEE arithmetic, so this is the sum's bits
+        if isinstance(other, Dual) and other.level == self.level:
+            out = _new(Dual)
+            out.re, out.im, out.level = self.re - other.re, self.im - other.im, self.level
+            return out
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        out = _new(Dual)
         if isinstance(other, Dual):
             if other.level == self.level:
-                return Dual(
-                    self.re * other.re,
-                    self.re * other.im + self.im * other.re,
-                    self.level,
-                )
+                re, im = self.re, self.im
+                out.re, out.im, out.level = re * other.re, re * other.im + im * other.re, self.level
+                return out
             if other.level > self.level:
-                return Dual(self * other.re, self * other.im, other.level)
+                out.re, out.im, out.level = self * other.re, self * other.im, other.level
+                return out
         elif isinstance(other, np.ndarray) and (
             other.dtype == object or not isinstance(self.im, np.ndarray)
         ):
             return _distribute(lambda v: self * v, other)
-        return Dual(self.re * other, self.im * other, self.level)
+        out.re, out.im, out.level = self.re * other, self.im * other, self.level
+        return out
 
     __rmul__ = __mul__
 
@@ -325,8 +342,15 @@ def directional(f, x, dx):
             seeded[i] = Dual(x[i], dx[i], lev)
     y = _evaluate(f, seeded)
     if isinstance(y, np.ndarray):
-        vals = np.array([primal_part(e, lev) for e in y.ravel()], dtype=object)
-        tans = np.array([tangent_part(e, lev) for e in y.ravel()], dtype=object)
+        vals, tans = [], []
+        for e in y.ravel():
+            if isinstance(e, Dual) and e.level == lev:
+                vals.append(e.re)
+                tans.append(e.im)
+            else:
+                vals.append(e)
+                tans.append(0.0)
+        vals, tans = np.array(vals, dtype=object), np.array(tans, dtype=object)
         return vals.reshape(y.shape), tans.reshape(y.shape)
     return primal_part(y, lev), tangent_part(y, lev)
 

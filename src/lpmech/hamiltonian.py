@@ -8,8 +8,12 @@ the section bracket, not chosen freely.
 The bracket and the vector field keep their scalar loops on purpose, not
 for want of an array form (``@`` and object-dtype einsum carry dual numbers
 too): the bracket pairs its skew terms so that {f, f} cancels term by term,
-and the fixed term order keeps HP trajectories bit-for-bit the same.  Both
-take the connection-corrected base derivative from one loop, _cov_q.
+and the fixed term order keeps HP trajectories bit-for-bit the same.  The
+loops run on Python lists (``tolist()`` of the tables, nu and the gradient),
+whose float ``+`` and ``*`` are the IEEE operations of numpy's float64
+scalars, so the term order still fixes the bits; on object input the lists
+hold the same duals.  Both take the connection-corrected base derivative
+from one loop, _cov_q.
 Jacobi-identity tests push dual numbers through nested bracket evaluations.
 """
 
@@ -110,7 +114,8 @@ def _grad(fm: SmoothMap, x):
 
 
 def _real_vec(x):
-    return np.array([_dual.real_part(e) for e in np.asarray(x).reshape(-1)])
+    x = np.asarray(x).reshape(-1)
+    return x if x.dtype != object else np.array([_dual.real_part(e) for e in x])
 
 
 def _check_obs_dims(b, *obs):
@@ -125,14 +130,15 @@ def _check_obs_dims(b, *obs):
 def _cov_q(G, nu, grad):
     """The connection-corrected base derivative of an observable from its
     packed gradient: d_q_i f + Gamma^b_{ia} nu_b d_nu_a f, one per base
-    direction i."""
-    n, m = G.shape[:2]
+    direction i.  G, nu and grad are (nested) lists."""
+    n, m = len(G), len(nu)
     out = []
     for i in range(n):
         val = grad[i]
         for bb in range(m):
+            row = G[i][bb]
             for a in range(m):
-                val = val + G[i, bb, a] * nu[bb] * grad[2 * n + a]
+                val = val + row[a] * nu[bb] * grad[2 * n + a]
         out.append(val)
     return out
 
@@ -148,12 +154,12 @@ def poisson_bracket(b: LPBundleChart, f, g, s) -> float:
     _check_obs_dims(b, fm, gm)
     n, m = b.n, b.m
     x = _packed(b, s)
-    q, nu = x[:n], x[2 * n :]
+    q, nu = x[:n], x[2 * n :].tolist()
     b.base.require_inside(_real_vec(q))
 
-    gf = _grad(fm, x)
-    gg = _grad(gm, x)
-    G, C, Om = b.tables(q)
+    gf = _grad(fm, x).tolist()
+    gg = _grad(gm, x).tolist()
+    G, C, Om = (t.tolist() for t in b.tables(q))
 
     fq, gq = _cov_q(G, nu, gf), _cov_q(G, nu, gg)
     fp, gp = gf[n : 2 * n], gg[n : 2 * n]
@@ -166,16 +172,16 @@ def poisson_bracket(b: LPBundleChart, f, g, s) -> float:
     for a in range(m):
         for i in range(n):
             for j in range(i + 1, n):
-                total = total + nu[a] * Om[a, i, j] * (
+                total = total + nu[a] * Om[a][i][j] * (
                     fp[i] * gp[j] - fp[j] * gp[i]
                 )
     for g_ in range(m):
         for a in range(m):
             for bb in range(a + 1, m):
-                total = total + nu[g_] * C[g_, a, bb] * (
+                total = total + nu[g_] * C[g_][a][bb] * (
                     gnu[a] * fnu[bb] - gnu[bb] * fnu[a]
                 )
-    return total if isinstance(total, _dual.Dual) else float(total)
+    return total if isinstance(total, (_dual.Dual, _dual._Jet)) else float(total)
 
 
 def _affine_observable(b, Z: Section):
@@ -211,30 +217,30 @@ def hamiltonian_vector_field(b: LPBundleChart, H, s):
     _check_obs_dims(b, fm)
     n, m = b.n, b.m
     x = _packed(b, s)
-    q, nu = x[:n], x[2 * n :]
+    q, nu = x[:n], x[2 * n :].tolist()
     b.base.require_inside(_real_vec(q))
 
-    grad = _grad(fm, x)
-    G, C, Om = b.tables(q)
-    hp, hnu = grad[n : 2 * n], grad[2 * n :]
+    grad = _grad(fm, x).tolist()
+    G, C, Om = (t.tolist() for t in b.tables(q))
+    qdot, hnu = grad[n : 2 * n], grad[2 * n :]
 
-    qdot = list(hp)
     pdot = []
     for i, cq in enumerate(_cov_q(G, nu, grad)):
         val = -cq
         for a in range(m):
+            row = Om[a][i]
             for j in range(n):
-                val = val + nu[a] * Om[a, i, j] * qdot[j]
+                val = val + nu[a] * row[j] * qdot[j]
         pdot.append(val)
     nudot = []
     for a in range(m):
         val = 0.0
         for g_ in range(m):
             for bb in range(m):
-                val = val + C[g_, bb, a] * hnu[bb] * nu[g_]
+                val = val + C[g_][bb][a] * hnu[bb] * nu[g_]
         for i in range(n):
             for bb in range(m):
-                val = val + G[i, bb, a] * qdot[i] * nu[bb]
+                val = val + G[i][bb][a] * qdot[i] * nu[bb]
         nudot.append(val)
 
     return np.array(qdot), np.array(pdot), np.array(nudot)

@@ -44,19 +44,24 @@ class ChartDomain:
         if p is None:
             p = np.zeros(self.n, dtype=bool)
         p = np.asarray(p, dtype=bool).reshape(self.n)
-        if self.n and np.any(b[:, 1] <= b[:, 0]):
+        lo, hi = b.T
+        if not (lo < hi).all():  # a NaN bound fails too
             raise ValueError("each coordinate needs a nonempty interval")
         if np.any(p & ~np.isfinite(b).all(axis=1)):
             raise ValueError("periodic coordinates need finite bounds")
         object.__setattr__(self, "bounds", b)
         object.__setattr__(self, "periodic", p)
+        # the slack box of contains, open on periodic coordinates, and the
+        # index, lower bound and span that wrap reads
+        box = (np.where(p, -np.inf, lo - 1e-12), np.where(p, np.inf, hi + 1e-12))
+        object.__setattr__(self, "_box", box)
+        object.__setattr__(self, "_wrap", (p.nonzero()[0], lo[p], hi[p] - lo[p]))
 
     def wrap(self, q):
         """Send periodic coordinates back into their fundamental interval."""
         q = np.array(q, dtype=float)
-        p = self.periodic
-        lo, hi = self.bounds[p].T
-        q[p] = lo + np.mod(q[p] - lo, hi - lo)
+        idx, lo, span = self._wrap
+        q[idx] = lo + np.mod(q[idx] - lo, span)
         return q
 
     def contains(self, q):
@@ -68,13 +73,14 @@ class ChartDomain:
             raise DimensionMismatch(
                 f"chart point must have length {self.n}, got shape {q.shape}"
             )
-        lo, hi = self.bounds.T
-        return not (~self.periodic & ((q < lo - 1e-12) | (q > hi + 1e-12))).any()
+        lo, hi = self._box
+        return not ((q < lo) | (q > hi)).any()
 
     def require_inside(self, q, t=None):
         if not self.contains(q):
+            q = np.array(q, dtype=float)  # a copy: callers may pass a view
             # a list prints on one line, however long q is
-            raise ChartExit(f"state left the chart at q={np.asarray(q, float).tolist()}", q=q, t=t)
+            raise ChartExit(f"state left the chart at q={q.tolist()}", q=q, t=t)
 
     def sample(self, rng):
         """Uniform interior point; non-periodic coordinates keep a margin of

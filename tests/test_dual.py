@@ -5,8 +5,11 @@ gradient level inside a Hessian level, whose axis-separated array tangents
 broadcast into the (d, d) Hessian.  grad_hess must return the same value,
 gradient and Hessian bit for bit, signs of zero included.  The first-order
 passes, which seed only the inputs whose direction is nonzero, are checked
-the same way against a ``directional`` that seeds every input.
+the same way against a ``directional`` that seeds every input, and the
+``Dual`` arithmetic rules against the rules they replaced, kept here.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -276,3 +279,97 @@ def test_a_nested_gradient_spreads_a_float_array_of_unseeded_inputs():
     for k in range(3):
         row = _dual.gradient(lambda y: _dual.gradient(inner, y)[k], x)
         assert (row == hess[k]).all()
+
+
+# ---------------------------------------------------------------------------
+# the arithmetic rules against the rules they replaced
+
+
+def _ref_add(self, other):
+    if isinstance(other, Dual):
+        if other.level == self.level:
+            return Dual(self.re + other.re, self.im + other.im, self.level)
+        if other.level > self.level:
+            return Dual(self + other.re, other.im, other.level)
+    elif isinstance(other, np.ndarray) and (
+        other.dtype == object or not isinstance(self.im, np.ndarray)
+    ):
+        return _dual._distribute(lambda v: self + v, other)
+    return Dual(self.re + other, self.im, self.level)
+
+
+def _ref_mul(self, other):
+    if isinstance(other, Dual):
+        if other.level == self.level:
+            return Dual(
+                self.re * other.re, self.re * other.im + self.im * other.re, self.level
+            )
+        if other.level > self.level:
+            return Dual(self * other.re, self * other.im, other.level)
+    elif isinstance(other, np.ndarray) and (
+        other.dtype == object or not isinstance(self.im, np.ndarray)
+    ):
+        return _dual._distribute(lambda v: self * v, other)
+    return Dual(self.re * other, self.im * other, self.level)
+
+
+# Reference rules: every result built through __init__, and a - b as a + (-b).
+_REFERENCE_RULES = {
+    "__add__": _ref_add,
+    "__radd__": _ref_add,
+    "__mul__": _ref_mul,
+    "__rmul__": _ref_mul,
+    "__neg__": lambda self: Dual(-self.re, -self.im, self.level),
+    "__sub__": lambda self, other: self + (-other),
+}
+
+
+def _tree(v):
+    """Levels, shapes and the bytes of every float in v, zero signs included."""
+    if isinstance(v, Dual):
+        return ("dual", v.level, _tree(v.re), _tree(v.im))
+    if isinstance(v, np.ndarray):
+        return ("array", v.shape, [_tree(e) for e in v.ravel()])
+    return np.float64(v).tobytes()
+
+
+def _seeded(x, nested):
+    """x as duals: all at one level, or cycling through both of two nested
+    levels, the inner level alone and the outer level alone, so that duals
+    of different levels meet."""
+    inner, outer = _dual.fresh_level(), _dual.fresh_level()
+    out = np.empty(x.size, dtype=object)
+    for i, (xi, t, u) in enumerate(zip(x, [1.0, -0.0, -0.5], [0.0, 2.0, -1.5])):
+        kind = i % 3 if nested else 1
+        out[i] = Dual(xi, t, inner) if kind < 2 else xi
+        if kind != 1:
+            out[i] = Dual(out[i], u, outer)
+    return out
+
+
+def assert_same_as_reference(f, x):
+    for nested in (False, True):
+        seeded = _seeded(x, nested)
+        got = _tree(f(seeded))
+        with pytest.MonkeyPatch.context() as m:
+            for name, rule in _REFERENCE_RULES.items():
+                m.setattr(Dual, name, rule)
+            want = _tree(f(seeded))
+        assert got == want
+
+
+# no shrink phase: a failing program is reported as drawn
+@settings(max_examples=300, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(programs())
+def test_dual_rules_match_the_reference_rules_bit_for_bit(case):
+    x, steps = case
+    assert_same_as_reference(run(steps), x)
+
+
+def test_each_step_alone_matches_the_reference_rules():
+    """Each step on every ordered pair of seeds, so each level meets each."""
+    x = np.array([0.7, -0.0, -1.3])
+    for name in _STEPS:
+        for c in _CONSTANTS:
+            for i, j in itertools.permutations(range(3), 2):
+                assert_same_as_reference(run([(name, i, j, 3 - i - j, c)]), x)

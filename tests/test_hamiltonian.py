@@ -657,7 +657,9 @@ def test_hp_trajectory_csv_matches_recorded_digest(tmp_path):
     )
 
 
-def _rigid_body_flow(steps):
+def test_rigid_body_hp_flow_matches_recorded_digest(tmp_path):
+    """SHA-256 of a 20-step flow on the rigid body's so(3) chart, where the
+    fiber bracket c is nonzero, so the c loop of the vector field is pinned."""
     rb = rigid_body()
     inertia = np.asarray(rb.params["inertia"], dtype=float)
     H = Hamiltonian.from_callable(
@@ -665,13 +667,7 @@ def _rigid_body_flow(steps):
         lambda q, p, nu: 0.5 * sum(nu[a] * nu[a] / inertia[a] for a in range(3)),
     )
     s0 = HPState([], [], inertia * np.array([0.4, 0.7, -0.3]))
-    return integrate_hp(rb.bundle, H, s0, 0.0, 0.01 * steps, 0.01)
-
-
-def test_rigid_body_hp_flow_matches_recorded_digest(tmp_path):
-    """SHA-256 of a 20-step flow on the rigid body's so(3) chart, where the
-    fiber bracket c is nonzero, so the c loop of the vector field is pinned."""
-    traj = _rigid_body_flow(20)
+    traj = integrate_hp(rb.bundle, H, s0, 0.0, 0.2, 0.01)
     path = tmp_path / "hp.csv"
     write_hp_trajectory_csv(path, traj)
     assert len(traj) == 21
@@ -704,3 +700,27 @@ def test_poisson_bracket_bits_are_pinned_where_every_table_is_live():
         "0x1.954a363eb0064p+1",
         "0x1.b5f9bab793c8ap+0",
     ]
+
+
+def test_grad_hess_runs_through_a_poisson_bracket():
+    """grad_hess evaluates the bracket on jets and gets the jet back: its
+    value is the float bracket, its gradient that of gradient, and its
+    Hessian the central differences of gradient."""
+    b, fs, points = _pinned_bracket_inputs()
+    s = points[1]
+    x = np.concatenate([s.q, s.p, s.nu])
+
+    def bracket(y):
+        return poisson_bracket(b, fs[0], fs[1], y)
+
+    val, grad, hess = _dual.grad_hess(bracket, x)
+    assert val == bracket(x)
+    assert np.allclose(grad, _dual.gradient(bracket, x), rtol=0, atol=1e-12)
+    h = 1e-5
+    fd = np.array(
+        [
+            (_dual.gradient(bracket, x + h * e) - _dual.gradient(bracket, x - h * e)) / (2 * h)
+            for e in np.eye(x.size)
+        ]
+    )
+    assert np.allclose(hess, fd, rtol=0, atol=1e-8)

@@ -71,6 +71,12 @@ def test_require_inside_raises_chart_exit_with_state():
         dom.require_inside(np.array([1.5]), t=0.25)
     assert err.value.t == 0.25
     assert np.allclose(err.value.q, [1.5])
+    # the error keeps a copy: a view of the caller's state may change later
+    state = np.array([2.5, 7.0])
+    with pytest.raises(ChartExit) as err:
+        dom.require_inside(state[:1])
+    state[0] = 0.0
+    assert err.value.q.tolist() == [2.5]
 
 
 def test_sample_respects_margin_and_seed():
@@ -89,6 +95,16 @@ def test_domain_validation():
         ChartDomain(1, [[1.0, 0.0]])
     with pytest.raises(ValueError):
         ChartDomain(1, [[0.0, np.inf]], [True])
+
+
+@pytest.mark.parametrize("face", [0, 1])
+def test_a_nan_bound_is_rejected(face):
+    """A NaN face never fires, so such a box would hold -1e9 and make
+    sample overflow; it is the empty-interval ValueError instead."""
+    bounds = [[-1.0, 1.0], [-1.0, 1.0]]
+    bounds[0][face] = np.nan
+    with pytest.raises(ValueError, match="nonempty interval"):
+        ChartDomain(2, bounds)
 
 
 def _wrap_reference(dom, q):
