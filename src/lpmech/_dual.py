@@ -22,9 +22,9 @@ the last bits: an exact zero may change its sign (``c * x_j`` with
 zero-tangent duals took ``a * (1 / b)``, so a derivative it scales may move
 by an ulp.
 
-The arithmetic rules of ``Dual`` build their results with ``object.__new__``
-and three slot stores, not through ``__init__``, which costs more than the
-arithmetic of a scalar product.
+The arithmetic rules of ``Dual`` and ``_Jet`` build their results with
+``object.__new__`` and three slot stores, not through ``__init__``, which
+costs more than the arithmetic of a scalar product.
 
 ``grad_hess`` evaluates on ``_Jet`` values instead: value, gradient and
 Hessian of one quantity, the second-order truncation of two nested duals.
@@ -33,6 +33,7 @@ Any ``Dual`` met inside treats the jet as a coefficient.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -138,7 +139,8 @@ class _Jet:
 
     Each rule does the floating-point operations of two nested duals (a
     gradient level inside a Hessian level) in their order, so results match
-    them bit for bit.  ``h`` is None until an operation forms a Hessian term:
+    them bit for bit; a jet - jet is one rule with the bits of a + (-b).
+    ``h`` is None until an operation forms a Hessian term:
     the nested form adds no term there, and adding 0.0 could turn a -0.0
     into +0.0.  The rare rules (reciprocal, ``**``, sin, cos, exp, sqrt) run
     through the nested form itself.
@@ -157,41 +159,53 @@ class _Jet:
         return f"_Jet({self.re!r}, {self.g!r}, {self.h!r})"
 
     def __add__(self, other):
-        if isinstance(other, _Jet):
+        out = _new(_Jet)
+        if type(other) is _Jet:
             h = other.h if self.h is None else self.h if other.h is None else self.h + other.h
-            return _Jet(self.re + other.re, self.g + other.g, h)
+            out.re, out.g, out.h = self.re + other.re, self.g + other.g, h
+            return out
         if isinstance(other, Dual):
             return NotImplemented  # a dual of an inner pass takes us as a coefficient
         if isinstance(other, np.ndarray):
             return _distribute(lambda v: self + v, other)
-        return _Jet(self.re + other, self.g, self.h)
+        out.re, out.g, out.h = self.re + other, self.g, self.h
+        return out
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _Jet(-self.re, -self.g, None if self.h is None else -self.h)
+        out = _new(_Jet)
+        out.re, out.g, out.h = -self.re, -self.g, None if self.h is None else -self.h
+        return out
 
     def __sub__(self, other):
-        return self + (-other)
+        if type(other) is not _Jet:
+            return self + (-other)
+        a, b, out = self.h, other.h, _new(_Jet)  # the bits of self + (-other)
+        out.re, out.g = self.re - other.re, self.g - other.g
+        out.h = (None if b is None else -b) if a is None else a if b is None else a - b
+        return out
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, _Jet):
+        out = _new(_Jet)
+        if type(other) is _Jet:
             # h = (a h_b + g_b (x) g_a) + (g_a (x) g_b + h_a b), the nested order
             a, ga, b, gb = self.re, self.g, other.re, other.g
             t = gb[:, None] * ga  # its transpose is g_a (x) g_b
             left = t if other.h is None else a * other.h + t
             right = t.T if self.h is None else t.T + self.h * b
-            return _Jet(a * b, a * gb + ga * b, left + right)
+            out.re, out.g, out.h = a * b, a * gb + ga * b, left + right
+            return out
         if isinstance(other, Dual):
             return NotImplemented
         if isinstance(other, np.ndarray):
             return _distribute(lambda v: self * v, other)
-        return _Jet(
-            self.re * other, self.g * other, None if self.h is None else self.h * other
-        )
+        out.re, out.g = self.re * other, self.g * other
+        out.h = None if self.h is None else self.h * other
+        return out
 
     __rmul__ = __mul__
 
@@ -357,13 +371,18 @@ def directional(f, x, dx):
 
 def _tangents(f, x):
     """Tangents of ``f`` at ``x`` along each unit direction, in order."""
-    d = x.size
-    out = np.empty(d, dtype=object)
-    for j in range(d):
-        dx = np.zeros(d, dtype=object)
-        dx[j] = 1.0
+    out = np.empty(x.size, dtype=object)
+    for j, dx in enumerate(_unit_rows(x.size)):
         _, out[j] = directional(f, x, dx)
     return out
+
+
+@functools.cache
+def _unit_rows(d):
+    """Read-only rows of the d x d identity, the directions every pass shares."""
+    eye = np.eye(d)
+    eye.setflags(write=False)
+    return tuple(eye)
 
 
 def gradient(f, x):
@@ -380,10 +399,8 @@ def gradient(f, x):
     if _active_passes or (x.dtype == object and contains_dual(x)):
         return _tangents(f, x)
     lev = fresh_level()
-    eye = np.eye(d)
-    seeded = np.array(
-        [Dual(float(x[i]), eye[i], lev) for i in range(d)], dtype=object
-    )
+    rows = _unit_rows(d)
+    seeded = np.array([Dual(float(x[i]), rows[i], lev) for i in range(d)], dtype=object)
     y = _as_scalar(_evaluate(f, seeded))
     # np.full copies an array tangent, or spreads the scalar zero of an f
     # that ignored its input
@@ -404,9 +421,7 @@ def grad_hess(f, x):
     if d == 0:
         y = _as_scalar(f(np.zeros(0, dtype=object)))
         return float(real_part(y)), np.zeros(0), np.zeros((0, 0))
-    seeded = np.empty(d, dtype=object)
-    for i, row in enumerate(np.eye(d)):
-        seeded[i] = _Jet(x[i], row)
+    seeded = np.array([_Jet(x[i], row) for i, row in enumerate(_unit_rows(d))], dtype=object)
     y = _as_scalar(_evaluate(f, seeded))
     if isinstance(y, Dual):
         raise TypeError("grad_hess: f returned a dual number of another pass")

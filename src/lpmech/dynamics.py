@@ -188,9 +188,13 @@ def _grad_hess(sys: LPLagrangian, s: LPState):
 def _force_terms(sys: LPLagrangian, s, jet):
     """(f, M) at s: the packed (base, fiber) equation residual at zero
     second-order data, and the (qdot, v) block Hessian of L.  The residual
-    at z = (qddot, vdot) is f - M z."""
+    at z = (qddot, vdot) is f - M z.  An empty fiber reads no tables and runs
+    no einsum: each einsum would add or subtract a +0.0 vector, which keeps
+    every bit but the sign of a -0.0 entry, and the final ``+ 0.0`` does."""
     n, m = sys.n, sys.m
     _, grad, H = _grad_hess(sys, s) if jet is None else jet
+    if not m:
+        return (grad[:n] - H[n : 2 * n, :n] @ s.qdot) + 0.0, H[n:, n:]
     sq, sqd, sv = slice(0, n), slice(n, 2 * n), slice(2 * n, 2 * n + m)
     G, C, Om = sys.bundle.tables(s.q)
     mu = grad[sv]

@@ -215,11 +215,15 @@ def hamiltonian_vector_field(b: LPBundleChart, H, s):
     """
     fm = _obs_map(H)
     _check_obs_dims(b, fm)
-    n, m = b.n, b.m
     x = _packed(b, s)
-    q, nu = x[:n], x[2 * n :].tolist()
-    b.base.require_inside(_real_vec(q))
+    b.base.require_inside(_real_vec(x[: b.n]))
+    return _vector_field(b, fm, x)
 
+
+def _vector_field(b: LPBundleChart, fm: SmoothMap, x):
+    """hamiltonian_vector_field of fm at a packed x whose q is inside the chart."""
+    n, m = b.n, b.m
+    q, nu = x[:n], x[2 * n :].tolist()
     grad = _grad(fm, x).tolist()
     G, C, Om = (t.tolist() for t in b.tables(q))
     qdot, hnu = grad[n : 2 * n], grad[2 * n :]
@@ -248,10 +252,13 @@ def hamiltonian_vector_field(b: LPBundleChart, H, s):
 
 def integrate_hp(b: LPBundleChart, H, s0: HPState, t0, t1, h, method="rk4"):
     """Fixed-step integration of the dual-side equations on (q, p, nu);
-    s0 must have slot lengths (n, n, m), else DimensionMismatch."""
+    s0 must have slot lengths (n, n, m), else DimensionMismatch.  Only the
+    integrator checks the stage points against the chart."""
+    fm = _obs_map(H)
+    _check_obs_dims(b, fm)
 
     def ydot(y):
-        return np.concatenate(hamiltonian_vector_field(b, H, y)).astype(float)
+        return np.concatenate(_vector_field(b, fm, y)).astype(float)
 
     return _integrate_fixed(
         ydot, HPState, b, (s0.q, s0.p, s0.nu), t0, t1, h, method

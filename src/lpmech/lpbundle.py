@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ChartExit, DimensionMismatch
-from .smoothmap import SmoothMap, constant_map, eval_map, jacobian
+from .smoothmap import SmoothMap, _ConstantBody, constant_map, eval_map, jacobian
 
 DEFAULT_TOL = 1e-8
 
@@ -138,24 +138,25 @@ class LPBundleChart:
         """(Gamma, c, omega) evaluated at q: float arrays at a float point,
         object arrays at an object point, which may carry dual numbers.
 
-        Over a point base (n = 0) the float tables are constants: they are
-        evaluated once, on the first float read, and every float read returns
-        the same read-only arrays.  Object points, and every base of
-        dimension above 0, evaluate the maps at each read.
+        Over a point base (n = 0), or when all three maps come from
+        ``constant_map``, the float tables are evaluated once, on the first
+        float read, and every float read returns the same read-only arrays.
+        Object points, and every other chart, evaluate the maps at each read.
         """
         q = np.asarray(q)
-        if self.n == 0 and q.shape == (0,) and q.dtype != object:
-            return self._point_tables
+        if q.dtype != object and q.shape == (self.n,) and self._constant_tables:
+            return self._constant_tables
         dtype = object if q.dtype == object else float
         return tuple(np.asarray(eval_map(M, q), dtype) for M in (self.Gamma, self.c, self.omega))
 
     @cached_property
-    def _point_tables(self):
-        # cached_property writes the instance __dict__, so it works on a
-        # frozen dataclass and stays out of its fields, eq and hash
-        out = tuple(
-            np.array(eval_map(M, np.zeros(0)), float) for M in (self.Gamma, self.c, self.omega)
-        )
+    def _constant_tables(self):
+        # the read-only float tables if they do not depend on q, else (); kept
+        # in the instance __dict__, out of the frozen fields, eq and hash
+        maps = (self.Gamma, self.c, self.omega)
+        if self.n and not all(isinstance(M.body, _ConstantBody) for M in maps):
+            return ()
+        out = tuple(np.array(eval_map(M, np.zeros(self.n)), float) for M in maps)
         for arr in out:
             arr.setflags(write=False)
         return out

@@ -47,12 +47,22 @@ class SmoothMap:
             )
 
 
+class _ConstantBody:
+    """The body of a constant_map; its type marks the map as constant."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def __call__(self, x):
+        return self.table
+
+
 def constant_map(in_dim, table, name=""):
     """The constant map from R^in_dim to a read-only float copy of ``table``."""
     const = np.array(table, dtype=float)
     const.setflags(write=False)
     return SmoothMap(
-        in_dim, const.size, lambda x: const, out_shape=const.shape, name=name
+        in_dim, const.size, _ConstantBody(const), out_shape=const.shape, name=name
     )
 
 

@@ -64,6 +64,9 @@ _STEPS = {
     "float_sub": lambda a, b, c, k: k - a,
     "mul_float": lambda a, b, c, k: a * k,
     "float_mul": lambda a, b, c, k: k * a,
+    "mul_np_float": lambda a, b, c, k: a * np.float64(k),
+    "np_float_mul": lambda a, b, c, k: np.float64(k) * a,
+    "sub_products": lambda a, b, c, k: a * b - c * a,
     "div_float": lambda a, b, c, k: a / (k + 3.0),
     "float_div": lambda a, b, c, k: k / (a * a + 0.25),
     "neg": lambda a, b, c, k: -a,

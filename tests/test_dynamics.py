@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from lpmech import _dual, dynamics
 from lpmech.dynamics import (
@@ -206,6 +208,53 @@ def test_accelerations_hand_value():
     qdd, vd = accelerations(hand_value_system(), LPState([0.3, -0.2], [0.7, 0.4], [0.5]))
     assert np.allclose(qdd, [0.596, -0.208], rtol=0, atol=1e-13)
     assert np.allclose(vd, [-0.668], rtol=0, atol=1e-13)
+
+
+def _einsum_force_terms(sys, s, jet):
+    """The force terms as written for every fiber dimension, the reference
+    for the empty-fiber branch of dynamics._force_terms."""
+    n, m = sys.n, sys.m
+    _, grad, H = jet
+    sq, sqd, sv = slice(0, n), slice(n, 2 * n), slice(2 * n, 2 * n + m)
+    G, C, Om = sys.bundle.tables(s.q)
+    mu = grad[sv]
+    f_q = (
+        grad[sq]
+        - H[sqd, sq] @ s.qdot
+        - np.einsum("a,iab,b->i", mu, G, s.v)
+        + np.einsum("a,aij,j->i", mu, Om, s.qdot)
+    )
+    f_v = (
+        np.einsum("gba,b,g->a", C, s.v, mu)
+        + np.einsum("b,iba,i->a", mu, G, s.qdot)
+        - H[sv, sq] @ s.qdot
+    )
+    return np.concatenate([f_q, f_v]), H[n:, n:]
+
+
+@st.composite
+def empty_fiber_inputs(draw):
+    n = draw(st.integers(0, 3))
+    entry = st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(-3.0, 3.0)
+    vec = lambda k: np.array(draw(st.lists(entry, min_size=k, max_size=k)), dtype=float)
+    return n, vec(2 * n), vec(4 * n * n).reshape(2 * n, 2 * n), vec(n), vec(n)
+
+
+# no shrink phase: a failing input is reported as drawn
+@settings(max_examples=200, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(empty_fiber_inputs())
+def test_empty_fiber_force_terms_match_the_einsum_form_bit_for_bit(case):
+    """m = 0 skips the tables and the einsums; f, M and the lp_operator
+    residual keep every bit, signed zeros included."""
+    n, grad, H, qdot, qddot = case
+    sys = LPLagrangian.from_callable(LPBundleChart(box(n), 0), lambda q, qd, v: 0.0)
+    s = LPState(np.zeros(n), qdot, [])
+    jet = (0.0, grad, H)
+    f, M = dynamics._force_terms(sys, s, jet)
+    f_ref, M_ref = _einsum_force_terms(sys, s, jet)
+    assert f.tobytes() == f_ref.tobytes() and M.tobytes() == M_ref.tobytes()
+    hor, ver = lp_operator(sys, s, qddot, [], jet=jet)
+    assert hor.tobytes() == (f_ref - M_ref @ qddot).tobytes() and ver.size == 0
 
 
 def test_residual_linear_in_momentum():

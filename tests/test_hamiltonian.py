@@ -15,7 +15,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from lpmech import _dual
-from lpmech.dynamics import LPLagrangian, LPState, energy, integrate_lp
+from lpmech.dynamics import LPLagrangian, LPState, _integrate_fixed, energy, integrate_lp
 from lpmech.errors import (
     ChartExit,
     DimensionMismatch,
@@ -368,6 +368,35 @@ def twisted_pair():
         Hamiltonian.from_callable(chart, ham),
         chart,
     )
+
+
+@pytest.mark.parametrize("method, checks", [("rk4", 4), ("euler", 1)])
+def test_integrate_hp_checks_each_point_against_the_chart_once(monkeypatch, method, checks):
+    """Each step checks its RK4 stage points and the accepted state, and no
+    point twice; the flow keeps the bits of the integrator run on
+    hamiltonian_vector_field, which checks every stage point once more."""
+    _, H, chart = twisted_pair()
+    s0 = HPState([0.1, 0.0], [0.9, 0.5], [0.5, -0.4])
+    calls = []
+    contains = ChartDomain.contains
+    monkeypatch.setattr(
+        ChartDomain, "contains", lambda dom, q: calls.append(1) or contains(dom, q)
+    )
+    traj = integrate_hp(chart, H, s0, 0.0, 0.2, 0.01, method)
+    assert len(calls) == 20 * checks + 1
+    calls.clear()
+
+    def checked(y):
+        return np.concatenate(hamiltonian_vector_field(chart, H, y)).astype(float)
+
+    ref = _integrate_fixed(
+        checked, HPState, chart, (s0.q, s0.p, s0.nu), 0.0, 0.2, 0.01, method
+    )
+    assert len(calls) == 20 * (2 * checks) + 1
+    for got, want in zip(traj.states, ref.states):
+        for slot in ("q", "p", "nu"):
+            assert getattr(got, slot).tobytes() == getattr(want, slot).tobytes()
+    assert len(traj) == len(ref) == 21
 
 
 def test_hamiltonian_conserved_along_flow():

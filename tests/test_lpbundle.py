@@ -233,6 +233,43 @@ def test_point_base_float_tables_are_read_once_and_read_only():
     assert len(calls) == 3
 
 
+def test_constant_chart_float_tables_are_read_once_and_read_only():
+    """All three maps from constant_map: every float read returns the same
+    read-only arrays, with the bytes eval_map gives; object points get fresh
+    object arrays, and one polynomial map makes every read evaluate."""
+    G0 = np.arange(8.0).reshape(2, 2, 2) - 3.5
+    G0[0, 0, 0] = -0.0
+    b = LPBundleChart(box(2), 2, Gamma=G0, omega=-G0)
+    q = np.array([0.3, -0.4])
+    first = b.tables(q)
+    for x in (q, np.array([-0.9, 0.1]), [0.0, 0.0]):
+        assert all(got is want for got, want in zip(b.tables(x), first))
+    for got, M in zip(first, (b.Gamma, b.c, b.omega)):
+        assert got.dtype == float and not got.flags.writeable
+        assert got.tobytes() == np.asarray(eval_map(M, q), float).tobytes()
+    with pytest.raises(ValueError):
+        first[0][0, 0, 0] = 1.0
+    with pytest.raises(DimensionMismatch):
+        b.tables(np.zeros(3))
+
+    reads = [b.tables(q.astype(object)) for _ in range(2)]
+    for got, again, want in zip(*reads, first):
+        assert got.dtype == object and got.flags.writeable and got is not again
+        assert np.array_equal(got.astype(float), want)
+
+    calls = []
+
+    def body(x):
+        calls.append(x.dtype)
+        return np.array([[[x[0], 1.0], [-1.0, x[1] ** 2]]] * 2)
+
+    live = LPBundleChart(box(2), 2, Gamma=SmoothMap(2, 8, body, out_shape=(2, 2, 2)), omega=-G0)
+    for x in ([0.5, 0.25], [0.5, 0.25], [-0.5, 0.75]):
+        G = live.tables(np.array(x))[0]
+        assert G.flags.writeable and G[1, 1, 1] == x[1] ** 2
+    assert calls == [float] * 3
+
+
 # ---------------------------------------------------------------------------
 # covariant derivative
 
