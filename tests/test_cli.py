@@ -93,6 +93,74 @@ def test_check_axioms_inline_nonclosed_two_form_fails(tmp_path, capsys):
     assert by_name["e_bracket_parallel"]["passed"] is True
 
 
+# Gamma_i = d_i(phi) J over a 2-dim base, J the rotation generator: flat
+# for phi = 0.2 x0 - 0.35 x1 + 0.3 x0^2 + 0.1 x0 x1 - 0.25 x1^2, curved when
+# only Gamma_0 = 0.9 x1 J is given.  c and omega are constant tables.
+_FLAT_GAMMA = """
+    - {index: [0, 0, 1], powers: [0, 0], coeff: -0.2}
+    - {index: [0, 1, 0], powers: [0, 0], coeff: 0.2}
+    - {index: [0, 0, 1], powers: [1, 0], coeff: -0.6}
+    - {index: [0, 1, 0], powers: [1, 0], coeff: 0.6}
+    - {index: [0, 0, 1], powers: [0, 1], coeff: -0.1}
+    - {index: [0, 1, 0], powers: [0, 1], coeff: 0.1}
+    - {index: [1, 0, 1], powers: [0, 0], coeff: 0.35}
+    - {index: [1, 1, 0], powers: [0, 0], coeff: -0.35}
+    - {index: [1, 0, 1], powers: [1, 0], coeff: -0.1}
+    - {index: [1, 1, 0], powers: [1, 0], coeff: 0.1}
+    - {index: [1, 0, 1], powers: [0, 1], coeff: 0.5}
+    - {index: [1, 1, 0], powers: [0, 1], coeff: -0.5}
+"""
+_CURVED_GAMMA = """
+    - {index: [0, 0, 1], powers: [0, 1], coeff: -0.9}
+    - {index: [0, 1, 0], powers: [0, 1], coeff: 0.9}
+"""
+_POLYNOMIAL_GAMMA_BUNDLE = """
+bundle:
+  n: 2
+  m: 2
+  bounds: [[-1, 1], [-1, 1]]
+  gamma:
+    polynomial:
+      terms: %s
+  c: {constant: [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]}
+  omega: {constant: [[[0, 0.7], [-0.7, 0]], [[0, -0.4], [0.4, 0]]]}
+samples: 40
+"""
+
+
+@pytest.mark.parametrize(
+    "gamma, code, failed, digest",
+    [
+        (
+            _FLAT_GAMMA,
+            0,
+            [],
+            "28b7f22b803e6475e59b93a14498e10bc2b339ac44e36fbadc79c3c941a7af59",
+        ),
+        (
+            _CURVED_GAMMA,
+            2,
+            ["f_curvature_coupling"],
+            "910e6db5afdda02501ea5345cc1566c52079d0cfa37629731b6e8154705ebc28",
+        ),
+    ],
+    ids=["flat", "curved"],
+)
+def test_polynomial_gamma_axiom_report_matches_recorded_digest(
+    tmp_path, gamma, code, failed, digest
+):
+    """SHA-256 of axiom_report.json for a polynomial gamma beside constant c
+    and omega, pinned for a bundle that passes and for one that fails only
+    f_curvature_coupling: the derivative of each table feeds the residuals."""
+    text = _POLYNOMIAL_GAMMA_BUNDLE % textwrap.indent(gamma, " " * 8)
+    cfg = write_cfg(tmp_path, text)
+    assert main(["check-axioms", "--config", cfg, "--out", str(tmp_path)]) == code
+    report = read_json(tmp_path, "axiom_report.json")
+    assert [c["name"] for c in report["conditions"] if not c["passed"]] == failed
+    data = (tmp_path / "axiom_report.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_malformed_yaml_reports_location(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "system: rigid_body\nparams: {inertia: [1, 2\n")
     code = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
@@ -1316,6 +1384,19 @@ def test_stages_report_matches_recorded_digest(tmp_path):
     assert (
         hashlib.sha256(data).hexdigest()
         == "4cbf52997ec1ed84d953d1aaf39c69ad826bde1823fe99ea7a3b68be7f6b4a94"
+    )
+
+
+def test_non_central_stages_report_matches_recorded_digest(tmp_path):
+    """SHA-256 of stages_report.json for heisenberg_stages staged by the
+    non-central ideal (0, 2) over 10 steps, pinned: the quotient acts on its
+    fiber, so the stage-1 connection runs through Ad as well as unhat."""
+    cfg = write_cfg(tmp_path, "system: heisenberg_stages\nt_end: 0.01\nstages: {nidx: [0, 2]}\n")
+    assert main(["stages", "--config", cfg, "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "stages_report.json").read_bytes()
+    assert (
+        hashlib.sha256(data).hexdigest()
+        == "d2e9b710a317adb908c9041aacaac34382a1b86a98cad86299fb5363a8146046"
     )
 
 
