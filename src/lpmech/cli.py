@@ -94,7 +94,7 @@ def load_config(path):
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}")
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = ""
@@ -244,6 +244,8 @@ def polynomial_map(n_vars, shape, terms, label):
     ``terms`` is a list of mappings with keys ``powers`` (one exponent per
     input variable), ``coeff``, and, for tensor-valued maps, ``index``
     naming the entry the term adds to.  Entries no term feeds stay zero.
+    The body multiplies each ``coeff`` by ``x[i] ** p`` over the term's nonzero
+    powers alone, in variable order (also for p = 1: a ``_Jet`` power is not ``x[i]``).
     """
     shape = tuple(int(s) for s in shape)
     total = int(np.prod(shape, dtype=int)) if shape else 1
@@ -270,15 +272,14 @@ def polynomial_map(n_vars, shape, terms, label):
                 )
             idx.append(i)
         flat = int(np.ravel_multi_index(idx, shape)) if shape else 0
-        compiled.append((flat, powers, coeff))
+        compiled.append((flat, [(i, p) for i, p in enumerate(powers) if p], coeff))
 
     def body(x):
         vals = [0.0] * total
-        for flat, powers, coeff in compiled:
+        for flat, factors, coeff in compiled:
             term = coeff
-            for i, p in enumerate(powers):
-                if p:
-                    term = term * x[i] ** p
+            for i, p in factors:
+                term = term * x[i] ** p
             vals[flat] = vals[flat] + term
         arr = np.array(vals)
         return arr.reshape(shape) if shape else arr

@@ -73,6 +73,19 @@ class MatrixLieGroup:
             return self._pinv @ M
         return _sparse_sum(self._unhat_terms, M.tolist())
 
+    def unhat_product(self, a, b, idx):
+        """``unhat(a @ b)[idx]``, forming on dual input only the entries of
+        the product that the coordinates ``idx`` read; each is numpy's ordered
+        object dot product, as in ``a @ b``."""
+        if np.result_type(a, b) != object:
+            return self.unhat(a @ b)[list(idx)]
+        n, terms = self.mat_dim, [self._unhat_terms[i] for i in idx]
+        rows = sorted({j // n for row in terms for j, _ in row})
+        cols = sorted({j % n for row in terms for j, _ in row})
+        block = (a[rows] @ b[:, cols]).tolist()
+        prod = {r * n + c: v for r, line in zip(rows, block) for c, v in zip(cols, line)}
+        return _sparse_sum(terms, prod)
+
     def exp(self, xi):
         """Group element from algebra coefficients; dual entries pass through."""
         xi = np.asarray(xi)

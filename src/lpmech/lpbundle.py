@@ -51,11 +51,14 @@ class ChartDomain:
             raise ValueError("periodic coordinates need finite bounds")
         object.__setattr__(self, "bounds", b)
         object.__setattr__(self, "periodic", p)
-        # the slack box of contains, open on periodic coordinates, and the
-        # index, lower bound and span that wrap reads
+        # the slack box of contains, open on periodic coordinates; the index,
+        # lower bound and span that wrap reads; the box that sample draws from
         box = (np.where(p, -np.inf, lo - 1e-12), np.where(p, np.inf, hi + 1e-12))
+        pad = 0.05 * (hi - lo)
+        inner = (np.where(p, lo, lo + pad), np.where(p, hi, hi - pad))
         object.__setattr__(self, "_box", box)
         object.__setattr__(self, "_wrap", (p.nonzero()[0], lo[p], hi[p] - lo[p]))
+        object.__setattr__(self, "_interior", inner)
 
     def wrap(self, q):
         """Send periodic coordinates back into their fundamental interval."""
@@ -85,10 +88,7 @@ class ChartDomain:
     def sample(self, rng):
         """Uniform interior point; non-periodic coordinates keep a margin of
         5% of their interval at each end."""
-        lo, hi = self.bounds.T
-        pad = 0.05 * (hi - lo)
-        p = self.periodic
-        return rng.uniform(np.where(p, lo, lo + pad), np.where(p, hi, hi - pad), self.n)
+        return rng.uniform(*self._interior, self.n)
 
 
 def table_shapes(n, m):
@@ -370,7 +370,7 @@ class AxiomReport:
 
 def _max_abs(*tensors):
     """Largest absolute entry over all tensors; NaN if any entry is NaN."""
-    vals = [np.max(np.abs(t)) if np.size(t) else 0.0 for t in tensors]
+    vals = [np.abs(t).max() if np.size(t) else 0.0 for t in tensors]
     # max() drops a NaN that is not first; the values are nonnegative, so
     # their sum is NaN exactly when one of them is
     if len(vals) > 1 and math.isnan(sum(vals)):

@@ -459,7 +459,9 @@ def stages_reduce(direct: ReducedBundleHandle, nidx, override_A_N=None, seed=0):
         x, kc = xk[:d], xk[d:]
         sinv = G.exp(-_embed(kc, kidx, k))
         jets = [_dual.directional(section, np.asarray(kc, dtype=object), e) for e in np.eye(s_dim)]
-        rows = np.concatenate([eval_map(sc.A, x), [G.unhat(sinv @ ds) for _, ds in jets]])[:, N]
+        rows = np.concatenate(
+            [eval_map(sc.A, x)[:, N], [G.unhat_product(sinv, ds, N) for _, ds in jets]]
+        )
         if gen.any():  # K acts on n; on a central n, Ad_s(kc) is the identity
             rows = rows @ Ad(G, jets[0][0], sinv, N)[N].T
         # through a list, so the table is a float array when no entry is a dual

@@ -102,9 +102,12 @@ def jacobian(m: SmoothMap, x) -> np.ndarray:
     ``_dual.directional``): an exact-zero entry may be +0.0 where seeding
     every input, with zero tangents, gave -0.0, and an entry scaled by a
     quotient of the other inputs may differ from it in the last bit.  Rows
-    follow the C-order flattening of ``out_shape``.
+    follow the C-order flattening of ``out_shape``.  A ``constant_map`` takes
+    no pass: its Jacobian is the float +0.0 matrix the passes would give.
     """
     x = _check_input(m, np.asarray(x, dtype=object))
+    if isinstance(m.body, _ConstantBody):
+        return np.zeros((m.out_dim, m.in_dim))
     J = np.empty((m.out_dim, m.in_dim), dtype=object)
     for j, tan in enumerate(_dual._tangents(lambda z: _shape_output(m, m.body(z)), x)):
         J[:, j] = tan.reshape(m.out_dim)

@@ -9,9 +9,12 @@ numerical).
 import contextlib
 import copy
 import hashlib
+import importlib.util
 import io
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -25,7 +28,7 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from lpmech import _dual
-from lpmech.cli import _numbers, main
+from lpmech.cli import _numbers, load_config, main
 from lpmech.errors import AxiomViolation, ConfigError, InvarianceViolation
 
 
@@ -166,6 +169,57 @@ def test_malformed_yaml_reports_location(tmp_path, capsys):
     code = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
     assert code == 1
     assert "line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a: [1, 2",
+        "system: rigid_body\nparams: {inertia: [1, 2\n",
+        "a: b: c\n",
+        "- a\nb: c\n",
+        "key: 'unterminated\n",
+        "a:\n\tb: 2\n",
+        "a: &x 1\nb: *y\n",
+        "system: !!python/object/apply:os.getcwd []\n",
+    ],
+    ids=["open-flow", "open-nested-flow", "colon", "mixed", "quote", "tab", "alias", "tag"],
+)
+def test_malformed_yaml_is_exit_one_with_a_position(tmp_path, capsys, text):
+    """Malformed YAML, and a tag the safe loader does not construct, is a
+    config error with its line and column.  The position itself is not
+    pinned: libyaml and the pure-Python parser may report different ones."""
+    cfg = write_cfg(tmp_path, text)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"config error: .*: invalid syntax at line \d+, column \d+\n", err)
+
+
+def _perfbench_workloads():
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks the module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_configs_load_the_same_with_both_yaml_loaders(tmp_path):
+    """Every YAML config the benchmark generates, for each of its 8 variants,
+    loads through load_config to the data the pure-Python safe loader gives,
+    types included."""
+    workloads = _perfbench_workloads()
+    count = 0
+    for workload in workloads.WORKLOADS:
+        for variant in range(workloads.N_VARIANTS):
+            for job in workloads.jobs_for(workload, variant):
+                if job.command == "brackets":
+                    continue
+                text = yaml.safe_dump(job.config, sort_keys=True)
+                cfg = write_cfg(tmp_path, text)
+                assert repr(load_config(cfg)) == repr(yaml.load(text, Loader=yaml.SafeLoader))
+                count += 1
+    assert count >= 8 * 10  # 20 CLI jobs per variant
 
 
 def test_missing_required_key_names_the_path(tmp_path, capsys):

@@ -401,3 +401,67 @@ def test_sparse_pattern_is_exact_and_identity_inverse_stays_float():
     for n in (3, 4):
         M = np.arange(n * n, dtype=float).reshape(n, n).astype(object)
         assert _inverse_times(np.eye(n), M, None) is M
+
+
+# ---------------------------------------------------------------------------
+# unhat of a product, formed only where the coordinates read it
+
+
+def _tree(v):
+    """Level, shape and the bytes of every float in v, zero signs included."""
+    if isinstance(v, _dual.Dual):
+        return ("dual", v.level, _tree(v.re), _tree(v.im))
+    if isinstance(v, np.ndarray):
+        return ("array", v.dtype.kind, v.shape, [_tree(e) for e in v.ravel()])
+    return (type(v).__name__, np.float64(v).tobytes())
+
+
+def _matrix_kinds(rng, n):
+    """(a, b) pairs of n x n matrices with signed zeros: float, a dual times
+    a float, dual times dual, and duals nested two levels deep."""
+    a, b, da, db = rng.standard_normal((4, n, n))
+    for M in (a, b):
+        M[rng.random((n, n)) < 0.25] = 0.0
+        M[rng.random((n, n)) < 0.15] = -0.0
+    lev, inner, outer = (_dual.fresh_level() for _ in range(3))
+    nested = _seeded(_seeded(a, da, inner), db, outer)
+    return [
+        (a, b),
+        (_seeded(a, da, lev), b),
+        (a.astype(object), _seeded(b, db, lev)),
+        (_seeded(a, da, lev), _seeded(b, db, lev)),
+        (nested, _seeded(b, da, inner)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "G, idx",
+    [
+        (heisenberg3(1.0), (2,)),
+        (heisenberg3(0.7), (0, 2)),
+        (heisenberg3(1.3), (1, 2)),
+        (so3(), (0,)),
+        (so3(), (0, 2)),
+        (so3(), (0, 1, 2)),
+    ],
+)
+@pytest.mark.parametrize("seed", range(4))
+def test_unhat_product_equals_unhat_of_the_whole_product(G, idx, seed):
+    """unhat_product(a, b, idx) forms only the product entries that the
+    coordinates idx read, and gives G.unhat(a @ b)[idx] bit for bit."""
+    for a, b in _matrix_kinds(np.random.default_rng(seed), G.mat_dim):
+        assert _tree(G.unhat_product(a, b, idx)) == _tree(G.unhat(a @ b)[list(idx)])
+
+
+def test_unhat_product_of_the_heisenberg_center_is_one_dot_product(monkeypatch):
+    """The z coordinate of heisenberg3 reads one entry of the product: 4
+    dual products and the one pseudo-inverse scaling, not the 64 of a @ b."""
+    G = heisenberg3(1.0)
+    rng = np.random.default_rng(0)
+    lev = _dual.fresh_level()
+    a, b = (_seeded(*rng.standard_normal((2, 4, 4)), lev) for _ in range(2))
+    calls = []
+    mul = _dual.Dual.__mul__
+    monkeypatch.setattr(_dual.Dual, "__mul__", lambda s, o: calls.append(1) or mul(s, o))
+    G.unhat_product(a, b, (2,))
+    assert len(calls) == 4 + 1

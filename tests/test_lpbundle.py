@@ -6,10 +6,13 @@ assemblies of the same tensors and against definitional constructions
 for the Jacobi residual).
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lpmech import _dual
 from lpmech.errors import ChartExit, DimensionMismatch
@@ -17,6 +20,7 @@ from lpmech.lpbundle import (
     ChartDomain,
     LPBundleChart,
     Section,
+    _max_abs,
     bracket_section,
     check_axioms,
     covariant_derivative,
@@ -88,6 +92,66 @@ def test_sample_respects_margin_and_seed():
     rng2 = np.random.default_rng(7)
     again = np.array([dom.sample(rng2) for _ in range(500)])
     assert np.array_equal(pts, again)
+
+
+@st.composite
+def domains(draw):
+    """A chart domain of 0 to 4 coordinates, some periodic, over finite
+    bounds of mixed scale, and a generator seed."""
+    n = draw(st.integers(0, 4))
+    edge = st.floats(-1e6, 1e6, allow_subnormal=False)
+    bounds = []
+    for _ in range(n):
+        lo = draw(edge)
+        bounds.append([lo, lo + draw(st.floats(1e-6, 1e6))])
+    periodic = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return ChartDomain(n, np.array(bounds).reshape(n, 2), periodic), draw(st.integers(0, 2**32))
+
+
+# no shrink phase: a failing domain is reported as drawn
+@settings(max_examples=150, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(domains())
+def test_sample_draws_what_the_per_call_interior_box_drew(case):
+    """sample draws from the interior box computed once per domain; points
+    and generator state stay those of the box formed on every call."""
+    dom, seed = case
+    got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+    lo, hi = dom.bounds.T
+    pad = 0.05 * (hi - lo)
+    p = dom.periodic
+    for _ in range(3):
+        pt = dom.sample(got)
+        ref = want.uniform(np.where(p, lo, lo + pad), np.where(p, hi, hi - pad), dom.n)
+        assert pt.dtype == ref.dtype and pt.shape == ref.shape and pt.tobytes() == ref.tobytes()
+    assert got.bit_generator.state == want.bit_generator.state
+
+
+def _max_abs_by_dispatch(*tensors):
+    """_max_abs through numpy's np.max dispatch, the form it replaced."""
+    vals = [np.max(np.abs(t)) if np.size(t) else 0.0 for t in tensors]
+    if len(vals) > 1 and math.isnan(sum(vals)):
+        return math.nan
+    return float(max(vals)) if vals else 0.0
+
+
+_entries = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300, -5e-324, np.inf, -np.inf, np.nan])
+_tensors = st.one_of(
+    _entries,
+    hnp.arrays(
+        float, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3), elements=_entries
+    ),
+)
+
+
+# no shrink phase: a failing tensor list is reported as drawn
+@settings(max_examples=300, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(st.lists(_tensors, max_size=4))
+def test_max_abs_keeps_the_bits_of_the_dispatched_max(tensors):
+    """The method max gives np.max's result, bit for bit, over tensors with
+    NaN, infinities, signed zeros and no entries, and over float scalars."""
+    got, want = _max_abs(*tensors), _max_abs_by_dispatch(*tensors)
+    assert type(got) is type(want) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_domain_validation():

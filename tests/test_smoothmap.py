@@ -10,7 +10,7 @@ from lpmech import _dual
 from lpmech.cli import polynomial_map
 from lpmech._dual import Dual, fresh_level
 from lpmech.errors import DimensionMismatch
-from lpmech.smoothmap import SmoothMap, eval_map, fd_jacobian, jacobian
+from lpmech.smoothmap import SmoothMap, constant_map, eval_map, fd_jacobian, jacobian
 
 
 def test_eval_identity():
@@ -374,3 +374,131 @@ def test_a_raising_body_leaves_no_pass_open(run, monkeypatch):
 def test_gradient_of_a_constant_is_a_float_zero_vector():
     g = _dual.gradient(lambda x: 3.0, np.array([1.0, 2.0, 3.0]))
     assert g.dtype == float and g.shape == (3,) and not g.any()
+
+
+# ---------------------------------------------------------------------------
+# bitwise oracles: the constant-map Jacobian and the compiled polynomial body
+
+
+def _tree(v):
+    """Kind, level, shape and the bytes of every float in v, zero signs included."""
+    if isinstance(v, Dual):
+        return ("dual", v.level, _tree(v.re), _tree(v.im))
+    if isinstance(v, _dual._Jet):
+        return ("jet", _tree(v.re), _tree(v.g), None if v.h is None else _tree(v.h))
+    if isinstance(v, np.ndarray):
+        return ("array", v.dtype.kind, v.shape, [_tree(e) for e in v.ravel()])
+    return (type(v).__name__, np.float64(v).tobytes())
+
+
+_special = st.sampled_from([0.0, -0.0, 1.5, -2.25, np.inf, -np.inf, np.nan, 5e-324])
+
+
+@st.composite
+def constant_tables(draw):
+    """A constant_map on 0 to 3 inputs with special float entries, a point,
+    and a direction for an outer pass."""
+    n = draw(st.integers(0, 3))
+    shape = draw(st.sampled_from([(), (0,), (2,), (2, 3), (1, 2, 2)]))
+    size = int(np.prod(shape, dtype=int))
+    table = np.array(draw(st.lists(_special, min_size=size, max_size=size))).reshape(shape)
+    coords = st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n).map(np.array)
+    return constant_map(n, table, "table"), draw(coords), draw(coords)
+
+
+# no shrink phase: a failing table is reported as drawn
+@settings(max_examples=80, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(constant_tables())
+def test_constant_map_jacobian_takes_no_pass_and_keeps_the_bits_of_the_passes(case):
+    """jacobian of a constant_map is the matrix its per-direction passes give
+    (the same body without the constant mark), bit for bit, at a float point
+    and at the dual point of an outer pass, and it runs no pass."""
+    m, x, dx = case
+    plain = SmoothMap(m.in_dim, m.out_dim, lambda z: m.body(z), out_shape=m.out_shape)
+    calls = []
+
+    def compare(z):
+        inner = _dual.directional
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_dual, "directional", lambda *a: calls.append(1) or inner(*a))
+            got = jacobian(m, z)
+        assert not calls
+        want = jacobian(plain, z)
+        assert _tree(got) == _tree(want) and got.dtype == float
+        return z
+
+    compare(x)
+    _dual.directional(compare, x, dx)
+
+
+def _powers_body(n_vars, shape, terms):
+    """polynomial_map's body written over every power, the zero ones skipped
+    inside the loop: the form that compiled factors replace."""
+    total = int(np.prod(shape, dtype=int))
+    compiled = [
+        (int(np.ravel_multi_index(t["index"], shape)) if shape else 0, t["powers"], t["coeff"])
+        for t in terms
+    ]
+
+    def body(x):
+        vals = [0.0] * total
+        for flat, powers, coeff in compiled:
+            term = coeff
+            for i, p in enumerate(powers):
+                if p:
+                    term = term * x[i] ** p
+            vals[flat] = vals[flat] + term
+        arr = np.array(vals)
+        return arr.reshape(shape) if shape else arr
+
+    return body
+
+
+@st.composite
+def polynomial_terms(draw):
+    """Terms in n <= 3 variables, each power 0 to 3, zero ones frequent, with
+    signed-zero coefficients, and a point with signed zeros."""
+    n = draw(st.integers(0, 3))
+    shape = draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
+    term = st.fixed_dictionaries(
+        {
+            "powers": st.lists(st.sampled_from([0, 0, 1, 2, 3]), min_size=n, max_size=n),
+            "coeff": st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-2.0, 2.0)),
+            "index": st.tuples(*[st.integers(0, e - 1) for e in shape]).map(list),
+        }
+    )
+    terms = draw(st.lists(term, max_size=6))
+    point = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+    x = np.array(draw(st.lists(point, min_size=n, max_size=n)))
+    return n, shape, terms, x
+
+
+def _polynomial_inputs(x):
+    """x as floats, as one-level duals, as duals nested two levels deep in
+    turn, and as grad_hess seeds."""
+    lev, inner, outer = fresh_level(), fresh_level(), fresh_level()
+    nested = np.empty(x.size, dtype=object)
+    for i, xi in enumerate(x):
+        nested[i] = Dual(xi, 1.0 - i, inner) if i % 3 < 2 else xi
+        if i % 3 != 1:
+            nested[i] = Dual(nested[i], 0.5 * i - 1.0, outer)
+    return [
+        x,
+        np.array([Dual(xi, -0.5 * i, lev) for i, xi in enumerate(x)], dtype=object),
+        nested,
+        np.array([_dual._Jet(xi, row) for xi, row in zip(x, np.eye(x.size))], dtype=object),
+    ]
+
+
+# no shrink phase: a failing polynomial is reported as drawn
+@settings(max_examples=150, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(polynomial_terms())
+def test_polynomial_body_keeps_the_bits_of_the_every_power_loop(case):
+    """polynomial_map's body multiplies over each term's nonzero powers only;
+    on float, Dual, nested-dual and _Jet inputs it gives the bits of the loop
+    over every power, zero powers and signed zeros included."""
+    n, shape, terms, x = case
+    body = polynomial_map(n, list(shape), terms, "table").body
+    oracle = _powers_body(n, shape, terms)
+    for z in _polynomial_inputs(x):
+        assert _tree(body(z)) == _tree(oracle(z))
