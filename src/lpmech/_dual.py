@@ -244,15 +244,6 @@ def _distribute(op, arr):
     return out
 
 
-def _reciprocal(x):
-    if isinstance(x, Dual):
-        inv = _reciprocal(x.re)
-        return Dual(inv, -(x.im * inv) * inv, x.level)
-    if isinstance(x, _Jet):
-        return x._nested(_reciprocal)
-    return 1.0 / x
-
-
 def real_part(x):
     """Strip every infinitesimal layer and return the underlying value."""
     while isinstance(x, (Dual, _Jet)):
@@ -277,38 +268,27 @@ def primal_part(y, level):
 # -- elementary functions --------------------------------------------------
 
 
-def sin(x):
-    if isinstance(x, Dual):
-        return Dual(sin(x.re), x.im * cos(x.re), x.level)
-    if isinstance(x, _Jet):
-        return x._nested(sin)
-    return np.sin(x)
+def _elementary(on_float, tangent):
+    """The rule of an elementary function f: ``on_float`` on a plain value,
+    the nested rule on a ``_Jet``, and on a ``Dual`` the value f(re) with
+    the tangent ``tangent(im, re, f(re))``."""
+
+    def rule(x):
+        if isinstance(x, Dual):
+            value = rule(x.re)
+            return Dual(value, tangent(x.im, x.re, value), x.level)
+        if isinstance(x, _Jet):
+            return x._nested(rule)
+        return on_float(x)
+
+    return rule
 
 
-def cos(x):
-    if isinstance(x, Dual):
-        return Dual(cos(x.re), -(x.im * sin(x.re)), x.level)
-    if isinstance(x, _Jet):
-        return x._nested(cos)
-    return np.cos(x)
-
-
-def exp(x):
-    if isinstance(x, Dual):
-        e = exp(x.re)
-        return Dual(e, x.im * e, x.level)
-    if isinstance(x, _Jet):
-        return x._nested(exp)
-    return np.exp(x)
-
-
-def sqrt(x):
-    if isinstance(x, Dual):
-        r = sqrt(x.re)
-        return Dual(r, x.im * (0.5 * _reciprocal(r)), x.level)
-    if isinstance(x, _Jet):
-        return x._nested(sqrt)
-    return np.sqrt(x)
+_reciprocal = _elementary(lambda x: 1.0 / x, lambda im, re, inv: -(im * inv) * inv)
+sin = _elementary(np.sin, lambda im, re, s: im * cos(re))
+cos = _elementary(np.cos, lambda im, re, c: -(im * sin(re)))
+exp = _elementary(np.exp, lambda im, re, e: im * e)
+sqrt = _elementary(np.sqrt, lambda im, re, r: im * (0.5 * _reciprocal(r)))
 
 
 # -- seeding and extraction helpers ----------------------------------------

@@ -1,9 +1,10 @@
 """Matrix Lie groups with a fixed algebra basis.
 
 A group is described by its matrix size, a basis of the algebra as matrices,
-an exponential map, and structure constants in the layout c[g, a, b] = coefficient
-of basis[g] in [basis[a], basis[b]].  The exponential maps accept dual-number
-entries so group-valued expressions can be differentiated.
+an exponential map, an inverse, and structure constants in the layout
+c[g, a, b] = coefficient of basis[g] in [basis[a], basis[b]].  The
+exponential maps and the catalog's inverses accept dual-number entries so
+group-valued expressions can be differentiated.
 """
 
 from __future__ import annotations
@@ -15,14 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _dual
-from .errors import DimensionMismatch, NotSupported
+from .errors import DimensionMismatch
 
 
 @dataclass(frozen=True)
 class MatrixLieGroup:
     """A matrix group with chosen algebra basis.
 
-    ``exp_body`` takes algebra coefficients to a group matrix.
+    ``exp_body`` takes algebra coefficients to a group matrix, and
+    ``inverse_body`` a group matrix to its inverse (LAPACK's when a group
+    gives none, which takes float input only).
 
     On dual (object) input, ``hat`` and ``unhat`` sum only over the exact
     nonzero pattern of ``basis`` and of its pseudo-inverse, in the order of
@@ -36,6 +39,7 @@ class MatrixLieGroup:
     basis: np.ndarray  # (dim, mat_dim, mat_dim)
     exp_body: callable
     check_body: callable = None
+    inverse_body: callable = np.linalg.inv
 
     def __post_init__(self):
         # derived once: unhat is a product with the basis pseudo-inverse,
@@ -105,10 +109,22 @@ class MatrixLieGroup:
         return bool(self.check_body(g, 1e-8))
 
     def inverse(self, g):
+        """g^-1; dual entries pass through where the group gives its inverse."""
+        return self.inverse_body(np.asarray(g))
+
+    def inverse_times(self, g, M):
+        """g^-1 M as an object array.
+
+        At the identity, float or object without duals, M comes back as is:
+        the product would only add 1.0 * M[i, j] to zero products, and
+        1.0 * x is x bit for bit.  A g with a dual entry never equals the
+        identity, since Dual defines no __eq__.
+        """
+        M = np.asarray(M, dtype=object)
         g = np.asarray(g)
-        if g.dtype == object:
-            raise NotSupported("inverse of dual-valued group elements")
-        return np.linalg.inv(g)
+        if np.array_equal(g, np.eye(len(g))):
+            return M
+        return self.inverse(g) @ M
 
 
 def _nonzero_terms(coeffs):
@@ -152,11 +168,11 @@ def structure_constants(group: MatrixLieGroup):
     return c
 
 
-def Ad(group: MatrixLieGroup, g, ginv, cols):
-    """The columns ``cols`` of the adjoint action matrix: column j holds the
-    coefficients of g basis[cols[j]] g^-1.  The caller passes g^-1, so g
-    may hold dual entries."""
-    return np.array([group.unhat(g @ group.basis[q] @ ginv) for q in cols]).T
+def Ad(group: MatrixLieGroup, g, ginv, idx):
+    """The ``(idx, idx)`` block of the adjoint action matrix: column j holds
+    the coefficients ``idx`` of g basis[idx[j]] g^-1, formed only where they
+    read it.  The caller passes g^-1, so g may hold dual entries."""
+    return np.array([group.unhat_product(g @ group.basis[q], ginv, idx) for q in idx]).T
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +212,27 @@ def _so3_check(g, tol):
 
 def so3():
     basis = np.array([_so3_hat(e) for e in np.eye(3)])
-    return MatrixLieGroup("so3", 3, basis, _so3_exp, _so3_check)
+    return MatrixLieGroup("so3", 3, basis, _so3_exp, _so3_check, np.transpose)
 
 
 # ---------------------------------------------------------------------------
-# Heisenberg family
+# unitriangular groups: Heisenberg family and translations
+
+
+def _unitriangular_inverse(g):
+    """Inverse of I + N with N nilpotent, as a finite Neumann sum."""
+    n = g.shape[0]
+    eye = np.eye(n, dtype=object)
+    N = np.asarray(g, dtype=object) - eye
+    out = eye.copy()
+    power = eye.copy()
+    sign = -1.0
+    for _ in range(n - 1):
+        power = power @ N
+        out = out + sign * power
+        sign = -sign
+    return out
+
 
 # 4x4 upper unitriangular matrices carrying coordinates (x, y, z) in slots
 # (0,1) = coupling*x, (1,2) = y, (0,2) = z (plus the exp correction), and a
@@ -235,11 +267,9 @@ def heisenberg3(coupling=1.0):
         z = g[0, 2] - s * x * y / 2.0
         return np.max(np.abs(g - exp_body(np.array([x, y, z])))) <= tol
 
-    return MatrixLieGroup(f"heisenberg3(c={s:g})", 4, basis, exp_body, check_body)
-
-
-# ---------------------------------------------------------------------------
-# translations
+    return MatrixLieGroup(
+        f"heisenberg3(c={s:g})", 4, basis, exp_body, check_body, _unitriangular_inverse
+    )
 
 
 def abelian(k):
@@ -261,4 +291,6 @@ def abelian(k):
         mask[:k, k] = False
         return np.max(np.abs((g - expect)[mask])) <= tol
 
-    return MatrixLieGroup(f"abelian({k})", k + 1, basis, exp_body, check_body)
+    return MatrixLieGroup(
+        f"abelian({k})", k + 1, basis, exp_body, check_body, _unitriangular_inverse
+    )

@@ -252,7 +252,7 @@ def alpha_map(sc: PrincipalScenario, x, xdot, g, gdot, w=()):
     xdot = np.asarray(xdot, dtype=float)
     if not sc.G.is_element(g):
         raise ValueError("not a valid group element")
-    ginv = sc.G.inverse(g)
+    ginv = np.asarray(sc.G.inverse(g), dtype=float)
     xi = sc.G.unhat(ginv @ np.asarray(gdot, dtype=float))
     A = np.asarray(eval_map(sc.A, x), dtype=float)
     xi = xi + A.T @ xdot
@@ -426,8 +426,8 @@ def stages_reduce(direct: ReducedBundleHandle, nidx, override_A_N=None, seed=0):
     with the composition.  The canonical intermediate connection is the
     N-projection of the scenario form dressed by the section of K;
     overriding it skips the exactness guarantee and reports the deviation
-    instead.  Both deviations are sampled at STAGES_SAMPLES seeded points;
-    a NaN one fails the gate.
+    instead.  Both deviations are sampled at STAGES_SAMPLES seeded points
+    (the structure one once on a point base); a NaN one fails the gate.
     """
     sc = direct.scenario
     d, k = sc.baseB.n, sc.k
@@ -463,7 +463,7 @@ def stages_reduce(direct: ReducedBundleHandle, nidx, override_A_N=None, seed=0):
             [eval_map(sc.A, x)[:, N], [G.unhat_product(sinv, ds, N) for _, ds in jets]]
         )
         if gen.any():  # K acts on n; on a central n, Ad_s(kc) is the identity
-            rows = rows @ Ad(G, jets[0][0], sinv, N)[N].T
+            rows = rows @ Ad(G, jets[0][0], sinv, N).T
         # through a list, so the table is a float array when no entry is a dual
         return np.array(rows.tolist())
 
@@ -499,9 +499,7 @@ def stages_reduce(direct: ReducedBundleHandle, nidx, override_A_N=None, seed=0):
     stage1 = build_reduced_bundle(PrincipalScenario(base1, abelian(r), A_N))
 
     A_K = SmoothMap(d, d * s_dim, lambda x: eval_map(sc.A, x)[:, K], out_shape=(d, s_dim))
-    rep = RepW(
-        r, gen, lambda h: Ad(G, section(h[:s_dim, -1]), section(-h[:s_dim, -1]), N)[N]
-    )
+    rep = RepW(r, gen, lambda h: Ad(G, section(h[:s_dim, -1]), section(-h[:s_dim, -1]), N))
     stage2 = build_reduced_bundle(
         PrincipalScenario(sc.baseB, abelian(s_dim), A_K, rep, stage1.bundle.omega)
     )
@@ -511,7 +509,8 @@ def stages_reduce(direct: ReducedBundleHandle, nidx, override_A_N=None, seed=0):
     # transport the direct-reduction structure through beta and compare
     rng = np.random.default_rng(seed + 1)
     sdev = 0.0
-    for _ in range(STAGES_SAMPLES):
+    # a point base (d = 0) has one point, and every sample would repeat it
+    for _ in range(STAGES_SAMPLES if d else 1):
         x = sc.baseB.sample(rng)
         Gd, Cd, Od = direct.bundle.tables(x)
         G2v, C2v, O2v = stage2.bundle.tables(x)

@@ -80,38 +80,6 @@ def _reduced_record(name, sc, L_inv, v0, params):
     )
 
 
-def _inverse_times(g, M, inverse):
-    """g^-1 M as an object array, with g^-1 = inverse(g).
-
-    At the identity, which reduce_lagrangian passes as a float g and the
-    staged Lagrangian as an object g without duals, inside every grad_hess,
-    M comes back as is: the dense product would only add 1.0 * M[i, j] to
-    zero products, and 1.0 * x is x bit for bit.  Any other g goes through
-    the dense object product; a g with a dual entry never equals the
-    identity, since Dual defines no __eq__.
-    """
-    M = np.asarray(M, dtype=object)
-    g = np.asarray(g)
-    if np.array_equal(g, np.eye(len(g))):
-        return M
-    return inverse(g) @ M
-
-
-def _unitriangular_inverse(g):
-    """Inverse of I + N with N nilpotent, as a finite Neumann sum."""
-    n = g.shape[0]
-    eye = np.eye(n, dtype=object)
-    N = np.asarray(g, dtype=object) - eye
-    out = eye.copy()
-    power = eye.copy()
-    sign = -1.0
-    for _ in range(n - 1):
-        power = power @ N
-        out = out + sign * power
-        sign = -sign
-    return out
-
-
 # ---------------------------------------------------------------------------
 # flat bundle with monodromy
 
@@ -199,7 +167,7 @@ def rigid_body(inertia=(1.0, 2.0, 3.0)):
     G = so3()
 
     def L_inv(x, xdot, g, gdot, w):
-        return _quadratic(inertia, G.unhat(_inverse_times(g, gdot, np.transpose)))
+        return _quadratic(inertia, G.unhat(G.inverse_times(g, gdot)))
 
     return _reduced_record(
         "rigid_body",
@@ -250,9 +218,9 @@ def parameter_lagrangian(
         return out
 
     def L_inv(x, xdot, g, gdot, w):
-        xi = G.unhat(_inverse_times(g, gdot, np.transpose))
+        xi = G.unhat(G.inverse_times(g, gdot))
         # columns: the advected direction a and its conjugate b, both g^-1 w
-        avec, bvec = _inverse_times(g, np.reshape(w, (2, 3)).T, np.transpose).T
+        avec, bvec = G.inverse_times(g, np.reshape(w, (2, 3)).T).T
         val = _quadratic(inertia, xi)
         val = val - mgl * sum(avec[k] * chi[k] for k in range(3))
         val = val + sum(avec[k] * bvec[k] for k in range(3))
@@ -284,7 +252,7 @@ def heisenberg_stages(coupling=1.0, weights=(1.0, 1.3, 1.7)):
     G = heisenberg3(coupling)
 
     def L_inv(x, xdot, g, gdot, w):
-        return _quadratic(weights, G.unhat(_inverse_times(g, gdot, _unitriangular_inverse)))
+        return _quadratic(weights, G.unhat(G.inverse_times(g, gdot)))
 
     return _reduced_record(
         "heisenberg_stages",

@@ -376,3 +376,107 @@ def test_each_step_alone_matches_the_reference_rules():
         for c in _CONSTANTS:
             for i, j in itertools.permutations(range(3), 2):
                 assert_same_as_reference(run([(name, i, j, 3 - i - j, c)]), x)
+
+
+# ---------------------------------------------------------------------------
+# the elementary functions against the bodies they replaced
+
+
+def _ref_reciprocal(x):
+    if isinstance(x, Dual):
+        inv = _ref_reciprocal(x.re)
+        return Dual(inv, -(x.im * inv) * inv, x.level)
+    if isinstance(x, _dual._Jet):
+        return x._nested(_ref_reciprocal)
+    return 1.0 / x
+
+
+def _ref_sin(x):
+    if isinstance(x, Dual):
+        return Dual(_ref_sin(x.re), x.im * _ref_cos(x.re), x.level)
+    if isinstance(x, _dual._Jet):
+        return x._nested(_ref_sin)
+    return np.sin(x)
+
+
+def _ref_cos(x):
+    if isinstance(x, Dual):
+        return Dual(_ref_cos(x.re), -(x.im * _ref_sin(x.re)), x.level)
+    if isinstance(x, _dual._Jet):
+        return x._nested(_ref_cos)
+    return np.cos(x)
+
+
+def _ref_exp(x):
+    if isinstance(x, Dual):
+        e = _ref_exp(x.re)
+        return Dual(e, x.im * e, x.level)
+    if isinstance(x, _dual._Jet):
+        return x._nested(_ref_exp)
+    return np.exp(x)
+
+
+def _ref_sqrt(x):
+    if isinstance(x, Dual):
+        r = _ref_sqrt(x.re)
+        return Dual(r, x.im * (0.5 * _ref_reciprocal(r)), x.level)
+    if isinstance(x, _dual._Jet):
+        return x._nested(_ref_sqrt)
+    return np.sqrt(x)
+
+
+_SPECIAL = [0.7, -1.3, 0.0, -0.0, np.inf, -np.inf, np.nan]
+
+
+def _typed_tree(v):
+    """Type, level and shape of every layer and the bytes of every float,
+    zero signs and NaNs included."""
+    if isinstance(v, Dual):
+        return ("dual", v.level, _typed_tree(v.re), _typed_tree(v.im))
+    if isinstance(v, _dual._Jet):
+        return ("jet", _typed_tree(v.re), _typed_tree(v.g), _typed_tree(v.h))
+    if isinstance(v, np.ndarray):
+        return ("array", v.dtype.str, v.shape, [_typed_tree(e) for e in v.ravel()])
+    if v is None:
+        return None
+    return (type(v).__name__, np.float64(v).tobytes())
+
+
+def _outcome(f, x):
+    try:
+        return _typed_tree(f(x))
+    except ArithmeticError as exc:  # 1.0 / 0.0 on a Python float
+        return type(exc).__name__
+
+
+def _elementary_inputs():
+    """Python and numpy floats, one- and two-level duals and jets, with
+    signed zeros, infinities and NaN in every slot."""
+    lev, inner, outer = (_dual.fresh_level() for _ in range(3))
+    for v in _SPECIAL:
+        yield v
+        yield np.float64(v)
+        for t in _SPECIAL:
+            yield Dual(v, t, lev)
+            yield Dual(Dual(v, t, inner), -0.5, outer)
+            yield Dual(Dual(v, 1.5, inner), Dual(t, -0.0, inner), outer)
+            g = np.array([t, -0.0, 2.0])
+            yield _dual._Jet(v, g)
+            yield _dual._Jet(v, g, np.outer(g, [1.0, t, -0.0]))
+
+
+@pytest.mark.parametrize(
+    "rule, reference",
+    [
+        (_dual._reciprocal, _ref_reciprocal),
+        (_dual.sin, _ref_sin),
+        (_dual.cos, _ref_cos),
+        (_dual.exp, _ref_exp),
+        (_dual.sqrt, _ref_sqrt),
+    ],
+    ids=["reciprocal", "sin", "cos", "exp", "sqrt"],
+)
+def test_elementary_rules_match_the_bodies_they_replaced(rule, reference):
+    with np.errstate(all="ignore"):
+        for x in _elementary_inputs():
+            assert _outcome(rule, x) == _outcome(reference, x), repr(x)

@@ -5,6 +5,7 @@ and against scipy-free matrix-power series computed in the test itself;
 derivative flow through exp is compared to central differences.
 """
 
+import dataclasses
 import functools
 import operator
 
@@ -24,7 +25,6 @@ from lpmech.liegroups import (
     so3,
     structure_constants,
 )
-from lpmech.systems import _inverse_times
 
 
 def series_expm(M, terms=30):
@@ -325,6 +325,26 @@ def test_Ad_is_an_automorphism_and_a_homomorphism(case):
     assert np.allclose(np.asarray(tan, dtype=float), ad_eta, rtol=0.0, atol=1e-12)
 
 
+@given(group_with_vectors())
+def test_inverse_inverts_exp_and_carries_dual_parts(case):
+    """inverse(exp(x)) exp(x) is the identity; on so3 inverse(exp(x)) is
+    exp(-x) bit for bit (the transpose of the skew series); on a dual x the
+    inverse's tangent matches central differences."""
+    G, xi, dxi, _ = case
+
+    def inv_exp(x):
+        return np.asarray(G.inverse(G.exp(x)), dtype=float)
+
+    eye = inv_exp(xi) @ G.exp(xi)
+    assert np.allclose(eye, np.eye(G.mat_dim), rtol=0.0, atol=1e-12)
+    if G.name == "so3":
+        assert inv_exp(xi).tobytes() == G.exp(-xi).tobytes()
+    _, tan = _dual.directional(lambda x: G.inverse(G.exp(x)), xi, dxi)
+    h = 1e-6
+    fd = (inv_exp(xi + h * dxi) - inv_exp(xi - h * dxi)) / (2 * h)
+    assert np.allclose(np.asarray(tan, dtype=float), fd, rtol=0.0, atol=1e-7)
+
+
 @given(st.lists(_coeff, min_size=3, max_size=3).map(np.array))
 def test_Ad_is_rotation_action_for_so3(xi):
     R = so3().exp(xi)
@@ -396,11 +416,14 @@ def test_sparse_pattern_is_exact_and_identity_inverse_stays_float():
     assert sorted(kept, key=abs)[:2] == sorted(tiny.tolist(), key=abs)
     assert len(kept) == np.count_nonzero(G._pinv)
 
-    # the float identity that reduce_lagrangian passes as g is passed over,
-    # and no inverse is formed: M comes back as is
-    for n in (3, 4):
+    # the float identity that reduce_lagrangian passes as g, and the object
+    # one of the staged Lagrangian, are passed over, and no inverse is
+    # formed: M comes back as is
+    for G in (so3(), heisenberg3()):
+        G, n = dataclasses.replace(G, inverse_body=None), G.mat_dim
         M = np.arange(n * n, dtype=float).reshape(n, n).astype(object)
-        assert _inverse_times(np.eye(n), M, None) is M
+        for eye in (np.eye(n), np.eye(n, dtype=object)):
+            assert G.inverse_times(eye, M) is M
 
 
 # ---------------------------------------------------------------------------
@@ -465,3 +488,42 @@ def test_unhat_product_of_the_heisenberg_center_is_one_dot_product(monkeypatch):
     monkeypatch.setattr(_dual.Dual, "__mul__", lambda s, o: calls.append(1) or mul(s, o))
     G.unhat_product(a, b, (2,))
     assert len(calls) == 4 + 1
+
+
+# ---------------------------------------------------------------------------
+# the Ad block, formed only where its coordinates read it
+
+
+def _Ad_columns(group, g, ginv, cols):
+    """The full-height columns ``cols`` of the adjoint matrix, as Ad formed
+    them before it returned an index block."""
+    return np.array([group.unhat(g @ group.basis[q] @ ginv) for q in cols]).T
+
+
+def _group_elements(G, rng):
+    """(g, g^-1) pairs from exp: at float, dual and nested-dual coefficients."""
+    xi, dxi, ddxi = rng.standard_normal((3, G.dim))
+    inner, outer = _dual.fresh_level(), _dual.fresh_level()
+    for x in (xi, _seeded(xi, dxi, inner), _seeded(_seeded(xi, dxi, inner), ddxi, outer)):
+        g = G.exp(x)
+        yield g, G.inverse(g)
+
+
+@pytest.mark.parametrize(
+    "G, idx",
+    [
+        (heisenberg3(1.0), (2,)),
+        (heisenberg3(0.7), (0, 2)),
+        (heisenberg3(1.3), (1, 2)),
+        (so3(), range(3)),
+    ],
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_Ad_block_is_the_slice_of_the_full_columns(G, idx, seed):
+    """Ad(G, g, ginv, idx) is the (idx, idx) block of the old full-height
+    columns bit for bit, on group elements and on generic matrix pairs."""
+    rng = np.random.default_rng(seed)
+    pairs = [*_group_elements(G, rng), *_matrix_kinds(rng, G.mat_dim)]
+    for g, ginv in pairs:
+        want = _Ad_columns(G, g, ginv, idx)[list(idx)]
+        assert _tree(Ad(G, g, ginv, idx)) == _tree(want)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from lpmech import reduction
+from lpmech import _dual, reduction
 from lpmech.dynamics import (
     LPState,
     accelerations,
@@ -706,6 +706,20 @@ def test_stages_rejects_bad_subgroups():
     )
     with pytest.raises(NotSupported, match="auxiliary"):
         stages_reduce(build_reduced_bundle(sc_w), [2])
+
+
+def test_non_central_stage_one_connection_forms_only_the_Ad_block(monkeypatch):
+    """One stage-1 connection call of heisenberg_stages with N = (0, 2), at
+    a dual point, makes at most 62 dual products: Ad forms only its N block
+    (the full columns, sliced to N afterwards, took 102)."""
+    res = stages_reduce(build_system("heisenberg_stages").handle, [0, 2])
+    A_N = res.stage1.scenario.A
+    point = np.array([_dual.Dual(0.4, 1.0, _dual.fresh_level())], dtype=object)
+    calls = []
+    mul = _dual.Dual.__mul__
+    monkeypatch.setattr(_dual.Dual, "__mul__", lambda s, o: calls.append(1) or mul(s, o))
+    eval_map(A_N, point)
+    assert len(calls) <= 62
 
 
 def test_stages_override_warns_and_reports_deviation():

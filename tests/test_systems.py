@@ -20,13 +20,12 @@ from lpmech.dynamics import (
     noether_current,
     noether_drift_residual,
 )
+from lpmech.liegroups import _unitriangular_inverse
 from lpmech.lpbundle import check_axioms
 from lpmech.smoothmap import eval_map
 from lpmech.systems import (
     CATALOG,
     SystemRecord,
-    _inverse_times,
-    _unitriangular_inverse,
     build_system,
     central_potential_particle,
     flat_bundle_particle,
@@ -256,7 +255,7 @@ def test_inverse_times_off_the_identity_is_the_dense_product(ctor, inverse):
     rng = np.random.default_rng(13)
     g = np.asarray(G.exp(rng.normal(size=G.dim)), dtype=float)
     M = rng.normal(size=(G.mat_dim, G.mat_dim))
-    got = _inverse_times(g, M, inverse)
+    got = G.inverse_times(g, M)
     assert got.dtype == object
     assert np.array_equal(got, inverse(g) @ M.astype(object))
     assert np.allclose(got.astype(float), np.linalg.solve(g, M), rtol=0.0, atol=1e-12)
