@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import warnings
@@ -40,6 +41,7 @@ import yaml
 from .dynamics import (
     LPLagrangian,
     LPState,
+    Trajectory,
     accelerations,
     energy,
     integrate_lp,
@@ -49,6 +51,7 @@ from .dynamics import (
     write_trajectory_csv,
     _csv_text,
     _step_count,
+    _trajectory_table,
     _write_text,
 )
 from .errors import (
@@ -451,12 +454,65 @@ def _write_json(path, payload):
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _non_finite(content, where=""):
+    """(where, value) of the first infinite or NaN number of an artifact, or
+    None: a JSON payload (where is a key path), CSV (header, rows) or a
+    Trajectory (where names a row and a column), or text (never checked)."""
+    if isinstance(content, Trajectory):
+        header, rows = _trajectory_table(content)
+        content = header, list(rows)
+    if isinstance(content, tuple) and not where:  # CSV
+        header, rows = content
+        bad = ~np.isfinite(np.asarray(rows, dtype=float).reshape(len(rows), len(header)))
+        if not bad.any():
+            return None
+        i, j = np.argwhere(bad)[0]
+        return f"row {i + 1}, column {header[j]}", float(rows[i][j])
+    if isinstance(content, dict):
+        items = ((f"{where}.{k}" if where else str(k), v) for k, v in content.items())
+    elif isinstance(content, (list, tuple)):
+        items = ((f"{where}[{i}]", v) for i, v in enumerate(content))
+    elif isinstance(content, float) and not math.isfinite(content):
+        return where, content
+    else:
+        return None
+    for key, child in items:
+        hit = _non_finite(child, key)
+        if hit is not None:
+            return hit
+    return None
+
+
+def _write_artifacts(out, files):
+    """Write a run's artifacts into ``out``; ``files`` maps each file name to
+    a JSON payload (dict), CSV (header, rows), a Trajectory or text.  Every
+    number of every artifact is checked before the first one is written: an
+    infinite or NaN number is a ConfigError, and the run writes nothing."""
+    for name, content in files.items():
+        hit = _non_finite(content)
+        if hit is not None:
+            raise ConfigError(
+                f"{name}: {hit[0]} is {hit[1]}: the numbers of this run leave the "
+                f"float range, no output written"
+            )
+    for name, content in files.items():
+        path = os.path.join(out, name)
+        if isinstance(content, Trajectory):
+            write_trajectory_csv(path, content)
+        elif isinstance(content, dict):
+            _write_json(path, content)
+        elif isinstance(content, tuple):
+            _write_text(path, _csv_text(*content))
+        else:
+            _write_text(path, content)
+
+
 def _require_finite(report):
     """Raise ConfigError at the first condition of an axiom report whose
     residual or scale is not finite: the tables of finite config values
     left the float range there, which verifies no violation."""
     for c in report.conditions:
-        if not np.isfinite([c.max_residual, c.scale]).all():
+        if _non_finite([c.max_residual, c.scale]) is not None:
             raise ConfigError(
                 f"{c.name}: residual {c.max_residual:.3e}, scale {c.scale:.3e} at the "
                 f"sample point {_fmt_vec(c.worst_point)}: the tables leave the float range"
@@ -476,8 +532,9 @@ def cmd_check_axioms(cfg):
 
     report = check_axioms(record.bundle, n_samples=samples, seed=seed, tol=tol)
     _require_finite(report)
-    _write_text(os.path.join(out, "axiom_report.txt"), report.as_text() + "\n")
-    _write_json(os.path.join(out, "axiom_report.json"), report.as_dict())
+    _write_artifacts(
+        out, {"axiom_report.txt": report.as_text() + "\n", "axiom_report.json": report.as_dict()}
+    )
 
     if report.passed:
         print(f"{record.name}: all closure conditions hold (tol {tol:g})")
@@ -551,8 +608,7 @@ def cmd_simulate(cfg):
             "drift_max": [_drift_max(col) for col in series],
             "series": series,
         }
-    write_trajectory_csv(os.path.join(out, "trajectory.csv"), traj)
-    _write_json(os.path.join(out, "simulate_report.json"), payload)
+    _write_artifacts(out, {"trajectory.csv": traj, "simulate_report.json": payload})
     print(
         f"{record.name}: {len(traj)} rows, energy drift {drift:.3e}, "
         f"residual {resid:.3e}"
@@ -613,15 +669,13 @@ def cmd_reduce(cfg):
     if handle is None:
         handle = build_reduced_bundle(scenario, n_samples=samples, seed=seed)
 
-    header, rows = _structure_sample_rows(handle.bundle, n_dump, seed)
-    _write_text(os.path.join(out, "structure_samples.csv"), _csv_text(header, rows))
-
+    files = {"structure_samples.csv": _structure_sample_rows(handle.bundle, n_dump, seed)}
     trajectory_rows = 0
     if record is not None:
         s0 = resolve_initial(cfg, record)
         t_end, dt, method = _resolve_run(cfg)
         traj = integrate_lp(record.lagrangian, s0, 0.0, t_end, dt, method)
-        write_trajectory_csv(os.path.join(out, "reduced_trajectory.csv"), traj)
+        files["reduced_trajectory.csv"] = traj
         trajectory_rows = len(traj)
 
     payload = {
@@ -636,7 +690,8 @@ def cmd_reduce(cfg):
         "trajectory_rows": trajectory_rows,
         "seed": seed,
     }
-    _write_json(os.path.join(out, "reduce_report.json"), payload)
+    files["reduce_report.json"] = payload
+    _write_artifacts(out, files)
     extra = f", {trajectory_rows} trajectory rows" if trajectory_rows else ""
     print(
         f"reduced bundle (fiber dim {handle.bundle.m}) passed closure checks; "
@@ -718,7 +773,7 @@ def cmd_stages(cfg):
         "dt": dt,
         "seed": seed,
     }
-    _write_json(os.path.join(out, "stages_report.json"), payload)
+    _write_artifacts(out, {"stages_report.json": payload})
     for msg in messages:
         print(f"warning: {msg}", file=sys.stderr)
     tag = " (informational, overridden connection)" if override is not None else ""
@@ -767,7 +822,6 @@ def cmd_noether(cfg):
         row += [col[i] for col in currents]
         row += [col[i - 2] for col in residuals]
         rows.append(row)
-    _write_text(os.path.join(out, "noether.csv"), _csv_text(header, rows))
 
     payload = {
         "system": record.name,
@@ -779,7 +833,7 @@ def cmd_noether(cfg):
         "dt": dt,
         "seed": seed,
     }
-    _write_json(os.path.join(out, "noether_report.json"), payload)
+    _write_artifacts(out, {"noether.csv": (header, rows), "noether_report.json": payload})
     worst = max(payload["residual_max"])
     print(
         f"{record.name}: {len(etas)} generators, worst drift residual {worst:.3e}"

@@ -536,8 +536,9 @@ def _csv_text(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def _write_trajectory(path, traj: Trajectory, labels):
-    """One column per time and per state entry, slot i headed labels[i]."""
+def _trajectory_table(traj: Trajectory, labels=("q", "qd", "v")):
+    """CSV (header, rows) of a trajectory, rows an iterator: one column per
+    time and per state entry, slot i headed labels[i]."""
     s0 = traj.states[0]
     slots = [f.name for f in fields(s0)]
     header = ["t"] + [
@@ -549,7 +550,7 @@ def _write_trajectory(path, traj: Trajectory, labels):
         np.concatenate([[t]] + [getattr(s, slot) for slot in slots])
         for t, s in zip(traj.times, traj.states)
     )
-    _write_text(path, _csv_text(header, rows))
+    return header, rows
 
 
 def write_trajectory_csv(path, traj: Trajectory):
@@ -558,4 +559,4 @@ def write_trajectory_csv(path, traj: Trajectory):
     The write is atomic: a temp file in the target directory is renamed
     over the destination.  Output uses LF newlines regardless of platform.
     """
-    _write_trajectory(path, traj, ("q", "qd", "v"))
+    _write_text(path, _csv_text(*_trajectory_table(traj)))

@@ -38,7 +38,9 @@ from .dynamics import (
     _scalar_body,
     _solve_velocity_block,
     _split_map,
-    _write_trajectory,
+    _csv_text,
+    _trajectory_table,
+    _write_text,
 )
 
 
@@ -310,4 +312,4 @@ def write_hp_trajectory_csv(path, traj: Trajectory):
 
     The write is atomic, as for write_trajectory_csv.
     """
-    _write_trajectory(path, traj, ("q", "p", "nu"))
+    _write_text(path, _csv_text(*_trajectory_table(traj, ("q", "p", "nu"))))

@@ -207,11 +207,11 @@ def curvature(b: LPBundleChart, q):
 
 
 def _curvature(G, dG):
-    # dG[j,a,b,i] = d_i Gamma[j,a,b]
-    t1 = np.einsum("jabi->ijab", dG)
-    t2 = np.einsum("iabj->ijab", dG)
-    t3 = np.einsum("iae,jeb->ijab", G, G)
-    t4 = np.einsum("jae,ieb->ijab", G, G)
+    # dG[j,a,b,i] = d_i Gamma[j,a,b]; leading axes, if any, index samples
+    t1 = np.einsum("...jabi->...ijab", dG)
+    t2 = np.einsum("...iabj->...ijab", dG)
+    t3 = np.einsum("...iae,...jeb->...ijab", G, G)
+    t4 = np.einsum("...jae,...ieb->...ijab", G, G)
     # grouped so the (i, j) antisymmetry is exact in floating point
     return (t1 - t2) + (t3 - t4)
 
@@ -225,17 +225,19 @@ def ext_cov_derivative_omega(b: LPBundleChart, q):
     """
     q = np.asarray(q, dtype=float)
     G, _, Om = b.tables(q)
-    return _ext_cov_derivative_omega(G, Om, _table_jacobian(b.omega, q))
+    return _ext_cov_derivative_omega(G, Om, _table_jacobian(b.omega, q))[0]
 
 
 def _ext_cov_derivative_omega(G, Om, dOm):
-    # dOm[a,j,k,i] = d_i omega[a,j,k]
-    term = np.einsum("ajki->aijk", dOm) + np.einsum("iab,bjk->aijk", G, Om)
+    # dOm[a,j,k,i] = d_i omega[a,j,k]; leading axes, if any, index samples;
+    # returns the derivative and its term Gamma[i,a,b] omega[b,j,k]
+    conn = np.einsum("...iab,...bjk->...aijk", G, Om)
+    term = np.einsum("...ajki->...aijk", dOm) + conn
     return (
         term
-        + np.einsum("ajki->aijk", term)
-        + np.einsum("akij->aijk", term)
-    )
+        + np.einsum("...ajki->...aijk", term)
+        + np.einsum("...akij->...aijk", term)
+    ), conn
 
 
 def _section_jet(Z: Section, q):
@@ -368,22 +370,56 @@ class AxiomReport:
         }
 
 
+def _max_abs_rows(*tensors):
+    """Largest absolute entry per sample (the leading axis) over all tensors:
+    NaN where any entry is NaN (max and np.maximum keep it), 0.0 where none."""
+    out = 0.0
+    for t in tensors:
+        out = np.maximum(out, np.abs(t).reshape(len(t), -1).max(axis=1, initial=0.0))
+    return out
+
+
 def _max_abs(*tensors):
     """Largest absolute entry over all tensors; NaN if any entry is NaN."""
-    vals = [np.abs(t).max() if np.size(t) else 0.0 for t in tensors]
-    # max() drops a NaN that is not first; the values are nonnegative, so
-    # their sum is NaN exactly when one of them is
-    if len(vals) > 1 and math.isnan(sum(vals)):
-        return math.nan
-    return float(max(vals)) if vals else 0.0
+    return float(np.max(_max_abs_rows(*(np.reshape(t, (1, -1)) for t in tensors))))
 
 
 def _algebra_defects(c):
     """(skew, jacobi, cyc) of bracket constants c[g, a, b]: the antisymmetry
-    defect, the Jacobi defect, and the cyclic term the Jacobi defect sums."""
-    cyc = np.einsum("deg,eab->dabg", c, c)
-    jac = cyc + np.einsum("dabg->dbga", cyc) + np.einsum("dabg->dgab", cyc)
-    return c + np.einsum("gab->gba", c), jac, cyc
+    defect, the Jacobi defect, and the cyclic term the Jacobi defect sums.
+    Leading axes of c, if any, index samples."""
+    cyc = np.einsum("...deg,...eab->...dabg", c, c)
+    jac = cyc + np.einsum("...dabg->...dbga", cyc) + np.einsum("...dabg->...dgab", cyc)
+    return c + np.einsum("...gab->...gba", c), jac, cyc
+
+
+def _block_size(n, m):
+    # samples per block of check_axioms, at least one: about 1 MB of
+    # temporaries at eight float tensors of each condition's size per sample
+    # (five to seven at the measured peak)
+    return max(1, 2**20 // max(1, 64 * (m**4 + n * m**3 + n * n * m * m + m * n**3)))
+
+
+def _condition_rows(G, C, Om, dG, dC, dOm):
+    """Each condition's (residual, scale) per sample, from the tables and
+    table Jacobians of a block of samples, stacked along a leading axis."""
+    skew, jac, cyc = _algebra_defects(C)
+    # dC[g,a,b,i] = d_i c[g,a,b]
+    tGc = np.einsum("...ige,...eab->...giab", G, C)
+    tcG1 = np.einsum("...geb,...iea->...giab", C, G)
+    tcG2 = np.einsum("...gae,...ieb->...giab", C, G)
+    eres = np.einsum("...gabi->...giab", dC) + tGc - tcG1 - tcG2
+    dtf, conn = _ext_cov_derivative_omega(G, Om, dOm)
+    k = _curvature(G, dG)
+    rhs = -np.einsum("...agb,...gij->...ijab", C, Om)
+    return {
+        "c_skew": (_max_abs_rows(skew), _max_abs_rows(C)),
+        "c_jacobi": (_max_abs_rows(jac), _max_abs_rows(cyc)),
+        "omega_skew": (_max_abs_rows(Om + np.einsum("...aij->...aji", Om)), _max_abs_rows(Om)),
+        "d_two_form_closed": (_max_abs_rows(dtf), _max_abs_rows(dOm, conn)),
+        "e_bracket_parallel": (_max_abs_rows(eres), _max_abs_rows(dC, tGc, tcG1, tcG2)),
+        "f_curvature_coupling": (_max_abs_rows(k - rhs), _max_abs_rows(k, rhs)),
+    }
 
 
 def check_axioms(
@@ -406,48 +442,30 @@ def check_axioms(
     giving one, and that sample's residual and scale.  Deterministic
     for a fixed seed.  On a point base the one point is evaluated once and
     stands for all n_samples.
+
+    The tables and their Jacobians are read one sample at a time, and the
+    conditions are evaluated per block of samples, as many as fit a fixed
+    memory budget at the chart's n and m: memory does not grow with n_samples.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample point")
     rng = np.random.default_rng(seed)
-    rows, points = [], []  # per sample, each condition's (residual, scale)
-
     # a point base (n = 0) has one point, and every sample would repeat it
-    for _ in range(n_samples if b.n else 1):
-        q = b.base.sample(rng)
-        G, C, Om = b.tables(q)
-        skew, jac, cyc = _algebra_defects(C)
-
-        dOm = _table_jacobian(b.omega, q)
-        dC = _table_jacobian(b.c, q)
-        # dC[g,a,b,i] = d_i c[g,a,b]
-        tGc = np.einsum("ige,eab->giab", G, C)
-        tcG1 = np.einsum("geb,iea->giab", C, G)
-        tcG2 = np.einsum("gae,ieb->giab", C, G)
-        eres = np.einsum("gabi->giab", dC) + tGc - tcG1 - tcG2
-
-        dG = _table_jacobian(b.Gamma, q)
-        k = _curvature(G, dG)
-        rhs = -np.einsum("agb,gij->ijab", C, Om)
-
-        rows.append(
-            {
-                "c_skew": (_max_abs(skew), _max_abs(C)),
-                "c_jacobi": (_max_abs(jac), _max_abs(cyc)),
-                "omega_skew": (_max_abs(Om + np.einsum("aij->aji", Om)), _max_abs(Om)),
-                "d_two_form_closed": (
-                    _max_abs(_ext_cov_derivative_omega(G, Om, dOm)),
-                    _max_abs(dOm, np.einsum("iab,bjk->aijk", G, Om)),
-                ),
-                "e_bracket_parallel": (_max_abs(eres), _max_abs(dC, tGc, tcG1, tcG2)),
-                "f_curvature_coupling": (_max_abs(k - rhs), _max_abs(k, rhs)),
-            }
-        )
-        points.append(q)
+    count = n_samples if b.n else 1
+    block = _block_size(b.n, b.m)
+    points, blocks = [], []  # per block, each condition's (residual, scale) rows
+    for start in range(0, count, block):
+        tensors = []
+        for _ in range(min(block, count - start)):
+            q = b.base.sample(rng)
+            jacs = tuple(_table_jacobian(M, q) for M in (b.Gamma, b.c, b.omega))
+            tensors.append(b.tables(q) + jacs)
+            points.append(q)
+        blocks.append(_condition_rows(*map(np.stack, zip(*tensors))))
 
     conditions = []
-    for name in rows[0]:
-        resid, scale = np.array([row[name] for row in rows]).T
+    for name in blocks[0]:
+        resid, scale = (np.concatenate(part) for part in zip(*(rows[name] for rows in blocks)))
         bad = ~(np.isfinite(resid) & np.isfinite(scale))
         if bad.any():
             i = int(np.argmax(bad))

@@ -41,7 +41,7 @@ from .dynamics import (
 )
 from .lpbundle import ChartDomain, LPBundleChart, _max_abs, check_axioms, table_shapes
 from .liegroups import Ad, MatrixLieGroup, abelian, structure_constants
-from .smoothmap import SmoothMap, constant_map, eval_map, jacobian
+from .smoothmap import SmoothMap, _ConstantBody, constant_map, eval_map, jacobian
 
 # invariance sampling in reduce_lagrangian
 INVARIANCE_SAMPLES = 25
@@ -209,10 +209,13 @@ def _reduced_structure_maps(sc: PrincipalScenario):
         return np.concatenate([alg, np.einsum("vi,pvu,uj->pij", P, O, P)])
 
     bodies = {"Gamma": gamma_body, "c": c_body, "omega": omega_body}
-    return {
+    maps = {
         name: SmoothMap(d, int(np.prod(shape)), bodies[name], out_shape=shape, name=f"{name}_red")
         for name, shape in shapes.items()
     }
+    if isinstance(sc.two_form.body, _ConstantBody):  # then c is constant too
+        maps["c"] = constant_map(d, c_body(np.zeros(d)), "c_red")
+    return maps
 
 
 def require_axioms(report, what):

@@ -929,6 +929,40 @@ def test_simulate_non_finite_state_exits_three(tmp_path, capsys):
     assert not (tmp_path / "simulate_report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, text, where",
+    [
+        # a finite current of 1.08e308, whose 5-point stencil overflows
+        (
+            "noether",
+            "system: central_potential_particle\netas: [[1.0e+308]]\n",
+            "noether.csv: row 1, column resid1 is nan",
+        ),
+        # finite states, while L overflows to inf at each of them
+        (
+            "simulate",
+            """
+            bundle: {n: 1, m: 0, bounds: [[-1.0, 1.0]]}
+            lagrangian: {polynomial: {terms: [{powers: [0, 2], coeff: 1.0e+300}]}}
+            initial: {q: [0.0], qdot: [1.0e+5]}
+            t_end: 0.000005
+            dt: 0.000001
+            """,
+            "simulate_report.json: energy_initial is nan",
+        ),
+    ],
+    ids=["noether-stencil-overflow", "simulate-energy-overflow"],
+)
+def test_non_finite_artifact_exits_one_and_writes_nothing(tmp_path, capsys, command, text, where):
+    out = tmp_path / "out"
+    code = main([command, "--config", write_cfg(tmp_path, text), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: " + where) and err.count("\n") == 1
+    assert "leave the float range" in err
+    assert list(out.iterdir()) == []
+
+
 def test_simulate_chart_exit_prints_its_time(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,
@@ -1682,7 +1716,7 @@ _FUZZ_BASES = [
 # its fixed ceiling (cli.MAX_DIM, MAX_SAMPLES, MAX_DUMP_VALUES), and as t_end
 # or dt the time-grid rule, so no mutation makes a run that does not end
 _FUZZ_LEAVES = [
-    float("nan"), float("inf"), float("-inf"), "1e300", 1.0e300, 5.0e-324,
+    float("nan"), float("inf"), float("-inf"), "1e300", 1.0e300, 1.0e308, 5.0e-324,
     -1, 0, 10**20, True, "x", [], {}, None,
 ]
 # removing one of these keys could (its default is a finer grid or a larger count)
