@@ -1488,6 +1488,41 @@ def test_non_central_stages_report_matches_recorded_digest(tmp_path):
     )
 
 
+_OVERRIDE_CFG = """\
+system: heisenberg_stages
+t_end: 0.01
+dt: 0.001
+stages:
+  override_A_N:
+    polynomial:
+      terms:
+        - {index: [0, 0], powers: [0, 1], coeff: 0.51}
+        - {index: [1, 0], powers: [1, 0], coeff: -0.5}
+"""
+
+
+@pytest.mark.parametrize(
+    "extra, digest",
+    [
+        ("", "d6fc00b66cafd19b45132cccc699e76b41a1e6a2030eb75bd81b620e02610fcb"),
+        (
+            "        - {index: [0, 0], powers: [0, 0], coeff: 1.0}\n",
+            "640cc1ea36d675925af7a7a362640c2c3f06f2a4589d28dda2e2171f92d4dac7",
+        ),
+    ],
+    ids=["override", "override-constant-term"],
+)
+def test_overridden_stages_report_matches_recorded_digest(tmp_path, extra, digest):
+    """SHA-256 of stages_report.json for the overridden heisenberg_stages
+    run over 10 steps, pinned: its structure and trajectory deviations are
+    nonzero, and with a constant term its Lagrangian deviation too, so the
+    digest sees the arithmetic that compares the two reductions."""
+    cfg = write_cfg(tmp_path, _OVERRIDE_CFG + extra)
+    assert main(["stages", "--config", cfg, "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "stages_report.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_stages_override_warns_and_reports(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,
