@@ -48,6 +48,7 @@ from .dynamics import (
     lp_operator,
     noether_current,
     noether_drift_residual,
+    pullback,
     write_trajectory_csv,
     _csv_text,
     _step_count,
@@ -751,12 +752,13 @@ def cmd_stages(cfg):
     rng = np.random.default_rng(seed)
     lag_dev = 0.0
     n, m = record.bundle.n, record.bundle.m
+    pulled = pullback(staged_sys, res.beta, res.beta.T)
     for _ in range(25):
         q = record.bundle.base.sample(rng)
         qd = rng.standard_normal(n)
         v = rng.standard_normal(m)
         a = float(record.lagrangian.value(q, qd, v))
-        b = float(staged_sys.value(q, qd, res.beta @ v))
+        b = float(pulled.value(q, qd, v))
         lag_dev = max(lag_dev, abs(a - b))
 
     payload = {

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _dual
 from .errors import DimensionMismatch, NonFiniteState, NumericalFailure, SingularHessian
-from .lpbundle import LPBundleChart
+from .lpbundle import LPBundleChart, transport
 from .smoothmap import SmoothMap, eval_map, jacobian
 
 HESSIAN_COND_LIMIT = 1e12
@@ -86,6 +86,15 @@ def _split_map(n, m, f, name=""):
         return f(x[:n], x[n : 2 * n], x[2 * n :])
 
     return SmoothMap(2 * n + m, 1, body, name=name)
+
+
+def pullback(sys: LPLagrangian, T, Tinv) -> LPLagrangian:
+    """L'(q, qdot, v') = L(q, qdot, T(q) v') on transport(sys.bundle, T, Tinv)."""
+
+    def f(q, qdot, v):
+        return sys.value(q, qdot, (eval_map(T, q) if isinstance(T, SmoothMap) else T) @ v)
+
+    return LPLagrangian.from_callable(transport(sys.bundle, T, Tinv), f, sys.name)
 
 
 @dataclass(frozen=True)

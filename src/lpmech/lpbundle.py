@@ -162,6 +162,31 @@ class LPBundleChart:
         return out
 
 
+def transport(b: LPBundleChart, T, Tinv) -> LPBundleChart:
+    """The chart of b in the fiber coordinates w', where w = T(q) w':
+    Gamma'_i = Tinv (Gamma_i T + d_i T), omega' = Tinv omega, c'[p, a, b] =
+    Tinv[p, r] c[r, s, t] T[s, a] T[t, b].  T and Tinv are (m, m) arrays or
+    maps from R^n to (m, m); Tinv is not computed, so a dual q passes."""
+    n, m = b.n, b.m
+    T, Tinv = (F if isinstance(F, SmoothMap) else constant_map(n, F, "frame") for F in (T, Tinv))
+    if any((F.in_dim, F.out_shape) != (n, (m, m)) for F in (T, Tinv)):
+        raise DimensionMismatch(f"T and Tinv must map R^{n} to ({m}, {m})")
+
+    def gamma(q):
+        dT = np.moveaxis(np.reshape(jacobian(T, q), (m, m, n)), -1, 0)
+        return eval_map(Tinv, q) @ (eval_map(b.Gamma, q) @ eval_map(T, q) + dT)
+
+    def c(q):
+        Tq = eval_map(T, q)
+        return np.einsum("pr,rst,sa,tb->pab", eval_map(Tinv, q), eval_map(b.c, q), Tq, Tq)
+
+    def omega(q):
+        return np.einsum("pa,aij->pij", eval_map(Tinv, q), eval_map(b.omega, q))
+
+    bodies = zip((gamma, c, omega), table_shapes(n, m))
+    return LPBundleChart(b.base, m, *(SmoothMap(n, math.prod(s), f, s, k) for f, (k, s) in bodies))
+
+
 @dataclass(frozen=True)
 class Section:
     """A section of the bundle: tangent part X and fiber part w."""

@@ -39,7 +39,7 @@ from .dynamics import (
     Trajectory,
     _lagrangian_gradient,
 )
-from .lpbundle import ChartDomain, LPBundleChart, _max_abs, check_axioms, table_shapes
+from .lpbundle import ChartDomain, LPBundleChart, _max_abs, check_axioms, table_shapes, transport
 from .liegroups import Ad, MatrixLieGroup, abelian, structure_constants
 from .smoothmap import SmoothMap, _ConstantBody, constant_map, eval_map, jacobian
 
@@ -509,20 +509,14 @@ def stages_reduce(direct: ReducedBundleHandle, nidx, override_A_N=None, seed=0):
 
     beta = np.eye(k)[K + N]
 
-    # transport the direct-reduction structure through beta and compare
+    # the direct-reduction structure in stage 2's fiber coordinates beta w
+    moved = transport(direct.bundle, beta.T, beta)
     rng = np.random.default_rng(seed + 1)
     sdev = 0.0
     # a point base (d = 0) has one point, and every sample would repeat it
     for _ in range(STAGES_SAMPLES if d else 1):
         x = sc.baseB.sample(rng)
-        Gd, Cd, Od = direct.bundle.tables(x)
-        G2v, C2v, O2v = stage2.bundle.tables(x)
-        sdev = _max_abs(
-            sdev,
-            np.einsum("pa,iab,qb->ipq", beta, Gd, beta) - G2v,
-            np.einsum("pg,gab,qa,rb->pqr", beta, Cd, beta, beta) - C2v,
-            np.einsum("pa,aij->pij", beta, Od) - O2v,
-        )
+        sdev = _max_abs(sdev, *map(np.subtract, moved.tables(x), stage2.bundle.tables(x)))
     if override_A_N is None and not sdev <= 1e-8:
         raise AxiomViolation(
             f"two-stage structure disagrees with the direct reduction "

@@ -10,6 +10,7 @@ from lpmech.dynamics import (
     LPState,
     accelerations,
     integrate_lp,
+    pullback,
 )
 from lpmech.errors import (
     AxiomViolation,
@@ -26,7 +27,7 @@ from lpmech.liegroups import (
     so3,
     structure_constants,
 )
-from lpmech.lpbundle import ChartDomain, LPBundleChart, check_axioms
+from lpmech.lpbundle import ChartDomain, LPBundleChart, check_axioms, transport
 from lpmech.reduction import (
     PrincipalScenario,
     RepW,
@@ -508,7 +509,7 @@ def test_stages_abelian_plane_is_exact_reshuffle():
     assert np.max(np.abs(res.beta - np.array([[0.0, 1.0], [1.0, 0.0]]))) == 0.0
     assert res.structure_deviation < 1e-12
 
-    l2 = two_stage_lagrangian(res, abelian_invariant_lagrangian)
+    l2 = pullback(two_stage_lagrangian(res, abelian_invariant_lagrangian), res.beta, res.beta.T)
     direct = reduce_lagrangian(handle, abelian_invariant_lagrangian)
     rng = np.random.default_rng(12)
     for _ in range(20):
@@ -516,7 +517,7 @@ def test_stages_abelian_plane_is_exact_reshuffle():
         xdot = rng.normal(size=1)
         v = rng.normal(size=2)
         d = direct.value(x, xdot, v)
-        t = l2.value(x, xdot, res.beta @ v)
+        t = l2.value(x, xdot, v)
         assert abs(d - t) < 1e-12
 
 
@@ -614,13 +615,13 @@ def test_stages_heisenberg_center():
     assert res.structure_deviation < 1e-8
 
     Q = np.array([1.0, 1.3, 1.7])
-    l2 = two_stage_lagrangian(res, heisenberg_quadratic(Q))
+    l2 = pullback(two_stage_lagrangian(res, heisenberg_quadratic(Q)), res.beta, res.beta.T)
     direct = reduce_lagrangian(handle, heisenberg_quadratic(Q))
     rng = np.random.default_rng(3)
     for _ in range(100):
         v = rng.normal(size=3)
         d = direct.value(np.zeros(0), np.zeros(0), v)
-        t = l2.value(np.zeros(0), np.zeros(0), res.beta @ v)
+        t = l2.value(np.zeros(0), np.zeros(0), v)
         assert abs(d - t) < 1e-10
 
 
@@ -653,7 +654,7 @@ def test_staged_reduction_equals_direct_reduction(coupling, d, seed, Q, nidx):
     assert res.structure_deviation <= 1e-8
 
     L = heisenberg_quadratic(Q, coupling)
-    l2 = two_stage_lagrangian(res, L)
+    l2 = pullback(two_stage_lagrangian(res, L), res.beta, res.beta.T)
     direct = reduce_lagrangian(handle, L)
     rng = np.random.default_rng(seed)
     for _ in range(10):
@@ -661,7 +662,43 @@ def test_staged_reduction_equals_direct_reduction(coupling, d, seed, Q, nidx):
         xdot = rng.normal(size=d)
         v = rng.normal(size=3)
         expect = direct.value(x, xdot, v)
-        assert abs(l2.value(x, xdot, res.beta @ v) - expect) <= 1e-10
+        assert abs(l2.value(x, xdot, v) - expect) <= 1e-10
+
+
+def _beta_einsum_tables(beta, tables):
+    """The direct tables in stage 2's fiber coordinates, by the einsums that
+    compared the two reductions before transport: the oracle of its
+    permutation case."""
+    Gd, Cd, Od = tables
+    return (
+        np.einsum("pa,iab,qb->ipq", beta, Gd, beta),
+        np.einsum("pg,gab,qa,rb->pqr", beta, Cd, beta, beta),
+        np.einsum("pa,aij->pij", beta, Od),
+    )
+
+
+@pytest.mark.parametrize("d", [0, 2])
+@pytest.mark.parametrize("nidx", [(2,), (0, 2), (1, 2)])
+def test_transport_by_beta_matches_the_einsums_bit_for_bit(nidx, d):
+    """On heisenberg_stages (d = 0), and over a plane, where Gamma and omega
+    are not empty: a permutation moves every entry exactly."""
+    if d:
+        base = ChartDomain(d, [[-1.0, 1.0]] * d)
+        handle = build_reduced_bundle(
+            PrincipalScenario(base, heisenberg3(1.3), linear_table(d, 3, 7)[0])
+        )
+    else:
+        handle = build_system("heisenberg_stages").handle
+    kidx = [i for i in range(3) if i not in nidx]
+    beta = np.eye(3)[kidx + list(nidx)]  # as stages_reduce builds it
+    moved = transport(handle.bundle, beta.T, beta)
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        x = handle.scenario.baseB.sample(rng)
+        pairs = zip(moved.tables(x), _beta_einsum_tables(beta, handle.bundle.tables(x)))
+        for got, want in pairs:
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def so3_cross_r():
