@@ -38,23 +38,7 @@ import warnings
 import numpy as np
 import yaml
 
-from .dynamics import (
-    LPLagrangian,
-    LPState,
-    Trajectory,
-    accelerations,
-    energy,
-    integrate_lp,
-    lp_operator,
-    noether_current,
-    noether_drift_residual,
-    pullback,
-    write_trajectory_csv,
-    _csv_text,
-    _step_count,
-    _trajectory_table,
-    _write_text,
-)
+from ._textfile import csv_text, write_text
 from .errors import (
     AxiomViolation,
     ConfigError,
@@ -64,19 +48,11 @@ from .errors import (
     NotSupported,
     NumericalFailure,
 )
-from .liegroups import abelian, heisenberg3, so3
 from .lpbundle import ChartDomain, LPBundleChart, check_axioms, table_shapes
-from .reduction import (
-    PrincipalScenario,
-    build_reduced_bundle,
-    defining_representation,
-    stages_reduce,
-    subgroup_indices,
-    trivial_representation,
-    two_stage_lagrangian,
-)
 from .smoothmap import SmoothMap, constant_map
-from .systems import SystemRecord, build_system
+
+# dynamics, reduction, liegroups and systems are imported by the functions
+# that run them, so a process loads only what its subcommand needs
 
 # fixed ceilings: on each dimension a config names (base n, fiber m, group
 # dim, trivial W), on axiom sample points, and on the numbers a structure
@@ -205,6 +181,8 @@ def _resolve_seed(cfg):
 
 def _resolve_run(cfg):
     """Time grid and integrator settings."""
+    from .dynamics import _step_count
+
     t_end = _num(cfg.get("t_end", 1.0), "t_end")
     dt = _num(cfg.get("dt", 1e-3), "dt")
     method = cfg.get("method", "rk4")
@@ -350,6 +328,8 @@ def bundle_from_config(node):
 
 
 def group_from_config(node, label):
+    from .liegroups import abelian, heisenberg3, so3
+
     if isinstance(node, str):
         node = {"name": node}
     name = _need(node, "name", label)
@@ -366,6 +346,8 @@ def group_from_config(node, label):
 
 
 def scenario_from_config(node):
+    from .reduction import PrincipalScenario, defining_representation, trivial_representation
+
     label = "scenario"
     _known_keys(node, ("base", "group", "connection", "representation"), label)
     base = domain_from_config(_need(node, "base", label), f"{label}.base")
@@ -390,8 +372,8 @@ def scenario_from_config(node):
         raise ConfigError(f"{label}: {exc}")
 
 
-def resolve_system(cfg):
-    """Build the record the command will operate on.
+def _catalog_name(cfg):
+    """The catalog name a config gives, or None for an inline bundle.
 
     A catalog name and an inline bundle exclude each other, so a config
     cannot silently shadow itself.
@@ -399,36 +381,70 @@ def resolve_system(cfg):
     name = cfg.get("system")
     if name is not None and "bundle" in cfg:
         raise ConfigError("give either 'system' or 'bundle', not both")
+    if name is not None and not isinstance(name, str):
+        raise ConfigError("system: expected a catalog name")
+    if name is None and "bundle" not in cfg:
+        raise ConfigError("config must name a catalog 'system' or define a 'bundle'")
+    return name
+
+
+def _catalog_record(cfg, name):
+    """The catalog system ``name``, built with the config's ``params``."""
+    from .systems import build_system
+
+    params = cfg.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError("params: expected a mapping")
+    params = {k: v if v is None or isinstance(v, str) else _numbers(v, f"params.{k}")
+              for k, v in params.items()}
+    try:
+        return build_system(name, **params)
+    except KeyError as exc:
+        raise ConfigError(exc.args[0])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"params: {exc}")
+
+
+def _inline_bundle(cfg):
+    """The inline bundle and the polynomial map of its Lagrangian, or None
+    for the map when the config gives no 'lagrangian'."""
+    bundle = bundle_from_config(cfg["bundle"])
+    if "lagrangian" not in cfg:
+        return bundle, None
+    _known_keys(cfg["lagrangian"], ("polynomial",), "lagrangian")
+    poly = _need(cfg["lagrangian"], "polynomial", "lagrangian")
+    _known_keys(poly, ("terms",), "lagrangian.polynomial")
+    terms = _need(poly, "terms", "lagrangian.polynomial")
+    n_vars = 2 * bundle.n + bundle.m
+    return bundle, polynomial_map(n_vars, (), terms, "lagrangian.polynomial.terms")
+
+
+def resolve_bundle(cfg):
+    """(name, bundle) of the chart a command checks.  An inline config is
+    validated as resolve_system validates it, but no Lagrangian is built."""
+    name = _catalog_name(cfg)
+    if name is None:
+        return "inline", _inline_bundle(cfg)[0]
+    record = _catalog_record(cfg, name)
+    return record.name, record.bundle
+
+
+def resolve_system(cfg):
+    """Build the record the command will operate on."""
+    name = _catalog_name(cfg)
     if name is not None:
-        if not isinstance(name, str):
-            raise ConfigError("system: expected a catalog name")
-        params = cfg.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError("params: expected a mapping")
-        params = {k: v if v is None or isinstance(v, str) else _numbers(v, f"params.{k}")
-                  for k, v in params.items()}
-        try:
-            return build_system(name, **params)
-        except KeyError as exc:
-            raise ConfigError(exc.args[0])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"params: {exc}")
-    if "bundle" in cfg:
-        bundle = bundle_from_config(cfg["bundle"])
-        lag = None
-        if "lagrangian" in cfg:
-            _known_keys(cfg["lagrangian"], ("polynomial",), "lagrangian")
-            poly = _need(cfg["lagrangian"], "polynomial", "lagrangian")
-            _known_keys(poly, ("terms",), "lagrangian.polynomial")
-            terms = _need(poly, "terms", "lagrangian.polynomial")
-            n_vars = 2 * bundle.n + bundle.m
-            L = polynomial_map(n_vars, (), terms, "lagrangian.polynomial.terms")
-            lag = LPLagrangian(bundle, L, name="inline")
-        return SystemRecord(name="inline", bundle=bundle, lagrangian=lag)
-    raise ConfigError("config must name a catalog 'system' or define a 'bundle'")
+        return _catalog_record(cfg, name)
+    from .dynamics import LPLagrangian
+    from .systems import SystemRecord
+
+    bundle, L = _inline_bundle(cfg)
+    lag = None if L is None else LPLagrangian(bundle, L, name="inline")
+    return SystemRecord(name="inline", bundle=bundle, lagrangian=lag)
 
 
 def resolve_initial(cfg, record):
+    from .dynamics import LPState
+
     node = cfg.get("initial")
     if node is None:
         if record.initial is None:
@@ -452,14 +468,23 @@ def resolve_initial(cfg, record):
 
 
 def _write_json(path, payload):
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _is_trajectory(content):
+    """Whether content is a dynamics.Trajectory; none exists while dynamics
+    is not loaded, and check-axioms does not load it."""
+    dynamics = sys.modules.get(f"{__package__}.dynamics")
+    return dynamics is not None and isinstance(content, dynamics.Trajectory)
 
 
 def _non_finite(content, where=""):
     """(where, value) of the first infinite or NaN number of an artifact, or
     None: a JSON payload (where is a key path), CSV (header, rows) or a
     Trajectory (where names a row and a column), or text (never checked)."""
-    if isinstance(content, Trajectory):
+    if _is_trajectory(content):
+        from .dynamics import _trajectory_table
+
         header, rows = _trajectory_table(content)
         content = header, list(rows)
     if isinstance(content, tuple) and not where:  # CSV
@@ -498,14 +523,16 @@ def _write_artifacts(out, files):
             )
     for name, content in files.items():
         path = os.path.join(out, name)
-        if isinstance(content, Trajectory):
+        if _is_trajectory(content):
+            from .dynamics import write_trajectory_csv
+
             write_trajectory_csv(path, content)
         elif isinstance(content, dict):
             _write_json(path, content)
         elif isinstance(content, tuple):
-            _write_text(path, _csv_text(*content))
+            write_text(path, csv_text(*content))
         else:
-            _write_text(path, content)
+            write_text(path, content)
 
 
 def _require_finite(report):
@@ -525,20 +552,20 @@ def _require_finite(report):
 
 
 def cmd_check_axioms(cfg):
-    record = resolve_system(cfg)
+    name, bundle = resolve_bundle(cfg)
     tol = _resolve_tol(cfg)
     samples = _int(cfg.get("samples", 100), "samples", least=1, most=MAX_SAMPLES)
     seed = _resolve_seed(cfg)
     out = _resolve_out(cfg)
 
-    report = check_axioms(record.bundle, n_samples=samples, seed=seed, tol=tol)
+    report = check_axioms(bundle, n_samples=samples, seed=seed, tol=tol)
     _require_finite(report)
     _write_artifacts(
         out, {"axiom_report.txt": report.as_text() + "\n", "axiom_report.json": report.as_dict()}
     )
 
     if report.passed:
-        print(f"{record.name}: all closure conditions hold (tol {tol:g})")
+        print(f"{name}: all closure conditions hold (tol {tol:g})")
         return 0
     for cond in report.conditions:
         if not cond.passed:
@@ -546,7 +573,7 @@ def cmd_check_axioms(cfg):
                 f"violated: {cond.name} (max residual {cond.max_residual:.3e})",
                 file=sys.stderr,
             )
-    print(f"{record.name}: FAIL, see axiom_report.txt", file=sys.stderr)
+    print(f"{name}: FAIL, see axiom_report.txt", file=sys.stderr)
     return 2
 
 
@@ -554,6 +581,8 @@ def _lp_residual_max(sys, traj, jets):
     """Largest equation residual when the solved accelerations are fed back,
     at 25 evenly spaced grid points; ``jets`` holds the jet of L at each
     state of ``traj``."""
+    from .dynamics import accelerations, lp_operator
+
     idx = np.unique(np.linspace(0, len(traj) - 1, 25).astype(int))
     worst = 0.0
     for i in idx:
@@ -572,6 +601,8 @@ def _drift_max(series):
 
 
 def cmd_simulate(cfg):
+    from .dynamics import energy, integrate_lp, noether_current
+
     record = resolve_system(cfg)
     if record.lagrangian is None:
         raise ConfigError("simulate needs a 'lagrangian' for the inline bundle")
@@ -636,6 +667,9 @@ def _structure_sample_rows(bundle, n_dump, seed):
 
 
 def cmd_reduce(cfg):
+    from .dynamics import integrate_lp
+    from .reduction import build_reduced_bundle
+
     record = handle = None
     if "scenario" in cfg:
         if "system" in cfg:
@@ -702,6 +736,9 @@ def cmd_reduce(cfg):
 
 
 def cmd_stages(cfg):
+    from .dynamics import LPState, integrate_lp, pullback
+    from .reduction import stages_reduce, subgroup_indices, two_stage_lagrangian
+
     record = resolve_system(cfg)
     if record.handle is None or record.unreduced_lagrangian is None:
         raise ConfigError(
@@ -786,6 +823,8 @@ def cmd_stages(cfg):
 
 
 def cmd_noether(cfg):
+    from .dynamics import _step_count, integrate_lp, noether_drift_residual
+
     record = resolve_system(cfg)
     if record.action is None:
         raise ConfigError(f"system '{record.name}' declares no symmetry action")

@@ -22,14 +22,13 @@ and accelerations solves that residual for zero.
 from __future__ import annotations
 
 import functools
-import os
-import tempfile
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _dual
+from ._textfile import csv_text, write_text
 from .errors import DimensionMismatch, NonFiniteState, NumericalFailure, SingularHessian
 from .lpbundle import LPBundleChart, transport
 from .smoothmap import SmoothMap, eval_map, jacobian
@@ -523,28 +522,6 @@ def invariance_residual(sys: LPLagrangian, act: GroupAction, s: LPState, eta):
 # serialization
 
 
-def _write_text(path, text):
-    """Write text atomically: a temp file in the target directory is renamed
-    over the destination.  Newlines are LF regardless of platform."""
-    dirname = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=dirname, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _csv_text(header, rows):
-    """CSV text with every number at full double precision (17 digits)."""
-    lines = [",".join(header)]
-    lines += [",".join(f"{float(x):.17g}" for x in row) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
 def _trajectory_table(traj: Trajectory, labels=("q", "qd", "v")):
     """CSV (header, rows) of a trajectory, rows an iterator: one column per
     time and per state entry, slot i headed labels[i]."""
@@ -568,4 +545,4 @@ def write_trajectory_csv(path, traj: Trajectory):
     The write is atomic: a temp file in the target directory is renamed
     over the destination.  Output uses LF newlines regardless of platform.
     """
-    _write_text(path, _csv_text(*_trajectory_table(traj)))
+    write_text(path, csv_text(*_trajectory_table(traj)))

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _dual
+from ._textfile import csv_text, write_text
 from .errors import DimensionMismatch, NoConvergence
 from .lpbundle import LPBundleChart, Section, section_bracket
 from .smoothmap import SmoothMap, eval_map
@@ -38,9 +39,7 @@ from .dynamics import (
     _scalar_body,
     _solve_velocity_block,
     _split_map,
-    _csv_text,
     _trajectory_table,
-    _write_text,
 )
 
 
@@ -312,4 +311,4 @@ def write_hp_trajectory_csv(path, traj: Trajectory):
 
     The write is atomic, as for write_trajectory_csv.
     """
-    _write_text(path, _csv_text(*_trajectory_table(traj, ("q", "p", "nu"))))
+    write_text(path, csv_text(*_trajectory_table(traj, ("q", "p", "nu"))))

@@ -106,7 +106,8 @@ class LPBundleChart:
     """Bundle structure data over a chart.
 
     Any of the three coefficient maps may be passed as ``None`` (zero map) or
-    as a constant ndarray of the right shape.
+    as a constant ndarray of the right size; a table or map of another size,
+    shape or input dimension is a DimensionMismatch.
     """
 
     base: ChartDomain
@@ -122,9 +123,13 @@ class LPBundleChart:
             if val is None:
                 val = constant_map(n, np.zeros(shape), attr)
             elif isinstance(val, np.ndarray):
+                if val.size != math.prod(shape):
+                    raise DimensionMismatch(
+                        f"{attr} must be a table of shape {shape}, got {val.size} entries"
+                    )
                 val = constant_map(n, np.reshape(val, shape), attr)
             elif val.out_shape != shape or val.in_dim != n:
-                raise ValueError(
+                raise DimensionMismatch(
                     f"{attr} must map R^{n} to shape {shape}, got "
                     f"R^{val.in_dim} to {val.out_shape}"
                 )
@@ -138,28 +143,37 @@ class LPBundleChart:
         """(Gamma, c, omega) evaluated at q: float arrays at a float point,
         object arrays at an object point, which may carry dual numbers.
 
-        Over a point base (n = 0), or when all three maps come from
-        ``constant_map``, the float tables are evaluated once, on the first
-        float read, and every float read returns the same read-only arrays.
-        Object points, and every other chart, evaluate the maps at each read.
+        Each map from ``constant_map``, and over a point base (n = 0) every
+        map, is evaluated once, on the first float read; every float read
+        returns that same read-only array for it and evaluates only the
+        other maps.  Object points evaluate all three maps at each read.
         """
         q = np.asarray(q)
-        if q.dtype != object and q.shape == (self.n,) and self._constant_tables:
-            return self._constant_tables
+        maps = (self.Gamma, self.c, self.omega)
+        if q.dtype != object and q.shape == (self.n,):
+            fixed, complete = self._fixed_tables
+            if complete:
+                return fixed
+            return tuple(
+                np.asarray(eval_map(M, q), float) if T is None else T
+                for M, T in zip(maps, fixed)
+            )
         dtype = object if q.dtype == object else float
-        return tuple(np.asarray(eval_map(M, q), dtype) for M in (self.Gamma, self.c, self.omega))
+        return tuple(np.asarray(eval_map(M, q), dtype) for M in maps)
 
     @cached_property
-    def _constant_tables(self):
-        # the read-only float tables if they do not depend on q, else (); kept
-        # in the instance __dict__, out of the frozen fields, eq and hash
-        maps = (self.Gamma, self.c, self.omega)
-        if self.n and not all(isinstance(M.body, _ConstantBody) for M in maps):
-            return ()
-        out = tuple(np.array(eval_map(M, np.zeros(self.n)), float) for M in maps)
-        for arr in out:
-            arr.setflags(write=False)
-        return out
+    def _fixed_tables(self):
+        # per map, its read-only float table if it does not depend on q, else
+        # None, and whether every map has one; kept in the instance __dict__,
+        # out of the frozen fields, eq and hash
+        fixed = []
+        for M in (self.Gamma, self.c, self.omega):
+            T = None
+            if not self.n or isinstance(M.body, _ConstantBody):
+                T = np.array(eval_map(M, np.zeros(self.n)), float)
+                T.setflags(write=False)
+            fixed.append(T)
+        return tuple(fixed), all(T is not None for T in fixed)
 
 
 def transport(b: LPBundleChart, T, Tinv) -> LPBundleChart:

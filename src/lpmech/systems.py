@@ -15,14 +15,9 @@ import numpy as np
 
 from .dynamics import GroupAction, LPLagrangian, LPState
 from .lpbundle import ChartDomain, LPBundleChart
-from .liegroups import heisenberg3, so3
-from .reduction import (
-    PrincipalScenario,
-    RepW,
-    ReducedBundleHandle,
-    build_reduced_bundle,
-    reduce_lagrangian,
-)
+
+# reduction and liegroups are imported by the group systems that use them,
+# so building a point system loads neither
 
 
 @dataclass(frozen=True)
@@ -68,6 +63,8 @@ def _quadratic(w, xi):
 
 def _reduced_record(name, sc, L_inv, v0, params):
     """The record of an invariant Lagrangian reduced over a point base."""
+    from .reduction import build_reduced_bundle, reduce_lagrangian
+
     handle = build_reduced_bundle(sc)
     return SystemRecord(
         name=name,
@@ -163,6 +160,9 @@ def rigid_body(inertia=(1.0, 2.0, 3.0)):
     momentum equations; kinetic energy and the squared momentum norm are
     both conserved, and spin about a principal axis is an equilibrium.
     """
+    from .liegroups import so3
+    from .reduction import PrincipalScenario
+
     inertia = _positive3(inertia, "principal moments")
     G = so3()
 
@@ -200,6 +200,9 @@ def parameter_lagrangian(
     Unforced (``mgl = 0``), the body velocity follows Euler's equations of
     the free rigid body.
     """
+    from .liegroups import so3
+    from .reduction import PrincipalScenario, RepW
+
     inertia = _positive3(inertia, "principal moments")
     chi = np.asarray(chi, dtype=float).reshape(3)
     mgl = float(mgl)
@@ -248,6 +251,9 @@ def heisenberg_stages(coupling=1.0, weights=(1.0, 1.3, 1.7)):
     exact constant of motion, and scaling ``coupling`` to zero turns the
     flow into uncoupled straight lines.
     """
+    from .liegroups import heisenberg3
+    from .reduction import PrincipalScenario
+
     weights = _positive3(weights, "quadratic form weights")
     G = heisenberg3(coupling)
 

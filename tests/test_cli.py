@@ -1354,13 +1354,13 @@ def test_reduce_inline_heisenberg_with_trivial_fiber(tmp_path):
         (
             "reduce",
             _INLINE_SCENARIO,
-            "build_reduced_bundle",
+            "reduction.build_reduced_bundle",
             AxiomViolation("reduced bundle fails c_jacobi"),
         ),
         (
             "simulate",
             _SIMULATE,
-            "build_system",
+            "systems.build_system",
             InvarianceViolation("Lagrangian is not invariant", residual=0.5),
         ),
     ],
@@ -1372,7 +1372,8 @@ def test_violations_exit_two_with_one_line(
     def raise_error(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(f"lpmech.cli.{target}", raise_error)
+    # cli imports these names when the command runs, so the patch reaches it
+    monkeypatch.setattr(f"lpmech.{target}", raise_error)
     cfg = write_cfg(tmp_path, text)
     code = main([command, "--config", cfg, "--out", str(tmp_path)])
     err = capsys.readouterr().err

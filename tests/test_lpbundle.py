@@ -250,9 +250,16 @@ def test_constant_and_zero_structure_maps():
 
 
 def test_structure_map_shape_mismatch_rejected():
+    """A map of the wrong shape or input dimension, or a constant table of the
+    wrong size, is a DimensionMismatch, as for transport and LPLagrangian."""
     bad = SmoothMap(2, 4, lambda q: np.zeros(4), out_shape=(2, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch, match="Gamma must map R\\^2 to shape"):
         LPBundleChart(box(2), 2, Gamma=bad)
+    wrong_input = SmoothMap(3, 8, lambda q: np.zeros(8), out_shape=(2, 2, 2))
+    with pytest.raises(DimensionMismatch, match="got R\\^3"):
+        LPBundleChart(box(2), 2, Gamma=wrong_input)
+    with pytest.raises(DimensionMismatch, match="omega must be a table of shape"):
+        LPBundleChart(box(2), 2, omega=np.zeros(5))
 
 
 def test_point_base_chart_allowed():
@@ -332,6 +339,37 @@ def test_constant_chart_float_tables_are_read_once_and_read_only():
         G = live.tables(np.array(x))[0]
         assert G.flags.writeable and G[1, 1, 1] == x[1] ** 2
     assert calls == [float] * 3
+
+
+def test_mixed_chart_evaluates_only_its_varying_map(monkeypatch):
+    """Polynomial Gamma beside constant c and omega: the constant tables are
+    evaluated once per chart, so two float reads make four eval_map calls
+    (six when every read evaluated all three maps), with the same bytes."""
+    import lpmech.lpbundle as lpbundle
+
+    C0 = np.arange(8.0).reshape(2, 2, 2) - 3.5
+    C0[1, 0, 1] = -0.0
+    b = LPBundleChart(
+        box(2), 2, Gamma=SmoothMap(2, 8, gamma_so2_shear, out_shape=(2, 2, 2)), c=C0, omega=-C0
+    )
+    calls = []
+
+    def counted(M, x):
+        calls.append(M.name)
+        return eval_map(M, x)
+
+    monkeypatch.setattr(lpbundle, "eval_map", counted)
+    points = [np.array([0.3, -0.4]), np.array([-0.9, 0.1])]
+    reads = [b.tables(x) for x in points]
+    assert len(calls) == 4
+    assert calls.count("c") == calls.count("omega") == 1
+    for x, got in zip(points, reads):
+        for table, M in zip(got, (b.Gamma, b.c, b.omega)):
+            assert table.dtype == float
+            assert table.tobytes() == np.asarray(eval_map(M, x), float).tobytes()
+    assert reads[0][1] is reads[1][1] and reads[0][2] is reads[1][2]
+    assert not reads[0][1].flags.writeable and reads[0][0].flags.writeable
+    assert reads[0][0] is not reads[1][0]
 
 
 # ---------------------------------------------------------------------------

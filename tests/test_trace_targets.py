@@ -15,17 +15,22 @@ import pathlib
 
 import pytest
 
+from lpmech import cli
 from lpmech.systems import SystemRecord
 
 _PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 _TRACING = _PERFBENCH / "tracing.py"
 
 
-def _targets():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return [(target[0], target[1]) for target in module.TARGETS]
+    return module
+
+
+def _targets():
+    return [(target[0], target[1]) for target in _tracing().TARGETS]
 
 
 @pytest.mark.parametrize("module, attr", _targets())
@@ -38,6 +43,51 @@ def test_trace_target_resolves_to_a_callable(module, attr):
     else:
         fn = getattr(owner, attr, None)
     assert callable(fn)
+
+
+_INLINE_BUNDLE = """\
+samples: 5
+bundle:
+  n: 2
+  m: 2
+  gamma:
+    polynomial:
+      terms:
+        - {index: [0, 0, 1], powers: [1, 0], coeff: 0.5}
+"""
+
+
+def test_tracer_sees_the_layers_of_in_process_cli_runs(tmp_path):
+    """The traced pass of perfbench/run.py: the jobs run once untraced, then
+    under the installed Tracer.  A name that cli imports when a command runs
+    must still reach the rebound function, or its layer would read 0."""
+    cfg = tmp_path / "bundle.yaml"
+    cfg.write_text(_INLINE_BUNDLE, encoding="utf-8")
+    runs = (
+        ["simulate", "--system", "central_potential_particle", "--t-end", "0.02", "--dt", "0.01"],
+        ["check-axioms", "--config", str(cfg)],
+    )
+
+    def run_all(tag, run_job=lambda fn: fn()):
+        for i, argv in enumerate(runs):
+            out = tmp_path / f"{tag}{i}"
+            assert run_job(lambda: cli.main(argv + ["--out", str(out)])) == 0
+
+    run_all("untraced")
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        run_all("traced", tracer.run_job)
+    finally:
+        tracer.uninstall()
+    calls = {layer: n for layer, (n, _) in tracer.table().items()}
+    assert calls.get("dynamics.integrate_lp") == 1
+    assert calls.get("dynamics.write_trajectory_csv") == 1
+    assert calls.get("systems.build_system") == 1
+    assert calls.get("lpbundle.check_axioms") == 1
+    assert calls.get("cli.main.simulate") == calls.get("cli.main.check-axioms") == 1
+    assert tracer.counts["dynamics.integrate_lp.steps"] == 2
+    assert tracer.counts["dynamics.write_trajectory_csv.bytes"] > 0
 
 
 def _resolve(dotted):
