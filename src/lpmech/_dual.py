@@ -7,14 +7,15 @@ arithmetic rule only combines infinitesimals that share a tag and treats any
 lower-tagged dual as an ordinary coefficient.
 
 ``im`` is usually a scalar; ``gradient`` seeds ndarray infinitesimals of shape
-(d,) so that one evaluation gives every direction.  Array tangents of two
-nested passes would broadcast into each other, so a first-order pass seeds
-arrays only when no other pass is evaluating and its input holds no dual;
-otherwise it takes one scalar seed per direction.  A pass seeds only the
-inputs whose direction is a dual or nonzero; the others go into ``f`` as they
-are, so a unit pass carries one tangent, not d.  An array that ``f`` builds
-from unseeded floats is a float array, and a scalar-tangent ``Dual`` spreads
-over it as over an object array of duals.  The derivatives are those
+(d,), at a negative level, so that one evaluation gives every direction.
+Array tangents of two nested passes would broadcast into each other, so a
+first-order pass seeds arrays only when no other pass is evaluating and its
+input holds no dual; otherwise it takes one scalar seed per direction.  A pass
+seeds only the inputs whose direction is a dual or nonzero; the others go into
+``f`` as they are, so a unit pass carries one tangent, not d.  An array that
+``f`` builds from unseeded floats is a float array, and a ``Dual`` spreads
+over it as over an object array of duals, with a scalar tangent and with the
+array tangent of ``gradient``'s array pass alike.  The derivatives are those
 of seeding every input, with a zero tangent where ``dx`` is zero, except in
 the last bits: an exact zero may change its sign (``c * x_j`` with
 ``c < 0``, along ``k != j``, gives +0.0 where a zero seed on ``x_j`` gave
@@ -76,7 +77,9 @@ class Dual:
                 out.re, out.im, out.level = self + other.re, other.im, other.level
                 return out
         elif isinstance(other, np.ndarray) and (
-            other.dtype == object or not isinstance(self.im, np.ndarray)
+            other.dtype == object
+            or not isinstance(self.im, np.ndarray)
+            or self.level < 0
         ):
             return _distribute(lambda v: self + v, other)
         out.re, out.im, out.level = self.re + other, self.im, self.level
@@ -111,7 +114,9 @@ class Dual:
                 out.re, out.im, out.level = self * other.re, self * other.im, other.level
                 return out
         elif isinstance(other, np.ndarray) and (
-            other.dtype == object or not isinstance(self.im, np.ndarray)
+            other.dtype == object
+            or not isinstance(self.im, np.ndarray)
+            or self.level < 0
         ):
             return _distribute(lambda v: self * v, other)
         out.re, out.im, out.level = self.re * other, self.im * other, self.level
@@ -233,10 +238,10 @@ def _distribute(op, arr):
     Scalar times object array must produce an array of duals, never a dual
     wrapping the array: object arrays can hold same-level duals, and burying
     those inside ``re`` breaks the level bookkeeping.  A float array is
-    spread too, unless the ``Dual`` carries an array tangent: there the plain
-    branch takes it as a tangent coefficient (``_Jet._nested`` builds its
-    outer products so), and a float constant array in ``gradient``'s array
-    pass still meets that branch.
+    spread too, over a scalar tangent and over the (d,) tangent of
+    ``gradient``'s array pass (a negative level), but not over another array
+    tangent: there the plain branch takes it as a tangent coefficient, which
+    builds the outer products of two nested duals such as ``_Jet._nested``'s.
     """
     out = np.empty(arr.shape, dtype=object)
     for idx in np.ndindex(arr.shape):
@@ -378,7 +383,10 @@ def gradient(f, x):
         return np.zeros(0)
     if _active_passes or (x.dtype == object and contains_dual(x)):
         return _tangents(f, x)
-    lev = fresh_level()
+    # a negative level marks the array tangents: a float array is spread
+    # over them, not taken as a tangent coefficient (see _distribute); it is
+    # below the level of every pass that f starts
+    lev = -fresh_level()
     rows = _unit_rows(d)
     seeded = np.array([Dual(float(x[i]), rows[i], lev) for i in range(d)], dtype=object)
     y = _as_scalar(_evaluate(f, seeded))

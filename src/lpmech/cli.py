@@ -583,7 +583,8 @@ def _lp_residual_max(sys, traj, jets):
     state of ``traj``."""
     from .dynamics import accelerations, lp_operator
 
-    idx = np.unique(np.linspace(0, len(traj) - 1, 25).astype(int))
+    # sorted(set(...)), not np.unique, whose first call imports numpy.ma
+    idx = sorted(set(np.linspace(0, len(traj) - 1, 25).astype(int).tolist()))
     worst = 0.0
     for i in idx:
         s, jet = traj.states[i], jets[i]

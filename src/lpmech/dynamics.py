@@ -198,11 +198,18 @@ def _force_terms(sys: LPLagrangian, s, jet):
     second-order data, and the (qdot, v) block Hessian of L.  The residual
     at z = (qddot, vdot) is f - M z.  An empty fiber reads no tables and runs
     no einsum: each einsum would add or subtract a +0.0 vector, which keeps
-    every bit but the sign of a -0.0 entry, and the final ``+ 0.0`` does."""
+    every bit but the sign of a -0.0 entry, and the final ``+ 0.0`` does.
+    A point base (n = 0) runs only the bracket einsum of the fiber part:
+    the Gamma einsum and the ``H @ qdot`` product run over an empty base
+    axis and are +0.0 vectors, so the fiber part is that einsum ``+ 0.0``
+    bit for bit, and the base part is empty."""
     n, m = sys.n, sys.m
     _, grad, H = _grad_hess(sys, s) if jet is None else jet
     if not m:
         return (grad[:n] - H[n : 2 * n, :n] @ s.qdot) + 0.0, H[n:, n:]
+    if not n:
+        C = sys.bundle.tables(s.q)[1]
+        return np.einsum("gba,b,g->a", C, s.v, grad) + 0.0, H
     sq, sqd, sv = slice(0, n), slice(n, 2 * n), slice(2 * n, 2 * n + m)
     G, C, Om = sys.bundle.tables(s.q)
     mu = grad[sv]

@@ -48,6 +48,7 @@ class MatrixLieGroup:
         object.__setattr__(self, "_pinv", np.linalg.pinv(flat_basis))
         object.__setattr__(self, "_hat_terms", _nonzero_terms(flat_basis))
         object.__setattr__(self, "_unhat_terms", _nonzero_terms(self._pinv))
+        object.__setattr__(self, "_eye", np.eye(self.mat_dim))
 
     @property
     def dim(self):
@@ -118,11 +119,12 @@ class MatrixLieGroup:
         At the identity, float or object without duals, M comes back as is:
         the product would only add 1.0 * M[i, j] to zero products, and
         1.0 * x is x bit for bit.  A g with a dual entry never equals the
-        identity, since Dual defines no __eq__.
+        identity, since Dual defines no __eq__.  The identity it is compared
+        with is formed once per group.
         """
         M = np.asarray(M, dtype=object)
         g = np.asarray(g)
-        if np.array_equal(g, np.eye(len(g))):
+        if np.array_equal(g, self._eye):
             return M
         return self.inverse(g) @ M
 
@@ -133,15 +135,26 @@ def _nonzero_terms(coeffs):
     return [[(j, v) for j, v in enumerate(row) if v != 0] for row in coeffs.tolist()]
 
 
+# the types whose product with 1.0 is the operand itself, bit for bit
+_ONE_KEEPS = (float, _dual.Dual, _dual._Jet)
+
+
 def _sparse_sum(terms, xs):
     """Object vector of sum_j xs[j] * v over each row's (j, v) terms.
 
     The first product starts the sum and the rest are added in column
     order, as numpy's object dot does; a row without terms gives 0.0.
+    A term with v == 1.0 contributes a float, Dual or _Jet xs[j] itself:
+    1.0 * x is x bit for bit, -0.0, inf and NaN included, for the float
+    parts that every pass seeds.  Any other factor, such as the int 0 of
+    an object zeros array, keeps the product, so a sum never turns into an
+    int.
     """
     out = np.empty(len(terms), dtype=object)
     for o, row in enumerate(terms):
-        prods = [xs[j] * v for j, v in row]
+        prods = [
+            xs[j] if v == 1.0 and isinstance(xs[j], _ONE_KEEPS) else xs[j] * v for j, v in row
+        ]
         out[o] = functools.reduce(operator.add, prods) if prods else 0.0
     return out
 

@@ -1631,6 +1631,7 @@ def test_noether_without_action_is_a_config_error(tmp_path, capsys):
 
 
 def test_module_runs_as_subprocess(tmp_path):
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [
             sys.executable,
@@ -1644,6 +1645,7 @@ def test_module_runs_as_subprocess(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
     )
     assert proc.returncode == 0
     assert "closure conditions hold" in proc.stdout

@@ -284,6 +284,25 @@ def test_a_nested_gradient_spreads_a_float_array_of_unseeded_inputs():
         assert (row == hess[k]).all()
 
 
+@pytest.mark.parametrize(
+    "body, grad",
+    [
+        (lambda x: (x[0] * np.array([1.0, 2.0, 3.0]))[2], [3.0, 0.0, 0.0]),
+        (lambda x: (x[1] + np.array([1.0, 2.0, 3.0]))[2] * x[0], [5.0, 1.0, 0.0]),
+    ],
+    ids=["product", "sum"],
+)
+def test_an_array_seeded_gradient_spreads_a_float_constant_array(body, grad):
+    """In gradient's array pass each input carries the (d,) tangent, and a
+    seeded x_i times or plus a float constant array is an array of duals,
+    which f may index; the gradient is the one grad_hess and jacobian give."""
+    x = np.array([1.0, 2.0, 3.0])
+    want = np.array(grad).tobytes()
+    assert _dual.gradient(body, x).tobytes() == want
+    assert _dual.grad_hess(body, x)[1].tobytes() == want
+    assert jacobian(SmoothMap(3, 1, body), x).tobytes() == want
+
+
 # ---------------------------------------------------------------------------
 # the arithmetic rules against the rules they replaced
 

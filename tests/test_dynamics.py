@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from lpmech import _dual, dynamics
@@ -31,7 +31,7 @@ from lpmech.dynamics import (
 from lpmech.errors import ChartExit, DimensionMismatch, SingularHessian
 from lpmech.hamiltonian import Hamiltonian, HPState, integrate_hp
 from lpmech.lpbundle import ChartDomain, LPBundleChart
-from lpmech.systems import flat_bundle_particle
+from lpmech.systems import build_system, flat_bundle_particle
 
 
 def box(n, lo=-4.0, hi=4.0, periodic=None):
@@ -211,8 +211,9 @@ def test_accelerations_hand_value():
 
 
 def _einsum_force_terms(sys, s, jet):
-    """The force terms as written for every fiber dimension, the reference
-    for the empty-fiber branch of dynamics._force_terms."""
+    """The force terms as written for every base and fiber dimension, the
+    reference for the empty-fiber and point-base branches of
+    dynamics._force_terms."""
     n, m = sys.n, sys.m
     _, grad, H = jet
     sq, sqd, sv = slice(0, n), slice(n, 2 * n), slice(2 * n, 2 * n + m)
@@ -255,6 +256,55 @@ def test_empty_fiber_force_terms_match_the_einsum_form_bit_for_bit(case):
     assert f.tobytes() == f_ref.tobytes() and M.tobytes() == M_ref.tobytes()
     hor, ver = lp_operator(sys, s, qddot, [], jet=jet)
     assert hor.tobytes() == (f_ref - M_ref @ qddot).tobytes() and ver.size == 0
+
+
+def _bits(a):
+    """The uint64 view of a float array, zero signs included."""
+    a = np.asarray(a)
+    assert a.dtype == np.float64
+    return a.shape, a.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("name", ["rigid_body", "parameter_lagrangian", "heisenberg_stages"])
+def test_point_base_force_terms_of_the_group_systems_keep_every_bit(name):
+    """n = 0 runs only the bracket einsum of the fiber part; on the three
+    group systems, at seeded states, f and M are those of the full body."""
+    sys = build_system(name).lagrangian
+    assert sys.n == 0 and sys.m > 0
+    rng = np.random.default_rng(29)
+    for _ in range(4):
+        s = LPState(np.zeros(0), np.zeros(0), rng.standard_normal(sys.m))
+        jet = dynamics._grad_hess(sys, s)
+        f, M = dynamics._force_terms(sys, s, jet)
+        f_ref, M_ref = _einsum_force_terms(sys, s, jet)
+        assert _bits(f) == _bits(f_ref) and _bits(M) == _bits(M_ref)
+
+
+@st.composite
+def point_base_inputs(draw):
+    m = draw(st.integers(1, 3))
+    entry = st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(-3.0, 3.0)
+    vec = lambda k: np.array(draw(st.lists(entry, min_size=k, max_size=k)), dtype=float)
+    c = vec(m**3)
+    assume(np.any(c != 0))
+    return m, c.reshape(m, m, m), vec(m), vec(m * m).reshape(m, m), vec(m), vec(m)
+
+
+# no shrink phase: a failing input is reported as drawn
+@settings(max_examples=200, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(point_base_inputs())
+def test_point_base_force_terms_match_the_einsum_form_bit_for_bit(case):
+    """A point base with a nonzero bracket, and v and mu that may hold -0.0:
+    f, M and the lp_operator residual keep every bit of the full body."""
+    m, c, mu, H, v, vdot = case
+    sys = LPLagrangian.from_callable(LPBundleChart(box(0), m, c=c), lambda q, qd, v: 0.0)
+    s = LPState([], [], v)
+    jet = (0.0, mu, H)
+    f, M = dynamics._force_terms(sys, s, jet)
+    f_ref, M_ref = _einsum_force_terms(sys, s, jet)
+    assert _bits(f) == _bits(f_ref) and _bits(M) == _bits(M_ref)
+    hor, ver = lp_operator(sys, s, [], vdot, jet=jet)
+    assert hor.size == 0 and _bits(ver) == _bits(f_ref - M_ref @ vdot)
 
 
 def test_residual_linear_in_momentum():

@@ -20,6 +20,7 @@ from lpmech.errors import DimensionMismatch
 from lpmech.liegroups import (
     Ad,
     MatrixLieGroup,
+    _sparse_sum,
     abelian,
     heisenberg3,
     so3,
@@ -426,6 +427,53 @@ def test_sparse_pattern_is_exact_and_identity_inverse_stays_float():
             assert G.inverse_times(eye, M) is M
 
 
+def _old_sparse_sum(terms, xs):
+    """_sparse_sum as it read when every term formed xs[j] * v."""
+    out = np.empty(len(terms), dtype=object)
+    for o, row in enumerate(terms):
+        prods = [xs[j] * v for j, v in row]
+        out[o] = functools.reduce(operator.add, prods) if prods else 0.0
+    return out
+
+
+def _bits(v):
+    """Type, level and the uint64 view of every float in v, zero signs
+    included, for floats, ints, duals, jets and arrays of them."""
+    if isinstance(v, _dual.Dual):
+        return ("dual", v.level, _bits(v.re), _bits(v.im))
+    if isinstance(v, _dual._Jet):
+        return ("jet", _bits(v.re), _bits(v.g), None if v.h is None else _bits(v.h))
+    if isinstance(v, np.ndarray):
+        if v.dtype == object:
+            return ("array", v.shape, [_bits(e) for e in v.ravel()])
+        return ("floats", v.shape, v.view(np.uint64).tolist())
+    return (type(v).__name__, np.array(v, dtype=float).view(np.uint64).item())
+
+
+def test_sparse_sum_keeps_the_bits_of_the_product_rule():
+    """A 1.0 coefficient takes the entry as it is, any other forms the
+    product: on floats, ints, and scalar- and array-tangent duals and jets
+    over floats, with -0.0 and inf values, each sum equals the old rule's,
+    type included."""
+    lev = _dual.fresh_level()
+    g, h = np.array([-0.0, np.inf]), np.array([[2.0, -0.0], [0.0, -1.0]])
+    kinds = [
+        [-0.0, 0.0, np.inf, -np.inf, 2.5, 0, 3],
+        [_dual.Dual(-0.0, -0.0, lev), _dual.Dual(np.inf, 1.5, lev), _dual.Dual(-2.0, 0.0, lev)],
+        [_dual.Dual(-0.0, g, lev), _dual.Dual(1.5, -g, lev)],
+        [_dual._Jet(-0.0, g), _dual._Jet(np.inf, h[0], h)],
+    ]
+    coeffs = (1.0, -1.0, 0.5, -0.0, 6.3e-17)
+    for xs in kinds:
+        cols = range(len(xs))
+        terms = [[(j, v)] for j in cols for v in coeffs]
+        terms += [[(j, v), (k, w)] for j in cols for k in cols for v in coeffs for w in coeffs]
+        with np.errstate(invalid="ignore"):
+            got, want = _sparse_sum(terms, xs), _old_sparse_sum(terms, xs)
+        for row, a, b in zip(terms, got, want):
+            assert _bits(a) == _bits(b), row
+
+
 # ---------------------------------------------------------------------------
 # unhat of a product, formed only where the coordinates read it
 
@@ -478,7 +526,8 @@ def test_unhat_product_equals_unhat_of_the_whole_product(G, idx, seed):
 
 def test_unhat_product_of_the_heisenberg_center_is_one_dot_product(monkeypatch):
     """The z coordinate of heisenberg3 reads one entry of the product: 4
-    dual products and the one pseudo-inverse scaling, not the 64 of a @ b."""
+    dual products, not the 64 of a @ b.  Its pseudo-inverse coefficient is
+    exactly 1.0, so the entry is taken as it is, with no scaling product."""
     G = heisenberg3(1.0)
     rng = np.random.default_rng(0)
     lev = _dual.fresh_level()
@@ -487,7 +536,7 @@ def test_unhat_product_of_the_heisenberg_center_is_one_dot_product(monkeypatch):
     mul = _dual.Dual.__mul__
     monkeypatch.setattr(_dual.Dual, "__mul__", lambda s, o: calls.append(1) or mul(s, o))
     G.unhat_product(a, b, (2,))
-    assert len(calls) == 4 + 1
+    assert len(calls) == 4
 
 
 # ---------------------------------------------------------------------------
