@@ -48,7 +48,7 @@ from .errors import (
     NotSupported,
     NumericalFailure,
 )
-from .lpbundle import ChartDomain, LPBundleChart, check_axioms, table_shapes
+from .lpbundle import ChartDomain, LPBundleChart, _max_abs, check_axioms, table_shapes
 from .smoothmap import SmoothMap, constant_map
 
 # dynamics, reduction, liegroups and systems are imported by the functions
@@ -580,7 +580,7 @@ def cmd_check_axioms(cfg):
 def _lp_residual_max(sys, traj, jets):
     """Largest equation residual when the solved accelerations are fed back,
     at 25 evenly spaced grid points; ``jets`` holds the jet of L at each
-    state of ``traj``."""
+    state of ``traj``; NaN if any residual is NaN."""
     from .dynamics import accelerations, lp_operator
 
     # sorted(set(...)), not np.unique, whose first call imports numpy.ma
@@ -589,16 +589,14 @@ def _lp_residual_max(sys, traj, jets):
     for i in idx:
         s, jet = traj.states[i], jets[i]
         qdd, vd = accelerations(sys, s, jet=jet)
-        hor, ver = lp_operator(sys, s, qdd, vd, jet=jet)
-        for part in (hor, ver):
-            if part.size:
-                worst = max(worst, float(np.max(np.abs(part))))
+        worst = _max_abs(worst, *lp_operator(sys, s, qdd, vd, jet=jet))
     return worst
 
 
 def _drift_max(series):
-    """Largest distance of a series from its first entry."""
-    return float(max(abs(x - series[0]) for x in series))
+    """Largest distance of a series from its first entry; NaN if any
+    entry is NaN."""
+    return _max_abs(np.subtract(series, series[0]))
 
 
 def cmd_simulate(cfg):
@@ -741,7 +739,7 @@ def cmd_stages(cfg):
     from .reduction import stages_reduce, subgroup_indices, two_stage_lagrangian
 
     record = resolve_system(cfg)
-    if record.handle is None or record.unreduced_lagrangian is None:
+    if record.handle is None:
         raise ConfigError(
             f"system '{record.name}' has no stored invariant Lagrangian to stage"
         )
@@ -785,7 +783,7 @@ def cmd_stages(cfg):
     # beta is a permutation, so its products are exact
     dv = direct.v_array() @ res.beta.T - staged.v_array()
     dq = direct.q_array() - staged.q_array()
-    dev = float(np.max(np.abs(np.hstack([dv, dq])), initial=0.0))
+    dev = _max_abs(dv, dq)
 
     rng = np.random.default_rng(seed)
     lag_dev = 0.0
@@ -797,7 +795,7 @@ def cmd_stages(cfg):
         v = rng.standard_normal(m)
         a = float(record.lagrangian.value(q, qd, v))
         b = float(pulled.value(q, qd, v))
-        lag_dev = max(lag_dev, abs(a - b))
+        lag_dev = _max_abs(lag_dev, a - b)
 
     payload = {
         "system": record.name,
@@ -829,8 +827,6 @@ def cmd_noether(cfg):
     record = resolve_system(cfg)
     if record.action is None:
         raise ConfigError(f"system '{record.name}' declares no symmetry action")
-    if record.lagrangian is None:
-        raise ConfigError("noether needs a system with a Lagrangian")
     act = record.action
     s0 = resolve_initial(cfg, record)
     t_end, dt, method = _resolve_run(cfg)
@@ -870,13 +866,13 @@ def cmd_noether(cfg):
         "generators": len(etas),
         "rows": len(rows),
         "current_drift_max": [_drift_max(col) for col in currents],
-        "residual_max": [float(np.max(np.abs(col))) for col in residuals],
+        "residual_max": [_max_abs(col) for col in residuals],
         "t_end": t_end,
         "dt": dt,
         "seed": seed,
     }
     _write_artifacts(out, {"noether.csv": (header, rows), "noether_report.json": payload})
-    worst = max(payload["residual_max"])
+    worst = _max_abs(payload["residual_max"])
     print(
         f"{record.name}: {len(etas)} generators, worst drift residual {worst:.3e}"
     )

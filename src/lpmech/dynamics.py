@@ -184,13 +184,12 @@ def _scalar_body(fm: SmoothMap):
     return f
 
 
-def _lagrangian_gradient(sys: LPLagrangian, s: LPState):
-    """dL at s as a float vector, in the packed (q, qdot, v) order."""
-    return np.asarray(_dual.gradient(_scalar_body(sys.L), _pack(s)), dtype=float)
-
-
-def _grad_hess(sys: LPLagrangian, s: LPState):
-    return _dual.grad_hess(_scalar_body(sys.L), _pack(s))
+def _jet(sys: LPLagrangian, s, jet=None):
+    """(value, gradient, Hessian) of L at s in the packed (q, qdot, v) order:
+    ``jet`` when given, as in Trajectory.jets, else one grad_hess pass.
+    Every derivative of L at a state reads it, but integrate_lp's stages,
+    which take the jets on the packed vector."""
+    return _dual.grad_hess(_scalar_body(sys.L), _pack(s)) if jet is None else jet
 
 
 def _force_terms(sys: LPLagrangian, s, jet):
@@ -204,7 +203,7 @@ def _force_terms(sys: LPLagrangian, s, jet):
     axis and are +0.0 vectors, so the fiber part is that einsum ``+ 0.0``
     bit for bit, and the base part is empty."""
     n, m = sys.n, sys.m
-    _, grad, H = _grad_hess(sys, s) if jet is None else jet
+    _, grad, H = _jet(sys, s, jet)
     if not m:
         return (grad[:n] - H[n : 2 * n, :n] @ s.qdot) + 0.0, H[n:, n:]
     if not n:
@@ -281,8 +280,9 @@ def accelerations(sys: LPLagrangian, s: LPState, jet=None):
     Solves M z = f in the (qdot, v) block Hessian M of L; raises
     SingularHessian when that block is non-finite or ill conditioned
     (threshold 1e12).  ``jet`` is (value, gradient, Hessian) of L at s, as
-    in Trajectory.jets; it is computed when None.  Only s.q, s.qdot and
-    s.v are read, so integrate_lp passes its stage points as _Slots.
+    in Trajectory.jets; when None, it is one grad_hess pass.  Only s.q,
+    s.qdot and s.v are read, so integrate_lp passes its stage points as
+    _Slots.
     """
     f, M = _force_terms(sys, s, jet)
     z = _solve_velocity_block(M, f)
@@ -293,14 +293,10 @@ def energy(sys: LPLagrangian, s: LPState, jet=None):
     """E = <dL/dqdot, qdot> + <dL/dv, v> - L.
 
     ``jet`` is (value, gradient, Hessian) of L at s, as in Trajectory.jets,
-    and gives L and dL; when None, L is evaluated on floats and dL takes one
-    gradient pass.
+    and gives L and dL; when None, it is one grad_hess pass.
     """
     n = sys.n
-    if jet is None:
-        val, grad = eval_map(sys.L, _pack(s)).reshape(-1)[0], _lagrangian_gradient(sys, s)
-    else:
-        val, grad, _ = jet
+    val, grad, _ = _jet(sys, s, jet)
     return float(grad[n : 2 * n] @ s.qdot + grad[2 * n :] @ s.v - float(val))
 
 
@@ -451,8 +447,8 @@ def noether_current(
 ):
     """J = <dL/dqdot, genQ(eta, q)>; linear in eta.  ``jet`` is (value,
     gradient, Hessian) of L at s, as for energy, and gives dL; when None,
-    dL takes one gradient pass."""
-    grad = _lagrangian_gradient(sys, s) if jet is None else jet[1]
+    it is one grad_hess pass."""
+    grad = _jet(sys, s, jet)[1]
     etaQ = np.asarray(act.genQ(np.asarray(eta, dtype=float), s.q), dtype=float)
     return _current(sys.n, grad, etaQ)
 
@@ -471,8 +467,8 @@ def noether_drift_residual(
     len(traj) - 4 entries.  Vanishes (to integrator accuracy) along
     solutions of an invariant Lagrangian.  One gradient per state serves
     J and mu: the gradient of ``jets`` (one jet of L per state, such as
-    traj.jets for the Lagrangian that was integrated), or one gradient pass
-    per state when None.
+    traj.jets for the Lagrangian that was integrated), or of one grad_hess
+    pass per state when None or empty.
     """
     N = len(traj)
     if N < 5:
@@ -485,10 +481,7 @@ def noether_drift_residual(
 
     eta = np.asarray(eta, dtype=float)
     n = sys.n
-    if jets is None:
-        grads = [_lagrangian_gradient(sys, s) for s in traj.states]
-    else:
-        grads = [grad for _, grad, _ in jets]
+    grads = [_jet(sys, s, jet)[1] for s, jet in zip(traj.states, jets or [None] * N)]
     etaQs = [np.asarray(act.genQ(eta, s.q), dtype=float) for s in traj.states]
     J = np.array([_current(n, grad, etaQ) for grad, etaQ in zip(grads, etaQs)])
     dJdt = (-J[4:] + 8 * J[3:-1] - 8 * J[1:-3] + J[:-4]) / (12 * h)
@@ -515,7 +508,7 @@ def invariance_residual(sys: LPLagrangian, act: GroupAction, s: LPState, eta):
     """
     n = sys.n
     eta = np.asarray(eta, dtype=float)
-    grad = _lagrangian_gradient(sys, s)
+    grad = _jet(sys, s)[1]
     gen_map = SmoothMap(n, n, lambda qq: act.genQ(eta, qq), out_shape=(n,))
     JQ = np.asarray(jacobian(gen_map, s.q), dtype=float)
     etaQ = np.asarray(act.genQ(eta, s.q), dtype=float)

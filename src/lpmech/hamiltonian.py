@@ -34,8 +34,7 @@ from .dynamics import (
     Trajectory,
     _check_slots,
     _integrate_fixed,
-    _lagrangian_gradient,
-    _pack,
+    _jet,
     _scalar_body,
     _solve_velocity_block,
     _split_map,
@@ -273,7 +272,7 @@ def integrate_hp(b: LPBundleChart, H, s0: HPState, t0, t1, h, method="rk4"):
 def legendre(sys: LPLagrangian, s: LPState) -> HPState:
     """Velocity state to dual state: p = dL/dqdot, nu = dL/dv."""
     n = sys.n
-    grad = _lagrangian_gradient(sys, s)
+    grad = _jet(sys, s)[1]
     return HPState(s.q, grad[n : 2 * n], grad[2 * n :])
 
 
@@ -285,16 +284,15 @@ def inverse_legendre(sys: LPLagrangian, hs: HPState, guess: LPState):
     NoConvergence after 50 steps and SingularHessian if the Jacobian
     degenerates along the way.
     """
-    n, m = sys.n, sys.m
+    n = sys.n
     target = np.concatenate([hs.p, hs.nu])
     y = np.concatenate([guess.qdot, guess.v])
-    f = _scalar_body(sys.L)
     for _ in range(50):
-        x = np.concatenate([hs.q, y])
-        _, grad, H = _dual.grad_hess(f, x)
+        s = LPState(hs.q, y[:n], y[n:])
+        _, grad, H = _jet(sys, s)
         resid = grad[n:] - target
         if np.linalg.norm(resid) <= 1e-12:
-            return LPState(hs.q, y[:n], y[n:])
+            return s
         y = y - _solve_velocity_block(H[n:, n:], resid)
     raise NoConvergence("Newton iteration did not reach tolerance in 50 steps")
 
@@ -302,7 +300,7 @@ def inverse_legendre(sys: LPLagrangian, hs: HPState, guess: LPState):
 def hamiltonian_from_lagrangian(sys: LPLagrangian, hs: HPState, guess: LPState):
     """H(q, p, nu) = <p, qdot> + <nu, v> - L at the inverse-Legendre point."""
     s = inverse_legendre(sys, hs, guess)
-    lval = float(eval_map(sys.L, _pack(s)).reshape(-1)[0])
+    lval = float(sys.value(s.q, s.qdot, s.v))
     return float(hs.p @ s.qdot + hs.nu @ s.v - lval)
 
 

@@ -37,7 +37,7 @@ from .dynamics import (
     LPLagrangian,
     LPState,
     Trajectory,
-    _lagrangian_gradient,
+    _jet,
 )
 from .lpbundle import ChartDomain, LPBundleChart, _max_abs, check_axioms, table_shapes, transport
 from .liegroups import Ad, MatrixLieGroup, abelian, structure_constants
@@ -572,5 +572,5 @@ def reduced_noether(sys: LPLagrangian, s: LPState, etabar):
     n, m = sys.n, sys.m
     if len(etabar) > m:
         raise DimensionMismatch("more symmetry coefficients than fiber slots")
-    grad = _lagrangian_gradient(sys, s)
+    grad = _jet(sys, s)[1]
     return float(grad[2 * n : 2 * n + len(etabar)] @ etabar)

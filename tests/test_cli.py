@@ -12,6 +12,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import pathlib
 import re
@@ -28,8 +29,10 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from lpmech import _dual
-from lpmech.cli import _numbers, load_config, main
+from lpmech.cli import _drift_max, _lp_residual_max, _numbers, load_config, main
+from lpmech.dynamics import integrate_lp
 from lpmech.errors import AxiomViolation, ConfigError, InvarianceViolation
+from lpmech.systems import build_system
 
 
 def write_cfg(tmp_path, text, name="cfg.yaml"):
@@ -619,6 +622,60 @@ _HEISENBERG_SCENARIO = """
             [],
             "initial.q: [1e+20, 0.0] lies outside the chart box [[-3.0, 3.0], [-3.0, 3.0]]",
         ),
+        ("simulate", _SIMULATE, ["--config", "{tmp}/missing.yaml"], "cannot read"),
+        (
+            "check-axioms",
+            "",
+            [],
+            "config must name a catalog 'system' or define a 'bundle'",
+        ),
+        ("check-axioms", "- 1\n- 2\n", [], "top level must be a mapping"),
+        ("check-axioms", "bundle: [1, 2]\n", [], "bundle: expected a mapping"),
+        (
+            "check-axioms",
+            "bundle: {n: 1, m: 1, gamma: {polynomial: {terms: 5}}}\n",
+            [],
+            "bundle.gamma.polynomial.terms: expected a list of terms",
+        ),
+        (
+            "check-axioms",
+            "bundle: {n: 1, m: 1, gamma: {polynomial: {terms: "
+            "[{index: [0, 0, 0], powers: [1, 2], coeff: 1.0}]}}}\n",
+            [],
+            "powers: expected 1 exponents",
+        ),
+        (
+            "check-axioms",
+            "bundle: {n: 1, m: 1, gamma: 5}\n",
+            [],
+            "expected a mapping with 'constant' or 'polynomial'",
+        ),
+        (
+            "check-axioms",
+            "bundle: {n: 1, m: 1, c: {constant: [[[0.0]]], polynomial: {terms: []}}}\n",
+            [],
+            "give 'constant' or 'polynomial', not both",
+        ),
+        (
+            "check-axioms",
+            "system: rigid_body\nbundle: {n: 1, m: 0}\n",
+            [],
+            "give either 'system' or 'bundle', not both",
+        ),
+        ("simulate", "system: rigid_body\nparams: 5\n", [], "params: expected a mapping"),
+        (
+            "reduce",
+            "system: central_potential_particle\n",
+            [],
+            "system 'central_potential_particle' carries no principal-bundle scenario",
+        ),
+        (
+            "stages",
+            "system: central_potential_particle\n",
+            [],
+            "system 'central_potential_particle' has no stored invariant Lagrangian to stage",
+        ),
+        ("stages", "system: rigid_body\n", [], "stages.nidx: required (no catalog default)"),
     ],
     ids=[
         "samples-axioms",
@@ -696,6 +753,19 @@ _HEISENBERG_SCENARIO = """
         "dump-samples-huge",
         "initial-outside-chart-simulate",
         "initial-outside-chart-noether",
+        "config-missing-file",
+        "config-empty",
+        "config-top-level-list",
+        "bundle-not-a-mapping",
+        "terms-not-a-list",
+        "powers-wrong-count",
+        "table-not-a-mapping",
+        "table-constant-and-polynomial",
+        "system-and-bundle",
+        "params-not-a-mapping",
+        "reduce-without-scenario",
+        "stages-without-invariant-lagrangian",
+        "stages-nidx-required",
     ],
 )
 def test_out_of_range_settings_are_config_errors(
@@ -950,8 +1020,26 @@ def test_simulate_non_finite_state_exits_three(tmp_path, capsys):
             """,
             "simulate_report.json: energy_initial is nan",
         ),
+        # finite states, gradients and Hessians, while L is inf - inf = NaN at
+        # the last state only: the maximum energy drift keeps that NaN
+        (
+            "simulate",
+            """
+            bundle: {n: 1, m: 0, bounds: [[-1.0e+5, 1.0e+5]]}
+            lagrangian:
+              polynomial:
+                terms:
+                  - {powers: [0, 2], coeff: 0.5}
+                  - {powers: [2, 0], coeff: 1.0e+300}
+                  - {powers: [2, 0], coeff: -1.0e+300}
+            initial: {q: [1.339e+4], qdot: [1.0e+3]}
+            t_end: 0.02
+            dt: 0.01
+            """,
+            "simulate_report.json: energy_drift_max is nan",
+        ),
     ],
-    ids=["noether-stencil-overflow", "simulate-energy-overflow"],
+    ids=["noether-stencil-overflow", "simulate-energy-overflow", "simulate-last-energy-nan"],
 )
 def test_non_finite_artifact_exits_one_and_writes_nothing(tmp_path, capsys, command, text, where):
     out = tmp_path / "out"
@@ -961,6 +1049,43 @@ def test_non_finite_artifact_exits_one_and_writes_nothing(tmp_path, capsys, comm
     assert err.startswith("config error: " + where) and err.count("\n") == 1
     assert "leave the float range" in err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("where", [0, 2, 4], ids=["first", "middle", "last"])
+def test_report_maxima_keep_a_nan_wherever_it_sits(where):
+    """The drift and residual maxima are NaN when one entry is, so the
+    finiteness gate refuses the report; Python's max would skip it."""
+    series = [1.0, 0.5, 2.0, -1.0, 3.0]
+    assert _drift_max(series) == 2.0
+    series[where] = float("nan")
+    assert math.isnan(_drift_max(series))
+
+    rec = build_system("central_potential_particle")
+    traj = integrate_lp(rec.lagrangian, rec.initial, 0.0, 0.04, 0.01)
+    assert len(traj) == 5  # _lp_residual_max samples every state
+    assert _lp_residual_max(rec.lagrangian, traj, traj.jets) <= 1e-12
+    jets = list(traj.jets)
+    val, grad, hess = jets[where]
+    jets[where] = (val, np.full_like(grad, np.nan), hess)
+    assert math.isnan(_lp_residual_max(rec.lagrangian, traj, jets))
+
+
+def test_zero_dimensional_chart_runs_end_to_end(tmp_path):
+    cfg = write_cfg(
+        tmp_path,
+        """
+        bundle: {n: 0, m: 0}
+        lagrangian: {polynomial: {terms: [{powers: [], coeff: 1.0}]}}
+        initial: {q: [], qdot: []}
+        t_end: 0.002
+        dt: 0.001
+        """,
+    )
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 0
+    report = read_json(tmp_path / "sim", "simulate_report.json")
+    assert report["rows"] == 3 and report["energy_initial"] == -1.0
+    assert report["energy_drift_max"] == 0.0 and report["lp_residual_max"] == 0.0
+    assert main(["check-axioms", "--config", cfg, "--out", str(tmp_path / "ax")]) == 0
 
 
 def test_simulate_chart_exit_prints_its_time(tmp_path, capsys):

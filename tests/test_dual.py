@@ -138,6 +138,15 @@ def test_constant_and_linear_bodies_have_a_plus_zero_hessian(body):
     assert hess.tobytes() == np.zeros((2, 2)).tobytes()
 
 
+def test_a_function_of_no_inputs_has_an_empty_gradient_and_hessian():
+    def f(x):
+        return 1.5 + np.sum(x)
+
+    assert _dual.gradient(f, np.zeros(0)).shape == (0,)
+    val, grad, hess = _dual.grad_hess(f, np.zeros(0))
+    assert val == 1.5 and grad.shape == (0,) and hess.shape == (0, 0)
+
+
 def test_a_dual_of_an_enclosing_pass_is_a_type_error():
     """f closes over a dual seeded before grad_hess started: the nested
     evaluation fails on it with a TypeError, and so does grad_hess."""

@@ -150,7 +150,7 @@ def test_integration_keeps_the_jet_of_every_state(method):
     traj = integrate_lp(sys, s0, 0.0, 0.05, 0.01, method)
     assert len(traj.jets) == len(traj) == 6
     for s, (val, grad, H) in zip(traj.states, traj.jets):
-        want = dynamics._grad_hess(sys, s)
+        want = dynamics._jet(sys, s)
         assert val == want[0]
         assert np.array_equal(grad, want[1]) and np.array_equal(H, want[2])
 
@@ -274,7 +274,7 @@ def test_point_base_force_terms_of_the_group_systems_keep_every_bit(name):
     rng = np.random.default_rng(29)
     for _ in range(4):
         s = LPState(np.zeros(0), np.zeros(0), rng.standard_normal(sys.m))
-        jet = dynamics._grad_hess(sys, s)
+        jet = dynamics._jet(sys, s)
         f, M = dynamics._force_terms(sys, s, jet)
         f_ref, M_ref = _einsum_force_terms(sys, s, jet)
         assert _bits(f) == _bits(f_ref) and _bits(M) == _bits(M_ref)

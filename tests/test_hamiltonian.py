@@ -36,8 +36,9 @@ from lpmech.hamiltonian import (
     write_hp_trajectory_csv,
 )
 from lpmech.lpbundle import ChartDomain, LPBundleChart, Section
+from lpmech.reduction import stages_reduce, two_stage_lagrangian
 from lpmech.smoothmap import SmoothMap
-from lpmech.systems import flat_bundle_particle, rigid_body
+from lpmech.systems import build_system, flat_bundle_particle, rigid_body
 
 
 def box(n, lo=-4.0, hi=4.0, periodic=None):
@@ -607,6 +608,23 @@ def test_inverse_legendre_recovers_catalog_states(case):
     assert np.array_equal(back.q, s.q)
     assert np.max(np.abs(back.qdot - s.qdot), initial=0.0) <= 1e-10
     assert np.max(np.abs(back.v - s.v), initial=0.0) <= 1e-10
+
+
+@pytest.mark.parametrize("nidx", [(2,), (0, 2), (1, 2)])
+def test_legendre_of_the_two_stage_lagrangian_is_beta_times_the_direct_one(nidx):
+    """Hamiltonian reduction by stages on heisenberg_stages: the fiber
+    momenta of the two-stage Lagrangian at beta v are beta times those of
+    the direct reduction at v, bit for bit (beta is a permutation)."""
+    rec = build_system("heisenberg_stages")
+    res = stages_reduce(rec.handle, nidx)
+    staged = two_stage_lagrangian(res, rec.unreduced_lagrangian)
+    none = np.zeros(0)
+    rng = np.random.default_rng(30)
+    for _ in range(5):
+        v = rng.standard_normal(rec.bundle.m)
+        got = legendre(staged, LPState(none, none, res.beta @ v)).nu
+        want = res.beta @ legendre(rec.lagrangian, LPState(none, none, v)).nu
+        assert got.tolist() == want.tolist()
 
 
 def test_inverse_legendre_failures():
