@@ -201,6 +201,42 @@ def transport(b: LPBundleChart, T, Tinv) -> LPBundleChart:
     return LPBundleChart(b.base, m, *(SmoothMap(n, math.prod(s), f, s, k) for f, (k, s) in bodies))
 
 
+def shift(b: LPBundleChart, S) -> LPBundleChart:
+    """The chart of b in the fiber coordinates v', where v = v' + S(q) qdot
+    for a map S from R^n to (m, n) with columns S_i: Gamma'_i = Gamma_i
+    + c(., S_i, .), c' = c and omega'_ij = omega_ij - (d_i S_j - d_j S_i
+    + Gamma_i S_j - Gamma_j S_i) - c(S_i, S_j).  The sums run over the rows
+    of S in order and skip each term with a factor that holds no nonzero or
+    dual entry; the c(S_i, S_j) terms go one row pair (g, h) at a time."""
+    n, m = b.n, b.m
+    if (S.in_dim, S.out_shape) != (n, (m, n)):
+        raise DimensionMismatch(f"S must map R^{n} to ({m}, {n})")
+
+    def live(T, axis):  # a dual is != 0
+        return np.asarray(T != 0).any(axis=axis)
+
+    def gamma(q):
+        Sq, C, out = eval_map(S, q), eval_map(b.c, q), eval_map(b.Gamma, q)
+        for s in np.flatnonzero(live(Sq, 1) & live(C, (0, 2))):
+            out = out + C[:, s, :] * Sq[s][:, None, None]
+        return out
+
+    def omega(q):
+        Sq, G, C = eval_map(S, q), eval_map(b.Gamma, q), eval_map(b.c, q)
+        dS = np.reshape(jacobian(S, q), (m, n, n))  # dS[a, j, i] = d_i S[a, j]
+        rows = live(Sq, 1)
+        K = dS.transpose(0, 2, 1)  # K[a, i, j] = d_i S[a, j] + (Gamma_i S_j)^a
+        for s in np.flatnonzero(rows & live(G, (0, 1))):
+            K = K + G[:, :, s].T[:, :, None] * Sq[s]
+        out = eval_map(b.omega, q) - (K - K.transpose(0, 2, 1))
+        for g, h in np.argwhere(rows[:, None] & rows & live(C, 0)):
+            out = out - C[:, g, h][:, None, None] * Sq[g][:, None] * Sq[h]
+        return out
+
+    Gamma = SmoothMap(n, n * m * m, gamma, (n, m, m), "Gamma")
+    return LPBundleChart(b.base, m, Gamma, b.c, SmoothMap(n, m * n * n, omega, (m, n, n), "omega"))
+
+
 @dataclass(frozen=True)
 class Section:
     """A section of the bundle: tangent part X and fiber part w."""

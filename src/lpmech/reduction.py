@@ -11,10 +11,10 @@ the stage-1 bundle, its fiber and two-form, with g = n s(k).
 
 Conventions: the group acts on the left, h.(x, g) = (x, h g); reduced
 fiber coordinates are the body values xi = coords(g^-1 gdot) + A(x) xdot
-and a = rho(g^-1) w.  The reduced two-form is dA - [A, A]; with the
-adjoint-type connection block -ad_A this is the unique sign for which the
-reduced chart satisfies the structure axioms, and the axiom checker runs
-on every build as a hard gate.
+and a = rho(g^-1) w.  The reduced chart of a connection A is the chart of
+the zero connection in the fiber coordinates xi, by ``lpbundle.shift``
+with S = -[A^T; 0], which states the law once; the axiom checker runs on
+every build as a hard gate.
 """
 
 from __future__ import annotations
@@ -39,7 +39,9 @@ from .dynamics import (
     Trajectory,
     _jet,
 )
-from .lpbundle import ChartDomain, LPBundleChart, _max_abs, check_axioms, table_shapes, transport
+from .lpbundle import (
+    ChartDomain, LPBundleChart, _max_abs, check_axioms, shift, table_shapes, transport
+)
 from .liegroups import Ad, MatrixLieGroup, abelian, structure_constants
 from .smoothmap import SmoothMap, _ConstantBody, constant_map, eval_map, jacobian
 
@@ -135,20 +137,14 @@ class PrincipalScenario:
         return self.repW.dim_w
 
 
-def _exterior_derivative(M: SmoothMap, x):
-    """dA[g, i, j] = d_i A[j, g] - d_j A[i, g] for the (d, r) table map A = M."""
-    d, r = M.out_shape
-    J = np.asarray(jacobian(M, x)).reshape(d, r, d)  # J[i, g, j] = d_j A[i, g]
-    return J.transpose(1, 2, 0) - J.transpose(1, 0, 2)
-
-
 def curvature_form(sc: PrincipalScenario, x):
     """B_ij = dA_ij + [A_i, A_j] at x, shape (d, d, k); skew in (i, j)."""
     x = np.asarray(x, dtype=float)
     sc.baseB.require_inside(x)
     A = np.asarray(eval_map(sc.A, x), dtype=float)
-    dA = np.asarray(_exterior_derivative(sc.A, x), dtype=float)
-    return dA.transpose(1, 2, 0) + np.einsum("gab,ia,jb->ijg", sc._c, A, A)
+    J = np.asarray(jacobian(sc.A, x), dtype=float).reshape(A.shape + A.shape[:1])
+    dA = J.transpose(2, 0, 1) - J.transpose(0, 2, 1)  # [i, j, g]: d_i A[j, g] - d_j A[i, g]
+    return dA + np.einsum("gab,ia,jb->ijg", sc._c, A, A)
 
 
 @dataclass(frozen=True)
@@ -156,66 +152,6 @@ class ReducedBundleHandle:
     bundle: LPBundleChart
     scenario: PrincipalScenario
     axioms: dict  # the axiom report of the reduced bundle, as a dict
-
-
-def _reduced_structure_maps(sc: PrincipalScenario):
-    """The reduced tables over the scenario base, as maps keyed by table name."""
-    d, k = sc.baseB.n, sc.k
-    shapes = dict(table_shapes(d, k + sc.dim_w))
-    c, gen = sc._c, sc.repW.gen
-    c_red = np.zeros(shapes["c"])
-    c_red[:k, :k, :k] = c
-    c_red[k:, :k, k:] = gen.transpose(1, 0, 2)
-    c_red[k:, k:, :k] = -gen.transpose(1, 2, 0)
-    # Gamma_i = -A[i, g] T[g], with T[g] = ad(e_g) on the algebra rows and the
-    # g-th generator on W; the blocks between them start as plain 0.0, and
-    # only the W-alg block takes the two-form term
-    blocks = [(slice(None, k), -c.transpose(1, 0, 2)), (slice(k, None), -gen)]
-    bracket = c.transpose(1, 2, 0)  # bracket[g, h, a] = c[a, g, h]
-    zero_k = np.zeros(k).astype(object)
-
-    def two_form_at(x):  # at group coordinate 0, shape (w, d + k, d + k)
-        return eval_map(sc.two_form, np.concatenate([np.asarray(x, dtype=object), zero_k]))
-
-    def lift(A):  # P = [I; -A^T], base into base x group coordinates
-        return np.concatenate([np.eye(d), -A.T])
-
-    # a zero two-form subtracts exact +0.0, so float tables keep their bits
-    def c_body(x):
-        O = two_form_at(x)
-        out = c_red.astype(O.dtype)
-        out[k:, :k, :k] -= O[:, d:, d:]
-        return out
-
-    def gamma_body(x):
-        A, O = eval_map(sc.A, x), two_form_at(x)
-        out = np.zeros(shapes["Gamma"]).astype(np.result_type(A, O))
-        for blk, negT in blocks:
-            out[:, blk, blk] = np.einsum("gab,ig->iab", negT, A)
-        out[:, k:, :k] -= np.einsum("vi,pvb->ipb", lift(A), O[:, :, d:])
-        return out
-
-    def omega_body(x):
-        A, O = eval_map(sc.A, x), two_form_at(x)
-        # terms[g, h, a, i, j] = c[a, g, h] A[i, g] A[j, h], taken off dA one
-        # (g, h) pair at a time; one contraction would reorder the sum and move
-        # the last bits of omega for dense connections
-        At = A.T
-        terms = bracket[..., None, None] * At[:, None, None, :, None] * At[None, :, None, None, :]
-        alg = np.subtract.reduce(
-            np.concatenate([_exterior_derivative(sc.A, x)[None], terms.reshape(k * k, k, d, d)])
-        )
-        P = lift(A)
-        return np.concatenate([alg, np.einsum("vi,pvu,uj->pij", P, O, P)])
-
-    bodies = {"Gamma": gamma_body, "c": c_body, "omega": omega_body}
-    maps = {
-        name: SmoothMap(d, int(np.prod(shape)), bodies[name], out_shape=shape, name=f"{name}_red")
-        for name, shape in shapes.items()
-    }
-    if isinstance(sc.two_form.body, _ConstantBody):  # then c is constant too
-        maps["c"] = constant_map(d, c_body(np.zeros(d)), "c_red")
-    return maps
 
 
 def require_axioms(report, what):
@@ -231,14 +167,42 @@ def require_axioms(report, what):
 def build_reduced_bundle(sc: PrincipalScenario, n_samples=100, seed=0):
     """Reduced bundle chart over the scenario base; must pass the axioms.
 
-    The fiber is algebra + W with the adjoint/representation connection
-    blocks and the reduced two-form dA - [A, A] on the algebra rows.  The
-    scenario's two-form Omega, read at group coordinate 0 and pulled back
-    along the lift P = [I; -A^T], gives c[W, alg, alg] -= Omega,
-    Gamma[:, W, alg] -= P^T Omega and the W rows P^T Omega P of the
-    two-form.
+    Its fiber is algebra + W.  The chart is that of the zero connection, with
+    the adjoint/representation bracket and the scenario's two-form Omega at
+    group coordinate 0 in c[W, alg, alg] -= Omega[:, d:, d:], Gamma[:, W,
+    alg] = -Omega[:, :d, d:] and omega[W] = Omega[:, :d, :d], moved by
+    ``lpbundle.shift`` with S = -[A^T; 0] to the fiber coordinates
+    xi = coords(g^-1 gdot) + A^T xdot; A enters the tables only there, as the
+    connection blocks -ad_A and -rho'(A) and the two-form dA - [A, A] on the
+    algebra rows.
     """
-    bundle = LPBundleChart(sc.baseB, sc.k + sc.dim_w, **_reduced_structure_maps(sc))
+    d, k, w = sc.baseB.n, sc.k, sc.dim_w
+    shapes = dict(table_shapes(d, k + w))
+    gen = sc.repW.gen
+    c_red = np.zeros(shapes["c"])
+    c_red[:k, :k, :k] = sc._c
+    c_red[k:, :k, k:] = gen.transpose(1, 0, 2)
+    c_red[k:, k:, :k] = -gen.transpose(1, 2, 0)
+
+    def flat(x):  # the tables of the zero connection at x
+        O = eval_map(sc.two_form, np.concatenate([np.asarray(x, dtype=object), np.zeros(k)]))
+        G, Om = (np.zeros(shapes[name]).astype(O.dtype) for name in ("Gamma", "omega"))
+        C = c_red.astype(O.dtype)
+        # a zero two-form subtracts exact +0.0, so c keeps its bits
+        C[k:, :k, :k] -= O[:, d:, d:]
+        G[:, k:, :k] -= O[:, :d, d:].transpose(1, 0, 2)
+        Om[k:] = O[:, :d, :d]
+        return {"Gamma": G, "c": C, "omega": Om}
+
+    def s_body(x):
+        return np.concatenate([-eval_map(sc.A, x).T, np.zeros((w, d))])
+
+    S = SmoothMap(d, (k + w) * d, s_body, (k + w, d), "S")
+    maps = flat(np.zeros(d)) if isinstance(sc.two_form.body, _ConstantBody) else {
+        name: SmoothMap(d, int(np.prod(s)), lambda x, name=name: flat(x)[name], s, name)
+        for name, s in shapes.items()
+    }
+    bundle = shift(LPBundleChart(sc.baseB, k + w, **maps), S)
     report = require_axioms(
         check_axioms(bundle, n_samples=n_samples, seed=seed), "reduced bundle"
     )

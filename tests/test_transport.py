@@ -1,14 +1,20 @@
-"""Fiber transport of bundle charts and pullback of Lagrangians.
+"""Fiber transport and shift of bundle charts, and pullback of Lagrangians.
 
 transport(b, T, Tinv) is the chart of b in the fiber coordinates w', where
-w = T(q) w'; pullback(L, T, Tinv) is L on that chart.  The laws checked here:
-a transport and its inverse cancel, two transports compose, the closure
-conditions do not depend on the frame, and the LP flow maps through pullback.
-Every frame is q-dependent, so the Tinv d_i T term of Gamma' is in play.
+w = T(q) w'; shift(b, S) is the chart of b in the fiber coordinates v',
+where v = v' + S(q) qdot; pullback(L, T, Tinv) is L on a transported chart.
+The laws checked here: a transport and its inverse cancel, and so do the
+shifts by S and -S; two transports compose, and a shift composes with a
+transport into the change v = T v' + S qdot; the closure conditions do not
+depend on the frame or the shift; and the LP flow maps through pullback.
+Every frame and every S is q-dependent, so the Tinv d_i T term of Gamma'
+and the d_i S_j - d_j S_i term of omega' are in play.
 """
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from lpmech.dynamics import LPState, integrate_lp, pullback
 from lpmech.errors import DimensionMismatch
@@ -19,6 +25,7 @@ from lpmech.lpbundle import (
     _max_abs,
     check_axioms,
     jacobi_residual,
+    shift,
     transport,
 )
 from lpmech.smoothmap import SmoothMap, eval_map
@@ -176,3 +183,108 @@ def test_the_lp_flow_maps_through_pullback():
     for a, b in zip(direct.states, pulled.states):
         assert np.max(np.abs(a.q - b.q)) <= 1e-12
         assert np.max(np.abs(a.v - np.asarray(eval_map(T, b.q), float) @ b.v)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the shift v = v' + S(q) qdot
+
+
+def polynomial_shift(m, seed, n=2):
+    """S(q) = S0 + S1 q + q.S2.q entrywise, of shape (m, n), dual-safe."""
+    rng = np.random.default_rng(seed)
+    s0, s1, s2 = (rng.uniform(-1.0, 1.0, (m, n) + (n,) * p) for p in range(3))
+
+    def body(q):
+        dtype = object if np.asarray(q).dtype == object else float
+        rows = [[np.dot(s1[a, i], q) + np.dot(q, np.dot(s2[a, i], q)) for i in range(n)]
+                for a in range(m)]
+        return s0 + np.array(rows, dtype=dtype)
+
+    return SmoothMap(n, m * n, body, out_shape=(m, n))
+
+
+def negated(S):
+    return SmoothMap(S.in_dim, S.out_dim, lambda q: -eval_map(S, q), out_shape=S.out_shape)
+
+
+def gauged_algebra_chart():
+    """The affine algebra chart in a q-dependent frame: nonzero Gamma and c."""
+    return transport(affine_algebra_chart(), *unitriangular_frame(2, SHEAR2))
+
+
+SHIFT_CHARTS = [closed_flat_chart, affine_algebra_chart, gauged_algebra_chart]
+# derandomized, as every property here; no shrink phase: a failing S is
+# reported as drawn
+SHIFT_SETTINGS = settings(max_examples=4, phases=(Phase.explicit, Phase.generate))
+
+
+@pytest.mark.parametrize("make", SHIFT_CHARTS)
+@SHIFT_SETTINGS
+@given(seed=st.integers(0, 2**16))
+def test_shift_by_S_then_by_minus_S_gives_back_the_tables(make, seed):
+    """The second shift's Gamma'_i S_j cross terms give 2 c(S_i, S_j), which
+    cancel the c(S, S) terms of both shifts."""
+    b = make()
+    S = polynomial_shift(2, seed)
+    moved = shift(b, S)
+    assert table_gap(moved, b) > 0.05
+    assert table_gap(shift(moved, negated(S)), b) <= 1e-12
+
+
+@pytest.mark.parametrize("make", SHIFT_CHARTS)
+@SHIFT_SETTINGS
+@given(seed=st.integers(0, 2**16))
+def test_shift_after_transport_composes_to_the_change_by_T_and_S(make, seed):
+    """v = T v' + S qdot is u = v' + Tinv S qdot after v = T u, and also
+    u = T v' after v = u + S qdot; the shift by S itself after the transport
+    is a different change."""
+    b = make()
+    T, Tinv = unitriangular_frame(2, SHEAR2)
+    S = polynomial_shift(2, seed)
+    tinv_s = SmoothMap(2, 4, lambda q: eval_map(Tinv, q) @ eval_map(S, q), out_shape=(2, 2))
+    after = shift(transport(b, T, Tinv), tinv_s)
+    before = transport(shift(b, S), T, Tinv)
+    assert table_gap(shift(transport(b, T, Tinv), S), before) > 0.01
+    assert table_gap(after, before) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "make, failing",
+    [
+        (closed_flat_chart, []),
+        (affine_algebra_chart, []),
+        (gauged_algebra_chart, []),
+        (curved_chart, ["f_curvature_coupling"]),
+    ],
+)
+@SHIFT_SETTINGS
+@given(seed=st.integers(0, 2**16))
+def test_check_axioms_gives_the_same_verdict_after_a_shift(make, failing, seed):
+    b = make()
+    for chart in (b, shift(b, polynomial_shift(b.m, seed))):
+        report = check_axioms(chart, n_samples=10, seed=2)
+        assert [c.name for c in report.conditions if not c.passed] == failing
+        if failing:
+            assert report.condition("f_curvature_coupling").max_residual > 0.5
+        else:
+            assert max(c.max_residual for c in report.conditions) <= 1e-12
+
+
+@pytest.mark.parametrize("make", SHIFT_CHARTS)
+@SHIFT_SETTINGS
+@given(seed=st.integers(0, 2**16))
+def test_jacobi_residual_stays_at_round_off_on_a_shifted_chart(make, seed):
+    moved = shift(make(), polynomial_shift(2, seed))
+    rng = np.random.default_rng(seed)
+    Z = [random_polynomial_section(moved, rng) for _ in range(3)]
+    for _ in range(2):
+        assert jacobi_residual(moved, *Z, moved.base.sample(rng)) <= 1e-12
+
+
+def test_shift_rejects_S_of_the_wrong_shape_or_input():
+    b = closed_flat_chart()
+    wide = SmoothMap(3, 4, lambda q: np.zeros((2, 2)), out_shape=(2, 2))
+    tall = SmoothMap(2, 6, lambda q: np.zeros((3, 2)), out_shape=(3, 2))
+    for S in (wide, tall, SmoothMap(2, 4, lambda q: np.zeros(4))):
+        with pytest.raises(DimensionMismatch):
+            shift(b, S)
