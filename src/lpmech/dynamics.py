@@ -31,7 +31,7 @@ from . import _dual
 from ._textfile import csv_text, write_text
 from .errors import DimensionMismatch, NonFiniteState, NumericalFailure, SingularHessian
 from .lpbundle import LPBundleChart, transport
-from .smoothmap import SmoothMap, eval_map, jacobian
+from .smoothmap import SmoothMap, as_map, eval_map, jacobian
 
 HESSIAN_COND_LIMIT = 1e12
 
@@ -89,11 +89,13 @@ def _split_map(n, m, f, name=""):
 
 def pullback(sys: LPLagrangian, T, Tinv) -> LPLagrangian:
     """L'(q, qdot, v') = L(q, qdot, T(q) v') on transport(sys.bundle, T, Tinv)."""
+    bundle = transport(sys.bundle, T, Tinv)
+    T = as_map(T, sys.n, (sys.m, sys.m), "T")
 
     def f(q, qdot, v):
-        return sys.value(q, qdot, (eval_map(T, q) if isinstance(T, SmoothMap) else T) @ v)
+        return sys.value(q, qdot, eval_map(T, q) @ v)
 
-    return LPLagrangian.from_callable(transport(sys.bundle, T, Tinv), f, sys.name)
+    return LPLagrangian.from_callable(bundle, f, sys.name)
 
 
 @dataclass(frozen=True)

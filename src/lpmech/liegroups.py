@@ -181,6 +181,26 @@ def structure_constants(group: MatrixLieGroup):
     return c
 
 
+def _embed(coords, idx, k):
+    """k coordinates, ``coords`` on the indices ``idx`` and 0.0 elsewhere."""
+    out = [0.0] * k
+    for j, i in enumerate(idx):
+        out[i] = coords[j]
+    return np.array(out, dtype=object)
+
+
+def restrict(group: MatrixLieGroup, idx) -> MatrixLieGroup:
+    """``group``'s exponential on the span of ``basis[idx]``, with that basis:
+    the subgroup when the span is a subalgebra (else ``structure_constants``
+    raises).  Its exp is the group's at the ``_embed`` coordinates, and its
+    matrices, check and inverse are the group's."""
+    idx, k = list(idx), group.dim  # a list, so basis[idx] picks rows
+    return MatrixLieGroup(
+        f"{group.name}{idx}", group.mat_dim, group.basis[idx],
+        lambda xi: group.exp_body(_embed(xi, idx, k)), group.check_body, group.inverse_body,
+    )
+
+
 def Ad(group: MatrixLieGroup, g, ginv, idx):
     """The ``(idx, idx)`` block of the adjoint action matrix: column j holds
     the coefficients ``idx`` of g basis[idx[j]] g^-1, formed only where they

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ChartExit, DimensionMismatch
-from .smoothmap import SmoothMap, _ConstantBody, constant_map, eval_map, jacobian
+from .smoothmap import SmoothMap, _ConstantBody, as_map, constant_map, eval_map, jacobian
 
 DEFAULT_TOL = 1e-8
 
@@ -106,8 +106,8 @@ class LPBundleChart:
     """Bundle structure data over a chart.
 
     Any of the three coefficient maps may be passed as ``None`` (zero map) or
-    as a constant ndarray of the right size; a table or map of another size,
-    shape or input dimension is a DimensionMismatch.
+    as a constant table of the right size; a table or map of another size,
+    shape or input dimension is a DimensionMismatch (``smoothmap.as_map``).
     """
 
     base: ChartDomain
@@ -117,23 +117,8 @@ class LPBundleChart:
     omega: SmoothMap = None
 
     def __post_init__(self):
-        n = self.base.n
-        for attr, shape in table_shapes(n, self.m):
-            val = getattr(self, attr)
-            if val is None:
-                val = constant_map(n, np.zeros(shape), attr)
-            elif isinstance(val, np.ndarray):
-                if val.size != math.prod(shape):
-                    raise DimensionMismatch(
-                        f"{attr} must be a table of shape {shape}, got {val.size} entries"
-                    )
-                val = constant_map(n, np.reshape(val, shape), attr)
-            elif val.out_shape != shape or val.in_dim != n:
-                raise DimensionMismatch(
-                    f"{attr} must map R^{n} to shape {shape}, got "
-                    f"R^{val.in_dim} to {val.out_shape}"
-                )
-            object.__setattr__(self, attr, val)
+        for attr, shape in table_shapes(self.base.n, self.m):
+            object.__setattr__(self, attr, as_map(getattr(self, attr), self.base.n, shape, attr))
 
     @property
     def n(self):
@@ -182,9 +167,7 @@ def transport(b: LPBundleChart, T, Tinv) -> LPBundleChart:
     Tinv[p, r] c[r, s, t] T[s, a] T[t, b].  T and Tinv are (m, m) arrays or
     maps from R^n to (m, m); Tinv is not computed, so a dual q passes."""
     n, m = b.n, b.m
-    T, Tinv = (F if isinstance(F, SmoothMap) else constant_map(n, F, "frame") for F in (T, Tinv))
-    if any((F.in_dim, F.out_shape) != (n, (m, m)) for F in (T, Tinv)):
-        raise DimensionMismatch(f"T and Tinv must map R^{n} to ({m}, {m})")
+    T, Tinv = as_map(T, n, (m, m), "T"), as_map(Tinv, n, (m, m), "Tinv")
 
     def gamma(q):
         dT = np.moveaxis(np.reshape(jacobian(T, q), (m, m, n)), -1, 0)
@@ -203,14 +186,14 @@ def transport(b: LPBundleChart, T, Tinv) -> LPBundleChart:
 
 def shift(b: LPBundleChart, S) -> LPBundleChart:
     """The chart of b in the fiber coordinates v', where v = v' + S(q) qdot
-    for a map S from R^n to (m, n) with columns S_i: Gamma'_i = Gamma_i
-    + c(., S_i, .), c' = c and omega'_ij = omega_ij - (d_i S_j - d_j S_i
-    + Gamma_i S_j - Gamma_j S_i) - c(S_i, S_j).  The sums run over the rows
-    of S in order and skip each term with a factor that holds no nonzero or
-    dual entry; the c(S_i, S_j) terms go one row pair (g, h) at a time."""
+    for S an (m, n) table or a map from R^n to (m, n), with columns S_i:
+    Gamma'_i = Gamma_i + c(., S_i, .), c' = c and omega'_ij = omega_ij
+    - (d_i S_j - d_j S_i + Gamma_i S_j - Gamma_j S_i) - c(S_i, S_j).  The
+    sums run over the rows of S in order and skip each term with a factor
+    that holds no nonzero or dual entry; the c(S_i, S_j) terms go one row
+    pair (g, h) at a time."""
     n, m = b.n, b.m
-    if (S.in_dim, S.out_shape) != (n, (m, n)):
-        raise DimensionMismatch(f"S must map R^{n} to ({m}, {n})")
+    S = as_map(S, n, (m, n), "S")
 
     def live(T, axis):  # a dual is != 0
         return np.asarray(T != 0).any(axis=axis)

@@ -6,8 +6,8 @@ bundle over B x G; W is empty and the forms are zero unless given.  From
 this the module builds the reduced bundle chart over B with fiber
 (algebra + W), reduces invariant Lagrangians, projects trajectories, and
 performs two-stage reduction through an abelian normal subgroup N with
-abelian quotient K.  One construction serves both stages: stage 2 reduces
-the stage-1 bundle, its fiber and two-form, with g = n s(k).
+abelian quotient K.  One construction serves both stages: stage 1 reduces
+by N itself, in G's matrices, and stage 2 the stage-1 bundle by K.
 
 Conventions: the group acts on the left, h.(x, g) = (x, h g); reduced
 fiber coordinates are the body values xi = coords(g^-1 gdot) + A(x) xdot
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -42,8 +41,8 @@ from .dynamics import (
 from .lpbundle import (
     ChartDomain, LPBundleChart, _max_abs, check_axioms, shift, table_shapes, transport
 )
-from .liegroups import Ad, MatrixLieGroup, abelian, structure_constants
-from .smoothmap import SmoothMap, _ConstantBody, constant_map, eval_map, jacobian
+from .liegroups import Ad, MatrixLieGroup, _embed, abelian, restrict, structure_constants
+from .smoothmap import SmoothMap, _ConstantBody, as_map, eval_map, jacobian
 
 # invariance sampling in reduce_lagrangian
 INVARIANCE_SAMPLES = 25
@@ -90,8 +89,9 @@ class PrincipalScenario:
     the local connection form; row i is the value on the i-th coordinate
     direction.  ``repW`` is the G-action on W; ``two_form`` maps (x, group
     coordinates) to the W-valued two-form, shape (w, d + k, d + k), of W as
-    an LP bundle over B x G with zero bracket and connection.  None means
-    the zero form, and for ``repW`` the 0-dimensional fiber.
+    an LP bundle over B x G with zero bracket and connection.  ``A`` and
+    ``two_form`` may also be constant tables (``smoothmap.as_map``); None
+    means the zero form, and for ``repW`` the 0-dimensional fiber.
     """
 
     baseB: ChartDomain
@@ -102,19 +102,11 @@ class PrincipalScenario:
 
     def __post_init__(self):
         d, k = self.baseB.n, self.G.dim
-        if self.A is None:
-            object.__setattr__(self, "A", constant_map(d, np.zeros((d, k)), "A"))
-        if self.A.in_dim != d or self.A.out_shape != (d, k):
-            raise DimensionMismatch(
-                f"connection table must map R^{d} to shape {(d, k)}"
-            )
+        object.__setattr__(self, "A", as_map(self.A, d, (d, k), "connection table"))
         if self.repW is None:
             object.__setattr__(self, "repW", trivial_representation(self.G, 0))
         shape = (self.dim_w, d + k, d + k)
-        if self.two_form is None:
-            object.__setattr__(self, "two_form", constant_map(d + k, np.zeros(shape), "two_form"))
-        if self.two_form.in_dim != d + k or self.two_form.out_shape != shape:
-            raise DimensionMismatch(f"two-form table must map R^{d + k} to shape {shape}")
+        object.__setattr__(self, "two_form", as_map(self.two_form, d + k, shape, "two-form table"))
         c = structure_constants(self.G)
         object.__setattr__(self, "_c", c)
         gen = self.repW.gen
@@ -353,20 +345,6 @@ class StagesResult:
     scenario: PrincipalScenario
 
 
-def _embed(coords, idx, k):
-    out = [0.0] * k
-    for j, i in enumerate(idx):
-        out[i] = coords[j]
-    return np.array(out, dtype=object)
-
-
-def _subgroup_exp(G: MatrixLieGroup, idx, coords):
-    """exp of the algebra element with ``coords`` on the basis indices ``idx``
-    and zero elsewhere; over the quotient indices this is the section
-    s(k) = exp(k)."""
-    return G.exp(_embed(coords, idx, G.dim))
-
-
 def subgroup_indices(nidx, k):
     """``nidx`` as a tuple of 1 to k-1 distinct basis indices in 0..k-1."""
     nidx = tuple(int(i) for i in nidx)
@@ -384,17 +362,20 @@ def stages_reduce(direct: ReducedBundleHandle, nidx, override_A_N=None, seed=0):
     ``direct`` is the caller's build_reduced_bundle handle: its scenario is
     staged and its tables are the reference.  Each stage is one
     build_reduced_bundle call, so two axiom checks.  Stage 1 reduces by N
-    over B x K, with g = n(nu) s(kc) and the section s(kc) = exp(kc).
-    Stage 2 reduces the stage-1 bundle by K, which translates kc and acts on
-    the fiber n by Ad_s(kc); that bundle's bracket and connection are zero,
-    so the stage-2 scenario carries its fiber n and its two-form.  Returns
-    both stage handles, each rebuilt by build_reduced_bundle from its
-    scenario, and the fiber reshuffle beta identifying the direct reduction
-    with the composition.  The canonical intermediate connection is the
-    N-projection of the scenario form dressed by the section of K;
-    overriding it skips the exactness guarantee and reports the deviation
-    instead.  Both deviations are sampled at STAGES_SAMPLES seeded points
-    (the structure one once on a point base); a NaN one fails the gate.
+    itself, ``restrict(G, nidx)`` with basis ``G.basis[nidx]``, over B x K,
+    with g = n s(kc) and the section s(kc) = exp(kc) of ``restrict(G,
+    kidx)``.  Stage 2 reduces the stage-1 bundle by K, which translates kc
+    and acts on the fiber n by Ad_s(kc); that bundle's bracket and
+    connection are zero, so the stage-2 scenario carries its fiber n and its
+    two-form.  Returns both stage handles, each rebuilt by
+    build_reduced_bundle from its scenario, and the fiber reshuffle beta
+    identifying the direct reduction with the composition.  The canonical
+    intermediate connection is the N-projection of the scenario form
+    dressed by the section of K; overriding it, by a map or a constant table
+    of shape (d + s, r), skips the exactness guarantee and reports the
+    deviation instead.  Both deviations are sampled at STAGES_SAMPLES seeded
+    points (the structure one once on a point base); a NaN one fails the
+    gate.
     """
     sc = direct.scenario
     d, k = sc.baseB.n, sc.k
@@ -417,13 +398,15 @@ def stages_reduce(direct: ReducedBundleHandle, nidx, override_A_N=None, seed=0):
         raise NotSupported("quotient by the subgroup must be abelian")
 
     G = sc.G
-    section = partial(_subgroup_exp, G, kidx)
+    section = restrict(G, kidx).exp  # s(kc) = exp(kc) on the quotient indices
     gen = c[np.ix_(N, K, N)].transpose(1, 0, 2)  # gen[j][p, q] = c[N_p, K_j, N_q]
 
     def a_n_body(xk):
         """N-block of s(kc)^-1 (A_G(x) dx + ds), carried to the stage-1
         fiber by Ad_s(kc), in the coordinates (x, kc)."""
         x, kc = xk[:d], xk[d:]
+        # negated after embedding: the other slots hold -0.0, which keeps the
+        # zero signs of the stage-1 Jacobians
         sinv = G.exp(-_embed(kc, kidx, k))
         jets = [_dual.directional(section, np.asarray(kc, dtype=object), e) for e in np.eye(s_dim)]
         rows = np.concatenate(
@@ -435,35 +418,28 @@ def stages_reduce(direct: ReducedBundleHandle, nidx, override_A_N=None, seed=0):
         return np.array(rows.tolist())
 
     canonical = SmoothMap(d + s_dim, (d + s_dim) * r, a_n_body, out_shape=(d + s_dim, r))
+    A_N, compat_dev = canonical, 0.0
     if override_A_N is not None:
-        if override_A_N.in_dim != d + s_dim or override_A_N.out_shape != (d + s_dim, r):
-            raise DimensionMismatch("override connection table has the wrong shape")
+        A_N = as_map(override_A_N, d + s_dim, (d + s_dim, r), "override connection table")
         rng = np.random.default_rng(seed)
-        dev = 0.0
         for _ in range(STAGES_SAMPLES):
             pt = np.concatenate([sc.baseB.sample(rng), rng.uniform(-1.5, 1.5, s_dim)])
-            dev = _max_abs(
-                dev,
-                np.asarray(eval_map(override_A_N, pt), float)
-                - np.asarray(eval_map(canonical, pt), float),
+            compat_dev = _max_abs(
+                compat_dev,
+                np.asarray(eval_map(A_N, pt), float) - np.asarray(eval_map(canonical, pt), float),
             )
         warnings.warn(
             f"overriding the canonical intermediate connection "
-            f"(max deviation {dev:.3e}); exactness of the stage "
+            f"(max deviation {compat_dev:.3e}); exactness of the stage "
             f"composition is no longer guaranteed"
         )
-        A_N = override_A_N
-        compat_dev = dev
-    else:
-        A_N = canonical
-        compat_dev = 0.0
 
     base1 = ChartDomain(
         d + s_dim,
         np.vstack([sc.baseB.bounds, np.tile([-2.0, 2.0], (s_dim, 1))]),
         list(sc.baseB.periodic) + [False] * s_dim,
     )
-    stage1 = build_reduced_bundle(PrincipalScenario(base1, abelian(r), A_N))
+    stage1 = build_reduced_bundle(PrincipalScenario(base1, restrict(G, N), A_N))
 
     A_K = SmoothMap(d, d * s_dim, lambda x: eval_map(sc.A, x)[:, K], out_shape=(d, s_dim))
     rep = RepW(r, gen, lambda h: Ad(G, section(h[:s_dim, -1]), section(-h[:s_dim, -1]), N))
@@ -495,25 +471,18 @@ def two_stage_lagrangian(res: StagesResult, L):
 
     L lives on the scenario that ``res`` staged, ``res.scenario``.  Built
     through the honest composition: the stage-1 reduction runs the generic
-    quotient machinery over base B x K at g = n(nu) s(kc), and the K-stage
-    applies the same connection-corrected body velocity.  Nothing here looks
-    at the direct reduction, so comparing the two is a real consistency test.
+    quotient machinery over base B x K on L(x, n s(kc), ndot s(kc) + n sdot)
+    with n in N, and the K-stage applies the same connection-corrected body
+    velocity.  Nothing here looks at the direct reduction, so comparing the
+    two is a real consistency test.
     """
     sc = res.scenario
-    d = sc.baseB.n
-    r, s_dim = len(res.nidx), len(res.kidx)
-    section = partial(_subgroup_exp, sc.G, res.kidx)
-    n_of = partial(_subgroup_exp, sc.G, res.nidx)
+    d, s_dim = sc.baseB.n, len(res.kidx)
+    section = restrict(sc.G, res.kidx).exp
 
-    def L1(xk, xkdot, n_mat, n_dot, w):
-        x, kc = xk[:d], xk[d:]
-        xdot, kcdot = xkdot[:d], xkdot[d:]
-        nu, nudot = n_mat[:r, -1], n_dot[:r, -1]
-        nG, nG_dot = _dual.directional(n_of, np.asarray(nu, dtype=object), nudot)
-        s_mat, s_dot = _dual.directional(section, np.asarray(kc, dtype=object), kcdot)
-        g = nG @ s_mat
-        gdot = nG_dot @ s_mat + nG @ s_dot
-        return L(x, xdot, g, gdot, w)
+    def L1(xk, xkdot, n, ndot, w):  # n and ndot are matrices of G
+        s, sdot = _dual.directional(section, np.asarray(xk[d:], dtype=object), xkdot[d:])
+        return L(xk[:d], xkdot[:d], n @ s, ndot @ s + n @ sdot, w)
 
     l1 = reduce_lagrangian(res.stage1, L1)
 

@@ -8,6 +8,7 @@ independent check is :func:`fd_jacobian`, a central-difference estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -16,7 +17,7 @@ import numpy as np
 from . import _dual
 from .errors import DimensionMismatch
 
-__all__ = ["SmoothMap", "constant_map", "eval_map", "jacobian", "fd_jacobian"]
+__all__ = ["SmoothMap", "as_map", "constant_map", "eval_map", "jacobian", "fd_jacobian"]
 
 
 @dataclass(frozen=True)
@@ -64,6 +65,26 @@ def constant_map(in_dim, table, name=""):
     return SmoothMap(
         in_dim, const.size, _ConstantBody(const), out_shape=const.shape, name=name
     )
+
+
+def as_map(val, in_dim, shape, name):
+    """``val`` as a map from R^in_dim to ``shape``: a map of that input
+    dimension and shape passes through, a table of that size becomes its
+    ``constant_map`` and None the zero map.  Anything else raises
+    DimensionMismatch, naming the table ``name``."""
+    if isinstance(val, SmoothMap):
+        if (val.in_dim, val.out_shape) != (in_dim, shape):
+            raise DimensionMismatch(
+                f"{name} must map R^{in_dim} to shape {shape}, got "
+                f"R^{val.in_dim} to {val.out_shape}"
+            )
+        return val
+    table = np.zeros(shape) if val is None else val
+    if np.size(table) != math.prod(shape):
+        raise DimensionMismatch(
+            f"{name} must be a table of shape {shape}, got {np.size(table)} entries"
+        )
+    return constant_map(in_dim, np.reshape(table, shape), name)
 
 
 def _check_input(m, x):

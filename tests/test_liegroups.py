@@ -23,6 +23,7 @@ from lpmech.liegroups import (
     _sparse_sum,
     abelian,
     heisenberg3,
+    restrict,
     so3,
     structure_constants,
 )
@@ -576,3 +577,48 @@ def test_Ad_block_is_the_slice_of_the_full_columns(G, idx, seed):
     for g, ginv in pairs:
         want = _Ad_columns(G, g, ginv, idx)[list(idx)]
         assert _tree(Ad(G, g, ginv, idx)) == _tree(want)
+
+
+# ---------------------------------------------------------------------------
+# the exponential on a span of basis vectors
+
+_RESTRICT_CASES = [(heisenberg3, (2,)), (heisenberg3, (0, 2)), (heisenberg3, (1, 2)), (so3, (0,))]
+
+
+@pytest.mark.parametrize("make, idx", _RESTRICT_CASES)
+def test_restrict_is_the_group_on_the_embedded_coordinates(make, idx):
+    """exp, hat and unhat of restrict(G, idx) are G's at the coordinates with
+    0.0 in the other slots, bit for bit on float and dual input (unhat on
+    the span; off it, the two pseudo-inverses may differ in the last bit).
+    On dual input hat forms no product outside basis[idx]'s pattern, so
+    there it gives 0.0 where G's hat adds 0.0 * -1.0 (so3).  The structure
+    constants are the (idx, idx, idx) block of G's."""
+    G = make()
+    H, k, rows = restrict(G, idx), G.dim, list(idx)
+    assert H.dim == len(idx) and np.array_equal(H.basis, G.basis[rows])
+    pattern = (H.basis != 0).any(axis=0)
+    rng = np.random.default_rng(len(idx))
+    lev = _dual.fresh_level()
+    for _ in range(3):
+        xi, dxi = rng.standard_normal((2, len(idx)))
+        for x in (xi, _seeded(xi, dxi, lev)):
+            e = np.array([0.0] * k, dtype=x.dtype)
+            e[rows] = x
+            want = G.exp(e)
+            assert _bits(np.asarray(H.exp(x), dtype=want.dtype)) == _bits(want)
+            got, want = H.hat(x), G.hat(e)
+            assert _bits(got[pattern]) == _bits(want[pattern])
+            assert not np.asarray(want[~pattern], dtype=float).any()
+            assert _bits(got[~pattern]) == _bits(np.array([0.0] * (~pattern).sum(), x.dtype))
+            assert _bits(H.unhat(want)) == _bits(G.unhat(want)[rows])
+    c = structure_constants(G)
+    assert np.array_equal(structure_constants(H), c[np.ix_(rows, rows, rows)])
+
+
+def test_restrict_to_a_span_that_is_no_subalgebra_has_no_structure_constants():
+    """[e_x, e_y] = e_z leaves the span of (0, 1); its exp is still G's."""
+    H = restrict(heisenberg3(), (0, 1))
+    with pytest.raises(ValueError, match="leaves the span"):
+        structure_constants(H)
+    xi = np.array([0.3, -0.7])
+    assert np.array_equal(np.asarray(H.exp(xi), float), heisenberg3().exp(np.array([0.3, -0.7, 0.0])))

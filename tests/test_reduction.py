@@ -1,6 +1,6 @@
 """Tests for principal-scenario reduction, staged reduction and currents."""
 
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 import pytest
@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from lpmech import _dual, reduction
 from lpmech.dynamics import (
+    LPLagrangian,
     LPState,
+    _jet,
     accelerations,
     integrate_lp,
     pullback,
@@ -23,6 +25,7 @@ from lpmech.errors import (
     NotSupported,
 )
 from lpmech.liegroups import (
+    Ad,
     MatrixLieGroup,
     abelian,
     heisenberg3,
@@ -42,6 +45,7 @@ from lpmech.lpbundle import (
 from lpmech.reduction import (
     PrincipalScenario,
     RepW,
+    _body_velocity,
     alpha_map,
     build_reduced_bundle,
     curvature_form,
@@ -154,6 +158,50 @@ def test_connection_table_shape_is_checked():
                 ChartDomain(1), so3(), repW=rep, two_form=constant_map(in_dim, np.zeros(shape))
             )
     PrincipalScenario(ChartDomain(1), so3(), repW=rep, two_form=constant_map(4, np.zeros((2, 4, 4))))
+
+
+def test_scenario_tables_of_the_wrong_size_or_shape_name_the_table():
+    rep = trivial_representation(so3(), 2)
+    for kw, match in (
+        ({"A": np.zeros((1, 2))}, "^connection table must be a table of shape \\(1, 3\\)"),
+        ({"A": constant_map(2, np.zeros((1, 3)))}, "^connection table must map R\\^1"),
+        ({"repW": rep, "two_form": np.zeros((2, 4, 3))}, "^two-form table must be a table"),
+        ({"repW": rep, "two_form": constant_map(3, np.zeros((2, 4, 4)))}, "^two-form table must map"),
+    ):
+        with pytest.raises(DimensionMismatch, match=match):
+            PrincipalScenario(ChartDomain(1), so3(), **kw)
+
+
+def _table_scenarios():
+    """Pairs of one scenario with A and two_form given as arrays and as their
+    constant maps: so3 with the defining W over a plane, and a plane group
+    with a trivial line W and a nonzero two-form over a line."""
+    rng = np.random.default_rng(8)
+    A = rng.uniform(-0.5, 0.5, (2, 3))
+    yield [
+        PrincipalScenario(ChartDomain(2), so3(), A_, defining_representation(so3()), O_)
+        for A_, O_ in ((A, np.zeros((3, 5, 5))), (constant_map(2, A), constant_map(5, np.zeros((3, 5, 5)))))
+    ]
+    A = rng.uniform(-0.5, 0.5, (1, 2))
+    O = rng.uniform(-0.5, 0.5, (1, 3, 3))
+    O = O - O.transpose(0, 2, 1)
+    rep = trivial_representation(abelian(2), 1)
+    yield [
+        PrincipalScenario(ChartDomain(1), abelian(2), A_, rep, O_)
+        for A_, O_ in ((A, O), (constant_map(1, A), constant_map(3, O)))
+    ]
+
+
+@pytest.mark.parametrize("pair", list(_table_scenarios()), ids=["so3-W", "plane-W"])
+def test_scenario_tables_are_their_constant_maps(pair):
+    """A and two_form given as arrays reduce to the tables, bit for bit, of
+    the same scenario given by constant maps."""
+    by_table, by_map = (build_reduced_bundle(sc, n_samples=5).bundle for sc in pair)
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        x = by_map.base.sample(rng)
+        for got, want in zip(by_table.tables(x), by_map.tables(x)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -788,6 +836,21 @@ def test_stages_override_warns_and_reports_deviation():
     assert res.structure_deviation > 1e-8
 
 
+def test_stages_override_may_be_a_table():
+    """A constant (d + s, r) table overrides as its constant map does; a
+    table or map of another shape names the override."""
+    handle = build_reduced_bundle(heisenberg_scenario())
+    table = np.array([[0.1], [-0.2]])
+    with pytest.warns(UserWarning, match="overriding"):
+        runs = [stages_reduce(handle, [2], override_A_N=o) for o in (table, constant_map(2, table))]
+    assert runs[0].compatibility_deviation == runs[1].compatibility_deviation > 1e-4
+    for got, want in zip(*(r.stage2.bundle.tables(np.zeros(0)) for r in runs)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for bad in (np.zeros((2, 2)), constant_map(3, np.zeros((2, 1)))):
+        with pytest.raises(DimensionMismatch, match="^override connection table must"):
+            stages_reduce(handle, [2], override_A_N=bad)
+
+
 # ---------------------------------------------------------------------------
 # the connection enters the reduced tables through shift
 
@@ -843,8 +906,12 @@ def body_lagrangian(sc, seed):
 def test_the_reduced_bundle_does_not_depend_on_the_connection(group, with_w, seed):
     """The reduced charts of two connections A and A' are charts of one
     bundle, v = v' + S xdot with S = -[(A' - A)^T; 0]: the chart of A moved
-    by shift has the tables of the chart of A', and the reductions of one
-    invariant L satisfy L_A'(v') = L_A(v' + S xdot)."""
+    by shift has the tables of the chart of A', the reductions of one
+    invariant L satisfy L_A'(v') = L_A(v' + S xdot), and their flows (50
+    RK4 steps of 1e-3) from states so related stay so related.  The change
+    of coordinates is not linear in the state, so RK4 in the two charts are
+    two schemes whose gap is truncation error: 1.4e-10 at seed 0 on so3
+    with W, 16 times less at each halving of the step."""
     d, k = 2, 3
     A, A2 = quadratic_table(d, k, seed), quadratic_table(d, k, seed + 1)
     sc, sc2 = (polynomial_scenario(group, d, with_w, M) for M in (A, A2))
@@ -866,6 +933,11 @@ def test_the_reduced_bundle_does_not_depend_on_the_connection(group, with_w, see
         xdot, v2 = rng.normal(size=d), rng.normal(size=k + w)
         v = v2 + np.asarray(eval_map(S, x), float) @ xdot
         assert abs(l2.value(x, xdot, v2) - l.value(x, xdot, v)) <= 1e-10
+    flow2 = integrate_lp(l2, LPState(x, xdot, v2), 0.0, 0.05, 1e-3)
+    flow = integrate_lp(l, LPState(x, xdot, v), 0.0, 0.05, 1e-3)
+    assert len(flow) == len(flow2) == 51
+    for a, b in zip(flow.states, flow2.states):
+        assert _max_abs(a.q - b.q, a.v - b.v - np.asarray(eval_map(S, b.q), float) @ b.qdot) <= 1e-9
 
 
 # The reduced tables as build_reduced_bundle wrote them before shift, kept as
@@ -936,11 +1008,18 @@ def _oracle_handles(group, d, with_w):
     return [build_reduced_bundle(polynomial_scenario(group, d, with_w, A), n_samples=5)]
 
 
-def _oracle_stage_handles(nidx):
-    """Both stages of a heisenberg3 scenario over a line; the stage-2
-    two-form, the stage-1 omega, is not constant."""
+@cache
+def _line_stages(nidx):
+    """The direct reduction and stages of a heisenberg3 scenario over a line,
+    built once per nidx; the stage-2 two-form, the stage-1 omega, is not
+    constant."""
     sc = polynomial_scenario("heisenberg3", 1, False, quadratic_table(1, 3, 7))
-    res = stages_reduce(build_reduced_bundle(sc, n_samples=5), nidx)
+    direct = build_reduced_bundle(sc, n_samples=5)
+    return direct, stages_reduce(direct, nidx)
+
+
+def _oracle_stage_handles(nidx):
+    res = _line_stages(nidx)[1]
     return [res.stage1, res.stage2]
 
 
@@ -967,3 +1046,112 @@ def test_reduced_tables_match_the_replaced_construction_bit_for_bit(case):
             for name in ("Gamma", "c", "omega"):
                 got, want = (_table_jacobian(getattr(b, name), x) for b in (h.bundle, old))
                 assert np.array_equal(got, want)
+
+
+# The stages as stages_reduce and two_stage_lagrangian built them when stage 1
+# reduced by the translation group abelian(r) and L1 mapped its elements back
+# into G through a second exp pass, kept as the oracle of reducing stage 1 by
+# N in G: the same bits, table Jacobians and the sign of each zero included.
+
+
+def _translation_exp(G, idx, coords):
+    out = [0.0] * G.dim
+    for j, i in enumerate(idx):
+        out[i] = coords[j]
+    return G.exp(np.array(out, dtype=object))
+
+
+def _translation_stages(sc, nidx, L):
+    """(stage-1 bundle, stage-2 bundle, two-stage Lagrangian) of ``sc``."""
+    d, k, c, G = sc.baseB.n, sc.k, sc._c, sc.G
+    N = list(nidx)
+    K = [i for i in range(k) if i not in N]
+    r, s_dim = len(N), len(K)
+    section, n_of = partial(_translation_exp, G, K), partial(_translation_exp, G, N)
+    gen = c[np.ix_(N, K, N)].transpose(1, 0, 2)
+
+    def a_n_body(xk):
+        x, kc = xk[:d], xk[d:]
+        out = [0.0] * k
+        for j, i in enumerate(K):
+            out[i] = kc[j]
+        sinv = G.exp(-np.array(out, dtype=object))
+        jets = [_dual.directional(section, np.asarray(kc, dtype=object), e) for e in np.eye(s_dim)]
+        rows = np.concatenate(
+            [eval_map(sc.A, x)[:, N], [G.unhat_product(sinv, ds, N) for _, ds in jets]]
+        )
+        if gen.any():
+            rows = rows @ Ad(G, jets[0][0], sinv, N).T
+        return np.array(rows.tolist())
+
+    base1 = ChartDomain(
+        d + s_dim,
+        np.vstack([sc.baseB.bounds, np.tile([-2.0, 2.0], (s_dim, 1))]),
+        list(sc.baseB.periodic) + [False] * s_dim,
+    )
+    A_N = SmoothMap(d + s_dim, (d + s_dim) * r, a_n_body, out_shape=(d + s_dim, r))
+    stage1 = build_reduced_bundle(PrincipalScenario(base1, abelian(r), A_N), n_samples=5)
+    A_K = SmoothMap(d, d * s_dim, lambda x: eval_map(sc.A, x)[:, K], out_shape=(d, s_dim))
+    rep = RepW(r, gen, lambda h: Ad(G, section(h[:s_dim, -1]), section(-h[:s_dim, -1]), N))
+    stage2 = build_reduced_bundle(
+        PrincipalScenario(sc.baseB, abelian(s_dim), A_K, rep, stage1.bundle.omega), n_samples=5
+    )
+
+    def L1(xk, xkdot, n_mat, n_dot, w):
+        x, kc = xk[:d], xk[d:]
+        xdot, kcdot = xkdot[:d], xkdot[d:]
+        nu, nudot = n_mat[:r, -1], n_dot[:r, -1]
+        nG, nG_dot = _dual.directional(n_of, np.asarray(nu, dtype=object), nudot)
+        s_mat, s_dot = _dual.directional(section, np.asarray(kc, dtype=object), kcdot)
+        return L(x, xdot, nG @ s_mat, nG_dot @ s_mat + nG @ s_dot, w)
+
+    l1 = reduce_lagrangian(stage1, L1)
+
+    def f2(x, xdot, va):
+        kdot = _body_velocity(eval_map(A_K, x), xdot, va)
+        xk = np.concatenate([np.asarray(x, dtype=object), np.zeros(s_dim, dtype=object)])
+        xkdot = np.concatenate([np.asarray(xdot, dtype=object), kdot])
+        return l1.value(xk, xkdot, va[s_dim:])
+
+    return stage1.bundle, stage2.bundle, LPLagrangian.from_callable(stage2.bundle, f2)
+
+
+def _stage_oracle_case(system, nidx):
+    """(direct handle, its stages, an invariant L)."""
+    if system == "heisenberg_stages":
+        rec = build_system(system)
+        return rec.handle, stages_reduce(rec.handle, nidx), rec.unreduced_lagrangian
+    direct, res = _line_stages(nidx)
+    return direct, res, body_lagrangian(direct.scenario, 7)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("system", ["heisenberg_stages", "line"])
+@pytest.mark.parametrize("nidx", [(2,), (0, 2), (1, 2)])
+def test_stage_one_by_N_in_G_keeps_the_bits_of_the_translation_stage(system, nidx):
+    """Stage 1 reduces by restrict(G, N) and L1 reads n s(kc) directly; the
+    stage tables, their Jacobians and the two-stage Lagrangian's jets keep
+    the bits of the translation-group construction, on a point base and
+    over a line, where the stage-2 two-form and connection are not zero."""
+    direct, res, L = _stage_oracle_case(system, nidx)
+    old1, old2, old_l2 = _translation_stages(direct.scenario, nidx, L)
+    rng = np.random.default_rng(11)
+    for new, old in ((res.stage1.bundle, old1), (res.stage2.bundle, old2)):
+        for _ in range(3):
+            q = new.base.sample(rng)
+            for got, want in zip(new.tables(q), old.tables(q)):
+                assert got.shape == want.shape
+                assert np.array_equal(_bits(got), _bits(want))
+            for name in ("Gamma", "c", "omega"):
+                got, want = (_table_jacobian(getattr(b, name), q) for b in (new, old))
+                assert got.shape == want.shape
+                assert np.array_equal(_bits(got), _bits(want))
+    l2 = two_stage_lagrangian(res, L)
+    d = direct.scenario.baseB.n
+    for _ in range(3):
+        s = LPState(direct.scenario.baseB.sample(rng), rng.normal(size=d), rng.normal(size=3))
+        for got, want in zip(_jet(l2, s), _jet(old_l2, s)):
+            assert np.array_equal(_bits(got), _bits(want))

@@ -10,7 +10,7 @@ from lpmech import _dual
 from lpmech.cli import polynomial_map
 from lpmech._dual import Dual, fresh_level
 from lpmech.errors import DimensionMismatch
-from lpmech.smoothmap import SmoothMap, constant_map, eval_map, fd_jacobian, jacobian
+from lpmech.smoothmap import SmoothMap, _ConstantBody, as_map, constant_map, eval_map, fd_jacobian, jacobian
 
 
 def test_eval_identity():
@@ -38,6 +38,25 @@ def test_eval_dimension_mismatch():
     m = SmoothMap(2, 1, lambda x: x[0])
     with pytest.raises(DimensionMismatch):
         eval_map(m, np.array([1.0, 2.0, 3.0]))
+
+
+def test_as_map_passes_maps_and_makes_tables_constant():
+    """A map of the shape passes through as it is; a table of that size, flat
+    or not, and None become constant maps of float read-only tables; any
+    other size, shape or input dimension names the table."""
+    m = SmoothMap(2, 6, lambda x: np.zeros((2, 3)), out_shape=(2, 3))
+    assert as_map(m, 2, (2, 3), "T") is m
+    for val, want in ((np.arange(6), np.arange(6.0).reshape(2, 3)), (None, np.zeros((2, 3)))):
+        got = as_map(val, 2, (2, 3), "T")
+        assert isinstance(got.body, _ConstantBody) and got.name == "T"
+        table = eval_map(got, np.zeros(2))
+        assert table.dtype == float and not table.flags.writeable
+        assert np.array_equal(table, want)
+    with pytest.raises(DimensionMismatch, match="^T must be a table of shape \\(2, 3\\), got 5"):
+        as_map(np.zeros(5), 2, (2, 3), "T")
+    for bad in (SmoothMap(3, 6, m.body, out_shape=(2, 3)), SmoothMap(2, 6, m.body, out_shape=(3, 2))):
+        with pytest.raises(DimensionMismatch, match="^T must map R\\^2 to shape \\(2, 3\\), got"):
+            as_map(bad, 2, (2, 3), "T")
 
 
 def test_real_eval_equals_zero_seed_dual_eval():

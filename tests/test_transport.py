@@ -28,7 +28,7 @@ from lpmech.lpbundle import (
     shift,
     transport,
 )
-from lpmech.smoothmap import SmoothMap, eval_map
+from lpmech.smoothmap import SmoothMap, constant_map, eval_map
 from lpmech.systems import flat_bundle_particle
 
 from test_lpbundle import random_polynomial_section
@@ -161,12 +161,25 @@ def test_jacobi_residual_stays_at_round_off_on_a_transported_chart():
 
 
 def test_transport_rejects_frames_of_the_wrong_shape_or_input():
+    """Each message names the frame at fault."""
     b = closed_flat_chart()
     T, Tinv = unitriangular_frame(2, SHEAR2)
     wide = SmoothMap(3, 4, lambda q: np.eye(2), out_shape=(2, 2))
-    for frames in ((np.eye(3), np.eye(3)), (T, np.ones((2, 3))), (wide, Tinv)):
-        with pytest.raises(DimensionMismatch):
+    for frames, match in (
+        ((np.eye(3), np.eye(3)), "^T must be a table"),
+        ((T, np.ones((2, 3))), "^Tinv must be a table"),
+        ((wide, Tinv), "^T must map R\\^2"),
+        ((T, wide), "^Tinv must map R\\^2"),
+    ):
+        with pytest.raises(DimensionMismatch, match=match):
             transport(b, *frames)
+
+
+def test_transport_reshapes_a_flat_frame_table_of_the_right_size():
+    b = gauged_algebra_chart()
+    T = np.array([[1.0, 0.4], [0.0, 1.0]])
+    Tinv = np.array([[1.0, -0.4], [0.0, 1.0]])
+    assert table_gap(transport(b, T.ravel(), Tinv.ravel()), transport(b, T, Tinv)) == 0.0
 
 
 def test_the_lp_flow_maps_through_pullback():
@@ -286,5 +299,21 @@ def test_shift_rejects_S_of_the_wrong_shape_or_input():
     wide = SmoothMap(3, 4, lambda q: np.zeros((2, 2)), out_shape=(2, 2))
     tall = SmoothMap(2, 6, lambda q: np.zeros((3, 2)), out_shape=(3, 2))
     for S in (wide, tall, SmoothMap(2, 4, lambda q: np.zeros(4))):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match="^S must map R\\^2 to shape \\(2, 2\\)"):
             shift(b, S)
+    with pytest.raises(DimensionMismatch, match="^S must be a table of shape"):
+        shift(b, np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("make", SHIFT_CHARTS)
+def test_shift_by_a_constant_table_is_the_shift_by_its_constant_map(make):
+    """An (m, n) array S is the constant map of its table, bit for bit."""
+    b = make()
+    S = np.array([[0.3, -0.7], [0.45, 0.2]])
+    by_table, by_map = shift(b, S), shift(b, constant_map(2, S))
+    assert table_gap(by_table, b) > 0.05
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        q = b.base.sample(rng)
+        for got, want in zip(by_table.tables(q), by_map.tables(q)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
